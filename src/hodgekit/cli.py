@@ -413,11 +413,9 @@ def main(argv=None):
         return _run_command(command, worker, args)
 
     if command == "tha":
-        if args.n < 1:
-            print("error: --n must be at least 1", file=sys.stderr)
-            return 2
-
         def worker():
+            if args.n < 1:
+                raise ValidationError("--n must be at least 1")
             kind, doc = load_problem_file(args.file)
             if kind != "k3period":
                 raise FileFormatError(f"tha needs a k3period file, got {kind}")

@@ -151,14 +151,23 @@ def kernel(m):
     """Canonical (RREF) basis of the right kernel, one row per basis
     vector; zero-row Matrix when the kernel is trivial."""
     r, pivots = rref(m)
-    zero = m.entries[0][0] * 0 if m.rows else Fraction(0)
+    return _kernel_from_rref(r, pivots, m.cols, _zero_like(m))
+
+
+def _zero_like(m):
+    return m.entries[0][0] * 0 if m.rows else Fraction(0)
+
+
+def _kernel_from_rref(r, pivots, cols, zero):
+    """Kernel basis of the first `cols` columns of a reduced row-echelon
+    form whose pivots in those columns are `pivots`."""
     one = zero + 1
-    free = [c for c in range(m.cols) if c not in pivots]
+    free = [c for c in range(cols) if c not in pivots]
     if not free:
-        return Matrix.zeros(0, m.cols, zero)
+        return Matrix.zeros(0, cols, zero)
     basis = []
     for c in free:
-        v = [zero] * m.cols
+        v = [zero] * cols
         v[c] = one
         for i, pc in enumerate(pivots):
             v[pc] = -r.entries[i][c]
@@ -188,19 +197,20 @@ class SolveResult:
 
 
 def solve_linear(a, b):
-    """Exact solution set of a x = b by elimination on [a | b]."""
+    """Exact solution set of a x = b by one elimination on [a | b]: the
+    left block of its RREF is the RREF of a, so the kernel is read off
+    the same elimination."""
     if len(b) != a.rows:
         raise ValueError("shape mismatch")
     aug = Matrix(tuple(tuple(r) + (bv,) for r, bv in zip(a.entries, b)))
     r, pivots = rref(aug)
-    ker = kernel(a)
+    zero = _zero_like(a)
     if a.cols in pivots:
-        return SolveResult(None, ker)
-    zero = a.entries[0][0] * 0 if a.rows else Fraction(0)
+        return SolveResult(None, _kernel_from_rref(r, pivots[:-1], a.cols, zero))
     x = [zero] * a.cols
     for i, pc in enumerate(pivots):
         x[pc] = r.entries[i][a.cols]
-    return SolveResult(tuple(x), ker)
+    return SolveResult(tuple(x), _kernel_from_rref(r, pivots, a.cols, zero))
 
 
 def det(m):

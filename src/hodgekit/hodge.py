@@ -7,12 +7,16 @@ the span of the rational coefficient vectors of the period in the power
 basis, which is the minimal rational subspace whose complexification
 contains the period line.
 
-The endomorphism algebra is computed as the space of rational matrices
-keeping the period line invariant: every Galois conjugate of the period
-is then a simultaneous eigenvector, which forces the algebra to be a
-commutative field.  The polarization adjoint a -> q^-1 a^T q classifies
-it: pointwise fixed means totally real (Mumford-Tate SO_E), otherwise a
-CM field over the fixed subfield E_0 (Mumford-Tate U_E).
+The endomorphism field E is the algebra of rational matrices keeping
+the period line invariant.  Its eigenvalue on the period is a character
+embedding E into F (Zarhin 1983), so E is computed as the subfield of
+those eigenvalues that a rational matrix realizes: a linear system in
+deg F unknowns, after which each eigenvalue gives its matrix by one
+rational solve.  The polarization adjoint a -> q^-1 a^T q classifies
+E: pointwise fixed means totally real (Mumford-Tate SO_E), otherwise a
+CM field over the fixed subfield E_0 (Mumford-Tate U_E).  The rational
+(2,2)-classes of T (x) T are then phi G_T^-1 for phi in E, where G_T is
+the Gram matrix of q on T.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ import random
 from .errors import (InternalError, IsotropyFails, NotClosed, NotCommutative,
                      PositivityFails, ValidationError, WrongSignature)
 from .exactmath import (Matrix, certified_sign, conjugate_element, kernel,
-                        nf_create, nf_embeddings, solve_linear)
+                        mult_matrix, nf_create, nf_embeddings, rref)
 from .exactmath.linalg import inverse, row_space
 from .qforms import QuadraticSpace, orth_complement, signature
 
@@ -60,40 +64,29 @@ def validate_period(space, field, embedding, omega, precision_start=64):
     sig = signature(space).as_pair()
     if sig != (2, m - 2):
         raise WrongSignature(f"signature {sig} is not (2, {m - 2})")
-    iso = _field_form(space, omega, omega)
+    iso = space.form(omega, omega)
     if not iso.is_zero():
         raise IsotropyFails(
             f"q(omega, omega) is nonzero: {list(iso.coords)}", witness=iso)
     omega_conj = tuple(conjugate_element(v, embedding) for v in omega)
-    pos = _field_form(space, omega, omega_conj)
+    pos = space.form(omega, omega_conj)
     s = certified_sign(pos, embedding, precision_start=precision_start)
     if s <= 0:
         raise PositivityFails(f"q(omega, conj omega) has sign {s}, not positive")
     return K3Period(space, field, embedding, omega, omega_conj)
 
 
-def _field_form(space, u, v):
-    acc = None
-    g = space.gram.entries
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            if g[i][j] == 0:
-                continue
-            term = ui * vj * g[i][j]
-            acc = term if acc is None else acc + term
-    if acc is None:
-        return u[0] * 0
-    return acc
-
-
 @dataclass(frozen=True)
 class K3Hodge:
-    """Period plus derived transcendental lattice T and its orthogonal
-    complement (the algebraic part)."""
+    """Period plus derived transcendental lattice T, its orthogonal
+    complement (the algebraic part), the Gram matrix G_T of q on T and
+    the coordinates omega_T of the period over the basis of T."""
 
     period: K3Period
     trans: Matrix      # rows: canonical basis of T
     alg: Matrix        # rows: canonical basis of T-perp
+    gram: Matrix       # G_T in the basis `trans`
+    omega_t: tuple     # omega = sum omega_t[k] * trans[k], over F
 
     @property
     def space(self):
@@ -116,15 +109,18 @@ def transcendental_lattice(period):
         if any(c != 0 for c in v):
             vecs.append(v)
     t = row_space(Matrix(vecs))
-    tsig = signature(QuadraticSpace(_restrict_gram(period.space, t))).as_pair()
+    gram_t = _restrict_gram(period.space, t)
+    tsig = signature(QuadraticSpace(gram_t)).as_pair()
     if tsig != (2, t.rows - 2):
         raise WrongSignature(
             f"q restricted to the transcendental lattice has signature {tsig}")
-    _express_in_basis(t, period.omega, period.field)  # must succeed
+    omega_t = _coords_in(t, period.omega)
+    if omega_t is None:
+        raise InternalError("period does not lie in the computed lattice")
     tperp = orth_complement(period.space, t)
     if t.rows + tperp.rows != m:
         raise InternalError("T and its complement do not decompose V")
-    return K3Hodge(period, t, tperp)
+    return K3Hodge(period, t, tperp, gram_t, omega_t)
 
 
 def _restrict_gram(space, basis):
@@ -132,14 +128,20 @@ def _restrict_gram(space, basis):
     return Matrix(tuple(tuple(space.form(u, v) for v in rows) for u in rows))
 
 
-def _express_in_basis(basis, omega, field):
-    """Coordinates of the period over the row basis, solved over F."""
-    cols = Matrix(tuple(zip(*(tuple(field.from_rational(c) for c in row)
-                              for row in basis.entries))))
-    sol = solve_linear(cols, omega)
-    if sol.particular is None:
-        raise InternalError("period does not lie in the computed lattice")
-    return sol.particular
+def _coords_in(basis, v):
+    """Coordinates of v over an RREF row basis, read off the pivot
+    columns; None when v is outside the span.  Entries of v may lie in
+    a number field."""
+    pivots = (next(j for j, c in enumerate(row) if c != 0)
+              for row in basis.entries)
+    coords = tuple(v[p] for p in pivots)
+    for j, vj in enumerate(v):
+        for c, row in zip(coords, basis.entries):
+            if row[j] != 0:
+                vj = vj - c * row[j]
+        if vj != 0:
+            return None
+    return coords
 
 
 def is_hodge_substructure(h, w):
@@ -198,49 +200,34 @@ class EndFieldResult:
 
 
 def endomorphism_field(h, seed=0):
-    """Solve for all rational matrices phi on T with phi(O) parallel to
-    O, then verify the field axioms and classify by the polarization
-    adjoint."""
-    period = h.period
-    field = period.field
-    e_f = field.degree
+    """Compute E from the eigenvalue character, then verify the field
+    axioms and classify E by the polarization adjoint."""
     t = h.dim_t
-    omega_t = _express_in_basis(h.trans, period.omega, field)
-    gram_t = _restrict_gram(period.space, h.trans)
-
-    # proportionality as vanishing 2x2 minors, restricted to Q
-    prods = [[omega_t[r] * omega_t[k] for k in range(t)] for r in range(t)]
-    rows = []
-    for r in range(t):
-        for s in range(r + 1, t):
-            for j in range(e_f):
-                row = [Fraction(0)] * (t * t)
-                for k in range(t):
-                    row[s * t + k] += prods[r][k].coords[j]
-                    row[r * t + k] -= prods[s][k].coords[j]
-                rows.append(tuple(row))
-    ker = kernel(Matrix(rows)) if rows else Matrix.identity(t * t)
-    basis = tuple(Matrix(tuple(tuple(v[i * t + j] for j in range(t))
-                               for i in range(t)))
-                  for v in ker.entries)
+    gram_t = h.gram
+    flat = _character_basis(h)
+    basis = tuple(_unflatten(v, t) for v in flat.entries)
     e = len(basis)
     if e == 0:
         raise InternalError("endomorphism algebra came out empty")
-    cols = _basis_columns(basis, t)
-    if solve_linear(cols, _flatten(Matrix.identity(t))).particular is None:
+
+    def spans(m):
+        return _coords_in(flat, _flatten(m)) is not None
+
+    if not spans(Matrix.identity(t)):
         raise InternalError("identity is missing from the endomorphism algebra")
-    for a in basis:
-        for b in basis:
-            if a * b != b * a:
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            ab = a * b
+            if ab != b * a:
                 raise NotCommutative("endomorphism algebra is not commutative")
-            if solve_linear(cols, _flatten(a * b)).particular is None:
+            if not spans(ab):
                 raise NotClosed("endomorphism algebra is not closed under product")
 
     gram_inv = inverse(gram_t)
     adj = []
     for a in basis:
         astar = gram_inv * a.transpose() * gram_t
-        if solve_linear(cols, _flatten(astar)).particular is None:
+        if not spans(astar):
             raise NotClosed("endomorphism algebra is not closed under adjoint")
         adj.append(astar)
     for a, astar in zip(basis, adj):
@@ -270,12 +257,45 @@ def endomorphism_field(h, seed=0):
                           fixed, tuple(adj), mt)
 
 
+def _character_basis(h):
+    """Canonical basis, as flattened rows, of the rational matrices phi
+    on T with phi(omega) = lambda omega.  Let Omega be the e_F x t
+    rational matrix of power-basis coefficients of omega_T; it has rank
+    t.  The condition reads Omega phi^T = M_lambda Omega, solvable iff
+    N M_lambda Omega = 0 for N = ker(Omega^T): a linear system in the
+    e_F coordinates of lambda, empty when t = e_F, whose solutions form
+    the subfield L of F isomorphic to E.  Each phi_lambda is solved from
+    t independent rows of Omega and certified on all of them."""
+    field = h.period.field
+    omega = Matrix(tuple(zip(*(v.coords for v in h.omega_t))))
+    m_x = mult_matrix(field.gen())
+    shifted = [omega]                      # M_{x^i} Omega
+    for _ in range(1, field.degree):
+        shifted.append(m_x * shifted[-1])
+    left = kernel(omega.transpose())
+    if left.rows:
+        cols = tuple(_flatten(left * s) for s in shifted)
+        lams = kernel(Matrix(tuple(zip(*cols))))
+    else:
+        lams = Matrix.identity(field.degree)
+    _, rows = rref(omega.transpose())
+    pick_inv = inverse(Matrix(tuple(omega.entries[i] for i in rows)))
+    phis = []
+    for lam in lams.entries:
+        image = _combine(shifted, lam)     # M_lambda Omega
+        phi_t = pick_inv * Matrix(tuple(image.entries[i] for i in rows))
+        if omega * phi_t != image:
+            raise InternalError("eigenvalue is not realized by a rational matrix")
+        phis.append(_flatten(phi_t.transpose()))
+    return row_space(Matrix(phis))
+
+
 def _flatten(m):
     return tuple(c for row in m.entries for c in row)
 
 
-def _basis_columns(basis, t):
-    return Matrix(tuple(zip(*(_flatten(b) for b in basis))))
+def _unflatten(v, t):
+    return Matrix(tuple(tuple(v[i * t:(i + 1) * t]) for i in range(t)))
 
 
 def _combine(basis, lam):
@@ -333,41 +353,19 @@ def _check_root_pattern(efield, totally_real):
 
 def hodge_classes_tensor_square(h):
     """Canonical basis of the rational (2,2)-classes in T (x) T: the
-    tensors whose (4,0), (3,1), (1,3) and (0,4) frame components vanish.
-    The dimension always equals dim E."""
-    period = h.period
-    field = period.field
+    tensors c = phi G_T^-1 for phi in E, so their number is dim E.
+
+    Proof: in the frame (omega, conj omega, T^{1,1}) the Gram matrix is
+    D = [[0, a, 0], [a, 0, 0], [0, 0, H]], block anti-diagonal on the
+    first two vectors and block diagonal with the rest.  The frame
+    components of c are those of A = c G_T times D^-1, which swaps the
+    omega and conj omega columns and mixes the (1,1) columns invertibly.
+    So the (4,0), (3,1), (1,3) and (0,4) components vanish exactly when
+    A keeps the lines of omega and conj omega (A in E) and so does its
+    adjoint (A* in E).  E is closed under the adjoint, so c is (2,2)
+    iff c G_T is in E."""
     t = h.dim_t
-    omega_t = _express_in_basis(h.trans, period.omega, field)
-    omega_conj_t = tuple(conjugate_element(v, period.embedding) for v in omega_t)
-    gram_t = _restrict_gram(period.space, h.trans)
-    gram_f = Matrix(tuple(tuple(field.from_rational(c) for c in row)
-                          for row in gram_t.entries))
-
-    # frame: omega, conj omega, then a basis of the (1,1)-part inside T
-    lowered = Matrix((gram_f.vec(omega_t), gram_f.vec(omega_conj_t)))
-    w11 = kernel(lowered)
-    frame_rows = (tuple(omega_t), tuple(omega_conj_t)) + w11.entries
-    p = Matrix(frame_rows).transpose()
-    p_inv = inverse(p)
-
-    rows = []
-    e_f = field.degree
-    forbidden = [(0, 0), (1, 1)]
-    forbidden += [(0, j) for j in range(2, t)] + [(j, 0) for j in range(2, t)]
-    forbidden += [(1, j) for j in range(2, t)] + [(j, 1) for j in range(2, t)]
-    # frame component (r, s) of the elementary tensor E_ab is
-    # p_inv[r][a] * p_inv[s][b]
-    for r, s in forbidden:
-        for j in range(e_f):
-            row = []
-            for a in range(t):
-                for b in range(t):
-                    c = p_inv.entries[r][a] * p_inv.entries[s][b]
-                    row.append(c.coords[j])
-            rows.append(tuple(row))
-    ker = kernel(Matrix(rows))
-    classes = tuple(Matrix(tuple(tuple(v[a * t + b] for b in range(t))
-                                 for a in range(t)))
-                    for v in ker.entries)
-    return classes
+    g_inv = inverse(h.gram)
+    rows = tuple(_flatten(_unflatten(v, t) * g_inv)
+                 for v in _character_basis(h).entries)
+    return tuple(_unflatten(v, t) for v in row_space(Matrix(rows)).entries)

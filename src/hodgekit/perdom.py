@@ -44,29 +44,15 @@ def per_membership(space, field, embedding, vec, precision_start=64):
         raise ValidationError("vector length does not match the space")
     if all(v.is_zero() for v in vec):
         raise ValidationError("vector must be nonzero")
-    iso = _field_form(space, vec, vec)
+    iso = space.form(vec, vec)
     if not iso.is_zero():
         return Membership(False, "IsotropyFails", iso)
     conj = tuple(conjugate_element(v, embedding) for v in vec)
-    pos = _field_form(space, vec, conj)
+    pos = space.form(vec, conj)
     s = certified_sign(pos, embedding, precision_start=precision_start)
     if s <= 0:
         return Membership(False, "PositivityFails", s)
     return Membership(True, None, None)
-
-
-def _field_form(space, u, v):
-    acc = None
-    g = space.gram.entries
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            if g[i][j] == 0:
-                continue
-            term = ui * vj * g[i][j]
-            acc = term if acc is None else acc + term
-    if acc is None:
-        return u[0] * 0
-    return acc
 
 
 def griffiths_check(path):

@@ -35,8 +35,17 @@ class QuadraticSpace:
         return self.gram.rows
 
     def form(self, u, v):
-        """The bilinear form q(u, v)."""
-        return _dot(self.gram.vec(v), u)
+        """The bilinear form q(u, v); entries may lie in a number field.
+        Zero Gram entries are skipped, so each row costs one product of
+        entries of u and v."""
+        acc = None
+        for ui, row in zip(u, self.gram.entries):
+            w = None
+            for g, vj in zip(row, v):
+                if g != 0:
+                    w = vj * g if w is None else w + vj * g
+            acc = ui * w if acc is None else acc + ui * w
+        return acc
 
     def is_isotropic(self, v):
         return self.form(v, v) == 0
@@ -47,13 +56,6 @@ class QuadraticSpace:
                 if a != 0:
                     return a / a
         raise Degenerate("zero Gram matrix")
-
-
-def _dot(a, b):
-    acc = None
-    for x, y in zip(a, b):
-        acc = x * y if acc is None else acc + x * y
-    return acc
 
 
 @dataclass(frozen=True)

@@ -379,8 +379,6 @@ def trace_transfer_form(h, ef, es):
         powers.append(powers[-1] * comp)
     tr = [[powers[k + l].trace() for l in range(e)] for k in range(e)]
     trmat = Matrix(tr)
-    qmat = h.space.gram
-    tbasis = h.trans
     n = es.rank
     entries = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -390,9 +388,7 @@ def trace_transfer_form(h, ef, es):
             xj = es.basis[j]
             acted = xi
             for k in range(e):
-                vi = _lattice_vec(tbasis, acted)
-                vj = _lattice_vec(tbasis, xj)
-                rhs.append(_form(qmat, vi, vj))
+                rhs.append(_form(h.gram, acted, xj))
                 acted = es.primitive_matrix.vec(acted)
             sol = solve_linear(trmat, tuple(rhs))
             if sol.particular is None:
@@ -403,11 +399,6 @@ def trace_transfer_form(h, ef, es):
         raise InternalError("trace-transfer pairing is not symmetric; "
                             "the endomorphism field is not acting totally real")
     return QuadraticSpace(g)
-
-
-def _lattice_vec(tbasis, coords):
-    """Ambient vector of a T-coordinate tuple."""
-    return tuple(_dot(coords, col) for col in zip(*tbasis.entries))
 
 
 def _dot(a, b):

@@ -74,6 +74,12 @@ def test_tha_dims(capsys):
 def test_tha_rejects_n_zero():
     code, _ = run_cli(["tha", str(CORPUS / "qi_period.json"), "--n", "0"])
     assert code == 2
+    code, out = run_cli(["tha", str(CORPUS / "qi_period.json"), "--n", "0",
+                         "--json"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["sections"]["error"]["class"] == "ValidationError"
 
 
 def test_ksympl_quaternion(capsys):

@@ -202,6 +202,16 @@ def test_solve_linear_self_check(rows, rhs):
         assert all(c == 0 for c in a.vec(v))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 5), st.data())
+def test_solve_linear_kernel_is_kernel(rows, cols, data):
+    entries = st.integers(-3, 3)
+    a = Matrix([[F(data.draw(entries)) for _ in range(cols)]
+                for _ in range(rows)], cols=cols)
+    b = tuple(F(data.draw(entries)) for _ in range(rows))
+    assert solve_linear(a, b).kernel == kernel(a)
+
+
 def test_det_inverse_kernel():
     a = Matrix([[F(2), F(1)], [F(1), F(1)]])
     assert det(a) == 1

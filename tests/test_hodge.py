@@ -1,15 +1,19 @@
 """Tests for period validation, transcendental lattices, endomorphism
 fields and Hodge tensor classes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from hodgekit.errors import IsotropyFails, PositivityFails, WrongSignature
-from hodgekit.exactmath import Matrix, inverse, nf_create, nf_embeddings, solve_linear
-from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
-                            hodge_classes_tensor_square, is_hodge_substructure,
-                            transcendental_lattice, validate_period)
+from hodgekit.exactmath import (Matrix, conjugate_element, field_trace,
+                                inverse, kernel, nf_create, nf_embeddings,
+                                solve_linear)
+from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, _primitive_element,
+                            endomorphism_field, hodge_classes_tensor_square,
+                            is_hodge_substructure, transcendental_lattice,
+                            validate_period)
 from hodgekit.qforms import QuadraticSpace
 
 F = Fraction
@@ -242,3 +246,151 @@ def test_hodge_classes_definite_two_dim_nonzero():
     # any valid two-dimensional lattice carries at least the polarization
     h = transcendental_lattice(gaussian_period())
     assert len(hodge_classes_tensor_square(h)) >= 1
+
+
+def cm_rank22_period():
+    """The CM recipe at d = 4: T = Q(zeta_8) with q(x, y) = Tr(a x conj y)
+    for the weight a = zeta + zeta^-1, the period the trace-dual basis of
+    the power basis, padded by -1 entries to rank 22 and moved by a
+    unimodular change of basis P: G -> P^T G P, omega -> P^-1 omega.  The
+    mixing is one where G_T^2 is not in E, so E G_T^-1 and E G_T differ."""
+    d, m = 4, 22
+    field = nf_create([1, 0, 0, 0, 1])
+    x = field.gen()
+    a = x - x**3
+    gram = [[F(0)] * m for _ in range(m)]
+    for i in range(d):
+        for j in range(d):
+            gram[i][j] = field_trace(a * x**(i - j))
+    for i in range(d, m):
+        gram[i][i] = F(-1)
+    omega = [field.from_rational(F(1, d))]
+    omega += [-x**(d - i) / d for i in range(1, d)]
+    omega += [field.zero()] * (m - d)
+    p = [[F(int(i == j)) for j in range(m)] for i in range(m)]
+    p_inv = [row[:] for row in p]
+    rng = random.Random(2)
+    for _ in range(16):
+        i, j = rng.sample(range(m), 2)
+        s = rng.choice((1, -1))
+        p[i] = [u + s * v for u, v in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= s * row[i]
+    p, p_inv = Matrix(p), Matrix(p_inv)
+    assert p * p_inv == Matrix.identity(m)
+    sp = QuadraticSpace(p.transpose() * Matrix(gram) * p)
+    return validate_period(sp, field, nf_embeddings(field)[2], p_inv.vec(omega))
+
+
+# ---- oracles: the generic solvers the eigenvalue character replaced ----
+
+def _flat(m):
+    return tuple(c for row in m.entries for c in row)
+
+
+def _square(v, t):
+    return Matrix(tuple(tuple(v[i * t:(i + 1) * t]) for i in range(t)))
+
+
+def _restricted_gram(h):
+    return Matrix(tuple(tuple(h.space.form(u, v) for v in h.trans.entries)
+                        for u in h.trans.entries))
+
+
+def oracle_omega_t(h):
+    """Coordinates of the period over the basis of T, solved over F."""
+    field = h.period.field
+    cols = Matrix(tuple(zip(*(tuple(field.from_rational(c) for c in row)
+                              for row in h.trans.entries))))
+    return solve_linear(cols, h.period.omega).particular
+
+
+def oracle_endomorphism_field(h, seed=0):
+    """E as the kernel of the vanishing 2x2 minors of (phi omega, omega),
+    a system in t^2 unknowns, with span membership by solve_linear.
+    Returns (basis, fixed subalgebra, adjoint images, primitive minpoly)."""
+    e_f = h.period.field.degree
+    t = h.dim_t
+    omega_t = oracle_omega_t(h)
+    prods = [[omega_t[r] * omega_t[k] for k in range(t)] for r in range(t)]
+    rows = []
+    for r in range(t):
+        for s in range(r + 1, t):
+            for j in range(e_f):
+                row = [F(0)] * (t * t)
+                for k in range(t):
+                    row[s * t + k] += prods[r][k].coords[j]
+                    row[r * t + k] -= prods[s][k].coords[j]
+                rows.append(tuple(row))
+    ker = kernel(Matrix(rows)) if rows else Matrix.identity(t * t)
+    basis = tuple(_square(v, t) for v in ker.entries)
+    cols = Matrix(tuple(zip(*(_flat(b) for b in basis))))
+
+    def spans(m):
+        return solve_linear(cols, _flat(m)).particular is not None
+
+    assert spans(Matrix.identity(t))
+    assert all(a * b == b * a and spans(a * b) for a in basis for b in basis)
+    gram_t = _restricted_gram(h)
+    gram_inv = inverse(gram_t)
+    adj = tuple(gram_inv * a.transpose() * gram_t for a in basis)
+    assert all(spans(a) for a in adj)
+    fixed = ()
+    if any(a != s for a, s in zip(basis, adj)):
+        diffs = [_flat(a - s) for a, s in zip(basis, adj)]
+        fix_ker = kernel(Matrix(tuple(zip(*diffs))))
+        fixed = tuple(sum((b * c for c, b in zip(lam, basis)),
+                          Matrix.zeros(t, t))
+                      for lam in fix_ker.entries)
+    _, minpoly = _primitive_element(basis, t, len(basis), seed)
+    return basis, fixed, adj, minpoly
+
+
+def oracle_hodge_classes(h):
+    """Rational tensors in T (x) T whose (4,0), (3,1), (1,3) and (0,4)
+    components in the frame (omega, conj omega, T^{1,1}) vanish, solved
+    as a kernel over F."""
+    field = h.period.field
+    t = h.dim_t
+    omega_t = oracle_omega_t(h)
+    omega_conj_t = tuple(conjugate_element(v, h.period.embedding)
+                         for v in omega_t)
+    gram_f = Matrix(tuple(tuple(field.from_rational(c) for c in row)
+                          for row in _restricted_gram(h).entries))
+    lowered = Matrix((gram_f.vec(omega_t), gram_f.vec(omega_conj_t)))
+    frame = (tuple(omega_t), tuple(omega_conj_t)) + kernel(lowered).entries
+    p_inv = inverse(Matrix(frame).transpose())
+    forbidden = [(0, 0), (1, 1)]
+    for j in range(2, t):
+        forbidden += [(0, j), (j, 0), (1, j), (j, 1)]
+    rows = []
+    for r, s in forbidden:
+        for j in range(field.degree):
+            rows.append(tuple((p_inv[r, a] * p_inv[s, b]).coords[j]
+                              for a in range(t) for b in range(t)))
+    return tuple(_square(v, t) for v in kernel(Matrix(rows)).entries)
+
+
+@pytest.mark.parametrize("make", [
+    gaussian_period, sqrt2i_period, lambda: sqrt2i_period(padded=True),
+    quartic_cm_period, cm_rank22_period,
+], ids=["gaussian", "sqrt2i", "sqrt2i_padded", "quartic_cm", "cm_rank22"])
+def test_character_pipeline_matches_oracles(make):
+    h = transcendental_lattice(make())
+    assert h.omega_t == oracle_omega_t(h)
+    assert h.gram == _restricted_gram(h)
+    ef = endomorphism_field(h)
+    basis, fixed, adj, minpoly = oracle_endomorphism_field(h)
+    assert ef.basis == basis
+    assert ef.fixed_subalgebra == fixed
+    assert ef.adjoint_images == adj
+    assert ef.primitive_minpoly == minpoly
+    assert hodge_classes_tensor_square(h) == oracle_hodge_classes(h)
+
+
+def test_cm_rank22_answer():
+    h = transcendental_lattice(cm_rank22_period())
+    ef = endomorphism_field(h)
+    assert (h.dim_t, ef.e, ef.classification) == (4, 4, CM)
+    assert ef.mt.family == U_E and ef.mt.rank == 1
+    assert len(hodge_classes_tensor_square(h)) == 4
