@@ -22,25 +22,9 @@ def iv_sub(a, b):
     return (a[0] - b[1], a[1] - b[0])
 
 
-def iv_neg(a):
-    return (-a[1], -a[0])
-
-
 def iv_mul(a, b):
     p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(p), max(p))
-
-
-def iv_scale(a, c):
-    return (a[0] * c, a[1] * c) if c >= 0 else (a[1] * c, a[0] * c)
-
-
-def iv_width(a):
-    return a[1] - a[0]
-
-
-def iv_contains_zero(a):
-    return a[0] <= 0 <= a[1]
 
 
 def iv_sign(a):
@@ -58,12 +42,6 @@ def iv_disjoint(a, b):
     return a[1] < b[0] or b[1] < a[0]
 
 
-def box(re, im=None):
-    if im is None:
-        im = (Fraction(0), Fraction(0))
-    return (re, im)
-
-
 def box_point(re, im=0):
     return (interval(re), interval(im))
 
@@ -72,34 +50,14 @@ def box_add(a, b):
     return (iv_add(a[0], b[0]), iv_add(a[1], b[1]))
 
 
-def box_sub(a, b):
-    return (iv_sub(a[0], b[0]), iv_sub(a[1], b[1]))
-
-
 def box_mul(a, b):
     re = iv_sub(iv_mul(a[0], b[0]), iv_mul(a[1], b[1]))
     im = iv_add(iv_mul(a[0], b[1]), iv_mul(a[1], b[0]))
     return (re, im)
 
 
-def box_conj(a):
-    return (a[0], iv_neg(a[1]))
-
-
-def box_contains_zero(a):
-    return iv_contains_zero(a[0]) and iv_contains_zero(a[1])
-
-
-def box_width(a):
-    return max(iv_width(a[0]), iv_width(a[1]))
-
-
 def box_disjoint(a, b):
     return iv_disjoint(a[0], b[0]) or iv_disjoint(a[1], b[1])
-
-
-def box_intersects(a, b):
-    return not box_disjoint(a, b)
 
 
 def poly_eval_box(coeffs, z):
@@ -107,12 +65,4 @@ def poly_eval_box(coeffs, z):
     acc = box_point(0)
     for c in reversed(coeffs):
         acc = box_add(box_mul(acc, z), box_point(c))
-    return acc
-
-
-def poly_eval_interval(coeffs, x):
-    """Horner evaluation of a Fraction polynomial over a real interval."""
-    acc = interval(0)
-    for c in reversed(coeffs):
-        acc = iv_add(iv_mul(acc, x), interval(c))
     return acc

@@ -8,20 +8,10 @@ graded lexicographic (total degree first, then lex on the exponents).
 from fractions import Fraction
 
 
-def mp_zero():
-    return {}
-
-
 def mp_const(nvars, c):
     if c == 0:
         return {}
     return {(0,) * nvars: c}
-
-
-def mp_var(nvars, i, one=Fraction(1)):
-    exp = [0] * nvars
-    exp[i] = 1
-    return {tuple(exp): one}
 
 
 def mp_from_vector(v):
@@ -102,19 +92,6 @@ def mp_eval(p, point):
     if acc is None:
         return Fraction(0)
     return acc
-
-
-def mp_degree(p):
-    return max((sum(k) for k in p), default=-1)
-
-
-def mp_is_homogeneous(p, d=None):
-    degs = {sum(k) for k in p}
-    if not degs:
-        return True
-    if d is None:
-        return len(degs) == 1
-    return degs == {d}
 
 
 def grlex_key(exponents):

@@ -9,9 +9,18 @@ precision, with exact zero decided algebraically.
 
 Conjugation is handled through the conjugation automorphism of the
 chosen embedding: the field element tau with sigma(tau(v)) equal to the
-complex conjugate of sigma(v).  When the image field is not stable
-under conjugation no such tau exists and period-style inputs are
-rejected (ConjugationNotInternal).
+complex conjugate of sigma(v).  tau is first guessed numerically: when
+conjugation commutes with every embedding (CM and totally real fields)
+the image g = tau(gen) is the polynomial of degree < e interpolating
+r -> conj(r) over all roots r of the defining polynomial f, and its
+coefficients are rational.  The guess is rebuilt as rationals and then
+certified exactly: f(g) = 0 in the field, and sigma(g) lies in the
+isolating box of the conjugate root.  When no guess of a short
+precision ramp passes both checks, the roots of f in the field are
+found by Trager's norm method (roots_in_field) instead.  Only that
+fallback can report that the image field is not stable under
+conjugation; period-style inputs are then rejected
+(ConjugationNotInternal).
 """
 
 from dataclasses import dataclass
@@ -26,6 +35,8 @@ from .rootiso import RealRoot, isolate_nonreal_roots, isolate_real_roots
 
 MAX_DEGREE = 16
 _SIGN_BITS_CAP = 4096
+# decimal working precisions of the numeric conjugation guess
+_GUESS_DIGITS = (30, 60, 120)
 
 
 @dataclass(frozen=True)
@@ -375,16 +386,77 @@ def _trager_norm(f, s):
 def conjugation_automorphism(field, index):
     """Image of the generator under the automorphism tau satisfying
     sigma(tau(v)) = conj(sigma(v)) for the embedding of the given index,
-    or None when the embedded field is not conjugation stable."""
+    or None when the embedded field is not conjugation stable.
+
+    At a nonreal embedding the image g is guessed numerically
+    (_guess_conjugation) at each precision of _GUESS_DIGITS and accepted
+    only on two exact checks: f(g) = 0 in the field, so gen -> g is an
+    automorphism, and sigma(g) lies in the isolating box of the
+    conjugate root, so sigma(tau(gen)) = conj(sigma(gen)).  Together
+    they give sigma o tau = conj o sigma on the whole field, hence
+    tau o tau = id; no float decides the result.  When no guess
+    certifies (conjugation does not commute with every embedding, or
+    the precision ramp runs out) the roots of f in the field are
+    searched by Trager's norm method instead, and only that search
+    returns None.
+    """
     embs = nf_embeddings(field)
     emb = embs[index]
     if emb.is_real:
         return field.gen()
-    target = embs[emb.conjugate_index]
+    for digits in _GUESS_DIGITS:
+        g = _guess_conjugation(field, digits)
+        # f(g) = 0 first: _embedded_root_is terminates only on roots of f
+        if (g is not None and up.eval_at(field.defining_poly, g).is_zero()
+                and _embedded_root_is(g, emb, emb.conjugate_index)):
+            return g
     for cand in roots_in_field(field):
-        if _embedded_root_is(cand, emb, target.index):
+        if _embedded_root_is(cand, emb, emb.conjugate_index):
             return cand
     return None
+
+
+def _guess_conjugation(field, digits):
+    """Rational guess of tau(gen), assuming conjugation commutes with
+    every embedding: the g of degree < e with g(r) = conj(r) at every
+    root r of f, i.e. the solution of the Vandermonde system, written
+    in Lagrange form sum_r conj(r) * f(x) / ((x - r) * f'(r)) and
+    evaluated at the given decimal precision.  Each coefficient is
+    rounded to the nearest rational with denominator at most
+    10**(digits // 3).  None when the root finder does not converge."""
+    import mpmath
+
+    f = field.defining_poly
+    e = field.degree
+    with mpmath.workdps(digits):
+        fm = [mpmath.mpf(c.numerator) / c.denominator for c in f]
+        try:
+            roots = mpmath.polyroots(fm[::-1], maxsteps=100)
+        except mpmath.mp.NoConvergence:
+            return None
+        coeffs = [mpmath.mpc(0)] * e
+        for r in roots:
+            # quotient f(x) / (x - r) by synthetic division; its value
+            # at r is f'(r)
+            quot = [None] * e
+            acc = fm[e]
+            for k in range(e - 1, -1, -1):
+                quot[k] = acc
+                acc = fm[k] + acc * r
+            weight = mpmath.conj(r) / mpmath.polyval(quot[::-1], r)
+            for k in range(e):
+                coeffs[k] += weight * quot[k]
+        max_den = 10 ** (digits // 3)
+        return field.element([_mpf_fraction(mpmath.re(c)).limit_denominator(max_den)
+                              for c in coeffs])
+
+
+def _mpf_fraction(x):
+    """The exact rational value of an mpmath real."""
+    man, exp = x.man_exp
+    if x < 0:
+        man = -man
+    return Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
 
 
 def _embedded_root_is(cand, emb, root_index):

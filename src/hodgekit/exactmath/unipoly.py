@@ -68,13 +68,6 @@ def scale(p, c):
     return normalize(tuple(a * c for a in p))
 
 
-def shift(p, k):
-    """Multiply by x**k."""
-    if not p:
-        return ()
-    return (ZERO,) * k + tuple(p)
-
-
 def divmod_poly(a, b):
     """Euclidean division over a field; returns (quotient, remainder)."""
     if not b:
@@ -96,11 +89,6 @@ def divmod_poly(a, b):
     for k, c in q:
         qc[k] = c
     return normalize(qc), normalize(r)
-
-
-def pseudo_rem(a, b):
-    q, r = divmod_poly(a, b)
-    return r
 
 
 def monic(p):
@@ -144,13 +132,6 @@ def is_squarefree(p):
     return degree(gcd(p, derivative(p))) <= 0
 
 
-def squarefree_part(p):
-    g = gcd(p, derivative(p))
-    if degree(g) <= 0:
-        return monic(p)
-    return monic(divmod_poly(p, g)[0])
-
-
 # Sturm machinery (Fraction coefficients only).
 
 def sturm_chain(p):
@@ -180,16 +161,6 @@ def root_bound(p):
     lead = abs(p[-1])
     m = max(abs(c) for c in p[:-1]) if len(p) > 1 else ZERO
     return ONE + m / lead
-
-
-def resultant(p, q):
-    """Resultant of two Fraction polynomials, via sympy."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    sp = sympy.Poly([sympy.Rational(c) for c in reversed(p)], x, domain="QQ")
-    sq = sympy.Poly([sympy.Rational(c) for c in reversed(q)], x, domain="QQ")
-    return Fraction(sympy.Rational(sp.resultant(sq)))
 
 
 def factor_rational(p):

@@ -18,7 +18,7 @@ import random
 from .errors import (BasePointIsotropic, InternalError, OddDimension,
                      RelationsFail, TooLarge, ValidationError)
 from .exactmath import Matrix, det, inverse, kernel, nf_create, rank
-from .exactmath.linalg import rref
+from .exactmath.linalg import _dot, rref
 from .exactmath.mpoly import (mp_add, mp_eval, mp_items_grlex, mp_mul, mp_neg,
                               mp_pow, mp_scale)
 from .qforms import congruence_diagonal
@@ -362,10 +362,7 @@ def clifford_operators(cand, report, omega0):
 
 
 def _qform(q, u, v):
-    acc = Fraction(0)
-    for x, y in zip(q.vec(v), u):
-        acc += x * y
-    return acc
+    return _dot(q.vec(v), u)
 
 
 def _orthogonalize(q, vectors):

@@ -22,6 +22,7 @@ from math import comb
 from .errors import (DegreeTooHigh, HarmonicDimTooSmall, InternalError,
                      ValidationError)
 from .exactmath import Matrix, inverse, kernel
+from .exactmath.linalg import _dot
 from .exactmath.mpoly import (mp_add, mp_from_vector, mp_items_grlex, mp_mul,
                               mp_pow, mp_scale, mp_sub)
 from .qforms import QuadraticSpace, dual_bivector
@@ -399,13 +400,6 @@ def trace_transfer_form(h, ef, es):
         raise InternalError("trace-transfer pairing is not symmetric; "
                             "the endomorphism field is not acting totally real")
     return QuadraticSpace(g)
-
-
-def _dot(a, b):
-    acc = None
-    for x, y in zip(a, b):
-        acc = x * y if acc is None else acc + x * y
-    return acc
 
 
 def _form(gram, u, v):

@@ -1,18 +1,23 @@
 """Tests for exact rationals, number fields, embeddings and linear algebra."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgekit.errors import DegreeTooLarge, NotMonic, NotRealValued, Reducible
+from hodgekit.errors import (ConjugationNotInternal, DegreeTooLarge, NotMonic,
+                             NotRealValued, Reducible)
 from hodgekit.exactmath import (Matrix, certified_sign,
-                                conjugation_automorphism, det, inverse, kernel,
-                                nf_create, nf_embeddings, rank, roots_in_field,
-                                solve_linear)
+                                conjugate_element, conjugation_automorphism,
+                                det, inverse, kernel, nf_create, nf_embeddings,
+                                rank, roots_in_field, solve_linear)
+from hodgekit.exactmath import numberfield
 from hodgekit.exactmath import unipoly as up
-from hodgekit.exactmath.numberfield import apply_automorphism, field_trace
+from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
+                                            _guess_conjugation,
+                                            apply_automorphism, field_trace)
 
 F = Fraction
 
@@ -164,6 +169,73 @@ def test_conjugation_not_internal_for_pure_cubic():
     field = nf_create([-2, 0, 0, 1])
     assert conjugation_automorphism(field, 1) is None
     assert conjugation_automorphism(field, 0) == field.gen()
+    for emb in nf_embeddings(field)[1:]:
+        assert conjugation_automorphism(field, emb.index) is None
+        with pytest.raises(ConjugationNotInternal):
+            conjugate_element(field.gen(), emb)
+
+
+def _trager_conjugation(field, emb):
+    hits = [r for r in roots_in_field(field)
+            if _embedded_root_is(r, emb, emb.conjugate_index)]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _no_trager(field):
+    raise AssertionError("the certified guess fell back to Trager")
+
+
+def test_conjugation_fallback_when_guess_cannot_certify(monkeypatch):
+    # x^4 - 2: conjugation fixes the real embeddings but not the two
+    # complex ones, so no single interpolant g(r) = conj(r) is rational
+    field = nf_create([-2, 0, 0, 0, 1])
+    embs = nf_embeddings(field)
+    for digits in _GUESS_DIGITS:
+        g = _guess_conjugation(field, digits)
+        assert g is None or not up.eval_at(field.defining_poly, g).is_zero()
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return roots_in_field(f)
+
+    monkeypatch.setattr(numberfield, "roots_in_field", counted)
+    for emb in embs:
+        tau = conjugation_automorphism.__wrapped__(field, emb.index)
+        if emb.is_real:
+            assert tau == field.gen()
+        else:
+            assert tau == -field.gen()
+            assert tau == _trager_conjugation(field, emb)
+    assert len(calls) == sum(1 for emb in embs if not emb.is_real)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 1], [9, 0, -2, 0, 1], [144, 0, -8, 0, 1], [1, 0, 0, 0, 1],
+    [1, 0, 0, 0, 0, 0, 0, 0, 1],
+])
+def test_certified_conjugation_matches_trager(coeffs, monkeypatch):
+    field = nf_create(coeffs)
+    nonreal = [emb for emb in nf_embeddings(field) if not emb.is_real]
+    trager = [_trager_conjugation(field, emb) for emb in nonreal]
+    monkeypatch.setattr(numberfield, "roots_in_field", _no_trager)
+    for emb, want in zip(nonreal, trager):
+        tau = conjugation_automorphism.__wrapped__(field, emb.index)
+        assert tau == want
+        assert apply_automorphism(tau, tau) == field.gen()
+
+
+def test_certified_conjugation_at_degree_cap(monkeypatch):
+    # x^16 + 1: the Trager norm factorization takes minutes here
+    field = nf_create([1] + [0] * 15 + [1])
+    emb = nf_embeddings(field)[0]
+    monkeypatch.setattr(numberfield, "roots_in_field", _no_trager)
+    start = time.monotonic()
+    tau = conjugation_automorphism.__wrapped__(field, emb.index)
+    elapsed = time.monotonic() - start
+    assert tau == -field.gen() ** 15
+    assert elapsed < 5
 
 
 def test_solve_linear_identity():
