@@ -19,16 +19,22 @@ class InternalError(HodgekitError):
     pass
 
 
+class WitnessedError(ValidationError):
+    """A failed condition that carries the value showing the failure."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 # exactmath
 
 class NotMonic(ValidationError):
     pass
 
 
-class Reducible(ValidationError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class Reducible(WitnessedError):
+    pass
 
 
 class DegreeTooLarge(ValidationError):
@@ -62,17 +68,11 @@ class WrongSignature(ValidationError):
     pass
 
 
-class IsotropyFails(ValidationError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class PositivityFails(ValidationError):
+class IsotropyFails(WitnessedError):
     pass
 
 
-class NotCommutative(InternalError):
+class PositivityFails(WitnessedError):
     pass
 
 

@@ -9,24 +9,27 @@ contains the period line.
 
 The endomorphism field E is the algebra of rational matrices keeping
 the period line invariant.  Its eigenvalue on the period is a character
-embedding E into F (Zarhin 1983), so E is computed as the subfield of
-those eigenvalues that a rational matrix realizes: a linear system in
-deg F unknowns, after which each eigenvalue gives its matrix by one
-rational solve.  The polarization adjoint a -> q^-1 a^T q classifies
-E: pointwise fixed means totally real (Mumford-Tate SO_E), otherwise a
-CM field over the fixed subfield E_0 (Mumford-Tate U_E).  The rational
-(2,2)-classes of T (x) T are then phi G_T^-1 for phi in E, where G_T is
-the Gram matrix of q on T.
+mapping E isomorphically onto a subfield L of F (Zarhin 1983), so E is
+computed as L: a linear system in deg F unknowns, after which each
+eigenvalue gives its matrix by one rational solve.  Everything else runs
+in L.  The polarization adjoint a -> q^-1 a^T q is the conjugation tau
+of the embedding restricted to L, certified once on a primitive
+element; tau fixing L means totally real (Mumford-Tate SO_E), otherwise
+E is a CM field over the fixed subfield E_0 (Mumford-Tate U_E).  The
+rational (2,2)-classes of T (x) T are then phi G_T^-1 for phi in E,
+where G_T is the Gram matrix of q on T.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 import random
 
-from .errors import (InternalError, IsotropyFails, NotClosed, NotCommutative,
-                     PositivityFails, ValidationError, WrongSignature)
+from .errors import (InternalError, IsotropyFails, NotClosed, PositivityFails,
+                     ValidationError, WrongSignature)
 from .exactmath import (Matrix, certified_sign, conjugate_element, kernel,
-                        mult_matrix, nf_create, nf_embeddings, rref)
+                        mult_matrix, nf_create, rref)
+from .exactmath import unipoly as up
 from .exactmath.linalg import inverse, row_space
 from .qforms import QuadraticSpace, orth_complement, signature
 
@@ -45,7 +48,6 @@ class K3Period:
     field: object
     embedding: object
     omega: tuple
-    omega_conj: tuple
 
     @property
     def dim(self):
@@ -53,8 +55,8 @@ class K3Period:
 
 
 def validate_period(space, field, embedding, omega, precision_start=64):
-    """Certify the period conditions: signature (2, m-2), q(O, O) = 0
-    exactly, q(O, conj O) > 0 at the embedding."""
+    """Certify the period conditions: signature (2, m-2), then the
+    period-line conditions of `check_period_line`."""
     m = space.dim
     omega = tuple(omega)
     if len(omega) != m:
@@ -64,16 +66,23 @@ def validate_period(space, field, embedding, omega, precision_start=64):
     sig = signature(space).as_pair()
     if sig != (2, m - 2):
         raise WrongSignature(f"signature {sig} is not (2, {m - 2})")
-    iso = space.form(omega, omega)
+    check_period_line(space, embedding, omega, precision_start)
+    return K3Period(space, field, embedding, omega)
+
+
+def check_period_line(space, embedding, vec, precision_start=64):
+    """q(l, l) = 0 exactly, else IsotropyFails with witness q(l, l); then
+    q(l, conj l) > 0 certified, else PositivityFails with the sign."""
+    iso = space.form(vec, vec)
     if not iso.is_zero():
         raise IsotropyFails(
             f"q(omega, omega) is nonzero: {list(iso.coords)}", witness=iso)
-    omega_conj = tuple(conjugate_element(v, embedding) for v in omega)
-    pos = space.form(omega, omega_conj)
-    s = certified_sign(pos, embedding, precision_start=precision_start)
+    conj = tuple(conjugate_element(v, embedding) for v in vec)
+    s = certified_sign(space.form(vec, conj), embedding,
+                       precision_start=precision_start)
     if s <= 0:
-        raise PositivityFails(f"q(omega, conj omega) has sign {s}, not positive")
-    return K3Period(space, field, embedding, omega, omega_conj)
+        raise PositivityFails(f"q(omega, conj omega) has sign {s}, not positive",
+                              witness=s)
 
 
 @dataclass(frozen=True)
@@ -195,77 +204,83 @@ class EndFieldResult:
     field: object             # NumberField defined by the minimal polynomial
     classification: str
     fixed_subalgebra: tuple   # basis of E_0 (empty in the totally real case)
-    adjoint_images: tuple     # a* for each basis matrix
     mt: MTDescriptor
 
 
 def endomorphism_field(h, seed=0):
-    """Compute E from the eigenvalue character, then verify the field
-    axioms and classify E by the polarization adjoint."""
+    """Compute E as the eigenvalue field L in F and classify it by the
+    conjugation tau of the embedding.  lambda -> phi_lambda (phi omega =
+    lambda omega) is a ring isomorphism L -> E, as a rational matrix
+    killing omega kills the minimal space T; so 1 in L and closure under
+    products are checked on eigenvalues, and E is commutative.
+
+    Adjoint: if phi* = G_T^-1 phi^T G_T is in E with eigenvalue mu, then
+    lambda q(omega, conj omega) = q(phi omega, conj omega) = q(omega,
+    phi* conj omega) = tau(mu) q(omega, conj omega), and q(omega, conj
+    omega) != 0 gives phi_lambda* = phi_{tau lambda}.  Whether phi* is in
+    E depends on q, not only on L (a non-trace form on T = F keeps E = F
+    but not the adjoint), so it is certified on the primitive element p:
+    p^T G_T omega = tau(p) G_T omega gives p* = phi_{tau p}, hence f(p)* =
+    f(p*) = phi_{tau f(p)} for all of E.  So tau maps L to itself, * is an
+    involution as tau is, E is totally real iff tau fixes each basis
+    eigenvalue, E_0 is cut out by the lambda_i - tau(lambda_i), and the
+    minimal polynomial of p has e (totally real) or 0 (CM) real roots."""
     t = h.dim_t
-    gram_t = h.gram
-    flat = _character_basis(h)
+    flat, lams = _character_basis(h)
     basis = tuple(_unflatten(v, t) for v in flat.entries)
     e = len(basis)
     if e == 0:
         raise InternalError("endomorphism algebra came out empty")
-
-    def spans(m):
-        return _coords_in(flat, _flatten(m)) is not None
-
-    if not spans(Matrix.identity(t)):
+    span = row_space(Matrix(tuple(lam.coords for lam in lams)))
+    if _coords_in(span, h.period.field.one().coords) is None:
         raise InternalError("identity is missing from the endomorphism algebra")
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
-            ab = a * b
-            if ab != b * a:
-                raise NotCommutative("endomorphism algebra is not commutative")
-            if not spans(ab):
-                raise NotClosed("endomorphism algebra is not closed under product")
+    if any(_coords_in(span, (a * b).coords) is None
+           for i, a in enumerate(lams) for b in lams[i:]):
+        raise NotClosed("endomorphism algebra is not closed under product")
 
-    gram_inv = inverse(gram_t)
-    adj = []
-    for a in basis:
-        astar = gram_inv * a.transpose() * gram_t
-        if not spans(astar):
-            raise NotClosed("endomorphism algebra is not closed under adjoint")
-        adj.append(astar)
-    for a, astar in zip(basis, adj):
-        if gram_inv * astar.transpose() * gram_t != a:
-            raise InternalError("adjoint is not an involution")
+    coeffs, minpoly = _primitive_element(lams, seed)
+    prim = _combine(basis, coeffs)
+    emb = h.period.embedding
+    tau_p = conjugate_element(_combine(lams, coeffs), emb)
+    lowered = h.gram.vec(h.omega_t)            # G_T omega
+    if prim.transpose().vec(lowered) != tuple(tau_p * v for v in lowered):
+        raise NotClosed("endomorphism algebra is not closed under adjoint")
 
-    totally_real = all(a == astar for a, astar in zip(basis, adj))
+    conj = tuple(conjugate_element(lam, emb) for lam in lams)
+    totally_real = conj == lams
     fixed = ()
     if not totally_real:
-        rows = []
-        for lam in range(e):
-            diff = basis[lam] - adj[lam]
-            rows.append(_flatten(diff))
-        fix_ker = kernel(Matrix(tuple(zip(*rows))))
+        diffs = tuple((a - b).coords for a, b in zip(lams, conj))
+        fix_ker = kernel(Matrix(tuple(zip(*diffs))))
         fixed = tuple(_combine(basis, lam) for lam in fix_ker.entries)
         if 2 * len(fixed) != e:
             raise InternalError("fixed subalgebra does not have dimension e/2")
 
-    prim, minpoly = _primitive_element(basis, t, e, seed)
     efield = nf_create(minpoly)
-    _check_root_pattern(efield, totally_real)
+    bound = up.root_bound(minpoly)
+    reals = up.sturm_count(up.sturm_chain(minpoly), -bound, bound)
+    if reals != (e if totally_real else 0):
+        raise InternalError("real roots of the minimal polynomial contradict "
+                            "the classification")
     if t % e != 0:
         raise InternalError("field degree does not divide the lattice dimension")
     mt = MTDescriptor(SO_E if totally_real else U_E, t // e)
     return EndFieldResult(basis, e, prim, minpoly, efield,
-                          TOTALLY_REAL if totally_real else CM,
-                          fixed, tuple(adj), mt)
+                          TOTALLY_REAL if totally_real else CM, fixed, mt)
 
 
 def _character_basis(h):
-    """Canonical basis, as flattened rows, of the rational matrices phi
-    on T with phi(omega) = lambda omega.  Let Omega be the e_F x t
-    rational matrix of power-basis coefficients of omega_T; it has rank
-    t.  The condition reads Omega phi^T = M_lambda Omega, solvable iff
+    """Canonical basis of E with the eigenvalues: the flattened rational
+    matrices phi on T with phi(omega) = lambda omega, as RREF rows, and
+    the lambda in F of each row.  Let Omega be the e_F x t rational
+    matrix of power-basis coefficients of omega_T; it has rank t.  The
+    condition reads Omega phi^T = M_lambda Omega, solvable iff
     N M_lambda Omega = 0 for N = ker(Omega^T): a linear system in the
     e_F coordinates of lambda, empty when t = e_F, whose solutions form
     the subfield L of F isomorphic to E.  Each phi_lambda is solved from
-    t independent rows of Omega and certified on all of them."""
+    t independent rows of Omega and certified on all of them.  The rows
+    [phi_lambda | lambda] are reduced together; all pivots lie in the
+    injective phi block, which is thus the RREF of the phi alone."""
     field = h.period.field
     omega = Matrix(tuple(zip(*(v.coords for v in h.omega_t))))
     m_x = mult_matrix(field.gen())
@@ -286,8 +301,11 @@ def _character_basis(h):
         phi_t = pick_inv * Matrix(tuple(image.entries[i] for i in rows))
         if omega * phi_t != image:
             raise InternalError("eigenvalue is not realized by a rational matrix")
-        phis.append(_flatten(phi_t.transpose()))
-    return row_space(Matrix(phis))
+        phis.append(_flatten(phi_t.transpose()) + tuple(lam))
+    tt = h.dim_t ** 2
+    aug = row_space(Matrix(phis)).entries
+    return (Matrix(tuple(r[:tt] for r in aug)),
+            tuple(field.element(r[tt:]) for r in aug))
 
 
 def _flatten(m):
@@ -306,49 +324,31 @@ def _combine(basis, lam):
     return acc
 
 
-def _matrix_minpoly(m):
-    """Minimal polynomial by the first linear dependence among powers."""
-    t = m.rows
-    powers = [Matrix.identity(t)]
+def _minpoly(lam):
+    """Monic minimal polynomial of a field element, by the first linear
+    dependence among its powers."""
+    powers = [lam.parent.one()]
     while True:
-        rows = [_flatten(p) for p in powers]
-        ker = kernel(Matrix(tuple(zip(*rows))))
+        ker = kernel(Matrix(tuple(zip(*(p.coords for p in powers)))))
         if ker.rows > 0:
-            lam = ker.entries[0]
-            lead = lam[-1]
-            return tuple(c / lead for c in lam)
-        powers.append(powers[-1] * m)
+            dep = ker.entries[0]
+            return tuple(c / dep[-1] for c in dep)
+        powers.append(powers[-1] * lam)
 
 
-def _primitive_element(basis, t, e, seed):
-    """A basis combination whose minimal polynomial has degree e, found
-    by trying basis matrices then seeded small integer combinations."""
-    for b in basis:
-        p = _matrix_minpoly(b)
-        if len(p) - 1 == e:
-            return b, p
+def _primitive_element(lams, seed):
+    """Coefficients over the basis of a generator of L, with its minimal
+    polynomial: each basis element in turn, then seeded small integer
+    combinations."""
+    e = len(lams)
+    units = (tuple(int(i == j) for j in range(e)) for i in range(e))
     rng = random.Random(seed)
-    for _ in range(1000):
-        coeffs = [rng.randint(-3, 3) for _ in basis]
-        cand = None
-        for c, b in zip(coeffs, basis):
-            term = b * c
-            cand = term if cand is None else cand + term
-        if cand is None:
-            continue
-        p = _matrix_minpoly(cand)
+    draws = ([rng.randint(-3, 3) for _ in lams] for _ in range(1000))
+    for coeffs in chain(units, draws):
+        p = _minpoly(_combine(lams, coeffs))
         if len(p) - 1 == e:
-            return cand, p
+            return coeffs, p
     raise InternalError("no primitive element found")
-
-
-def _check_root_pattern(efield, totally_real):
-    embs = nf_embeddings(efield)
-    reals = sum(1 for s in embs if s.is_real)
-    if totally_real and reals != len(embs):
-        raise InternalError("totally real classification with nonreal roots")
-    if not totally_real and reals != 0:
-        raise InternalError("CM classification with real roots")
 
 
 def hodge_classes_tensor_square(h):
@@ -367,5 +367,5 @@ def hodge_classes_tensor_square(h):
     t = h.dim_t
     g_inv = inverse(h.gram)
     rows = tuple(_flatten(_unflatten(v, t) * g_inv)
-                 for v in _character_basis(h).entries)
+                 for v in _character_basis(h)[0].entries)
     return tuple(_unflatten(v, t) for v in row_space(Matrix(rows)).entries)

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 import random
 
-from .errors import (BasePointIsotropic, InternalError, OddDimension,
-                     RelationsFail, TooLarge, ValidationError)
+from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
+                     NotGenericallySymplectic, NotQuadricPower, OddDimension,
+                     RelationsFail, TooLarge, ValidationError,
+                     WrongRankOnQuadric)
 from .exactmath import Matrix, det, inverse, kernel, nf_create, rank
 from .exactmath.linalg import _dot, rref
 from .exactmath.mpoly import (mp_add, mp_eval, mp_items_grlex, mp_mul, mp_neg,
@@ -160,8 +162,8 @@ class KSymplecticReport:
         return None if self.quadric is None else self.rank_on_quadric // 2
 
 
-def _fail(reason):
-    return KSymplecticReport(False, None, None, None, None, None, reason)
+def _fail(cls):
+    return KSymplecticReport(False, None, None, None, None, None, cls.__name__)
 
 
 def verify_k_symplectic(cand, seed=0):
@@ -175,25 +177,25 @@ def verify_k_symplectic(cand, seed=0):
                for i in range(v_dim)]
     p = pfaffian(generic, seed=seed).as_dict()
     if not p:
-        return _fail("NotGenericallySymplectic")
+        return _fail(NotGenericallySymplectic)
     factors = _factor_multivariate(p, k)
     if len(factors) != 1:
-        return _fail("NotQuadricPower")
+        return _fail(NotQuadricPower)
     qpoly, mult = factors[0]
     if _poly_degree(qpoly) != 2 or mult != n:
-        return _fail("NotQuadricPower")
+        return _fail(NotQuadricPower)
     qpoly = _canonical_quadric(qpoly)
     scalar = _exact_ratio(p, mp_pow(qpoly, n))
     if scalar is None:
         raise InternalError("factorization does not reproduce the Pfaffian")
     qmat = _quadric_matrix(qpoly, k)
     if det(qmat) == 0:
-        return _fail("DegenerateQuadric")
+        return _fail(DegenerateQuadric)
     point, field_poly = _quadric_point(qmat)
     m_at = _combination(cand, point)
     r = rank(m_at)
     if r != v_dim // 2:
-        return _fail("WrongRankOnQuadric")
+        return _fail(WrongRankOnQuadric)
     return KSymplecticReport(True, qmat, scalar, r, point, field_poly, None)
 
 

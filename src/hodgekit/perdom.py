@@ -7,10 +7,10 @@ transcendental lattice over its endomorphism field.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InternalError, NotIsotropicPath, RankTooSmall,
-                     ValidationError)
-from .exactmath import certified_sign, conjugate_element
+from .errors import (InternalError, IsotropyFails, NotIsotropicPath,
+                     PositivityFails, RankTooSmall, ValidationError)
 from .exactmath import unipoly as up
+from .hodge import check_period_line
 from .qforms import QuadraticSpace
 
 
@@ -37,21 +37,17 @@ class Membership:
 
 
 def per_membership(space, field, embedding, vec, precision_start=64):
-    """Period-domain membership: q(l, l) = 0 exactly and
-    q(l, conj l) > 0 certified; no signature requirement."""
+    """Period-domain membership: the period-line conditions of
+    `hodge.check_period_line`, with no signature requirement."""
     vec = tuple(vec)
     if len(vec) != space.dim:
         raise ValidationError("vector length does not match the space")
     if all(v.is_zero() for v in vec):
         raise ValidationError("vector must be nonzero")
-    iso = space.form(vec, vec)
-    if not iso.is_zero():
-        return Membership(False, "IsotropyFails", iso)
-    conj = tuple(conjugate_element(v, embedding) for v in vec)
-    pos = space.form(vec, conj)
-    s = certified_sign(pos, embedding, precision_start=precision_start)
-    if s <= 0:
-        return Membership(False, "PositivityFails", s)
+    try:
+        check_period_line(space, embedding, vec, precision_start)
+    except (IsotropyFails, PositivityFails) as exc:
+        return Membership(False, type(exc).__name__, exc.witness)
     return Membership(True, None, None)
 
 

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from hodgekit.errors import IsotropyFails, PositivityFails, WrongSignature
-from hodgekit.exactmath import (Matrix, conjugate_element, field_trace,
-                                inverse, kernel, nf_create, nf_embeddings,
-                                solve_linear)
-from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, _primitive_element,
-                            endomorphism_field, hodge_classes_tensor_square,
-                            is_hodge_substructure, transcendental_lattice,
-                            validate_period)
+from hodgekit.errors import (IsotropyFails, NotClosed, PositivityFails,
+                             WrongSignature)
+from hodgekit.exactmath import (Matrix, certified_sign, conjugate_element,
+                                field_trace, inverse, kernel, nf_create,
+                                nf_embeddings, solve_linear)
+from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
+                            hodge_classes_tensor_square, is_hodge_substructure,
+                            transcendental_lattice, validate_period)
 from hodgekit.qforms import QuadraticSpace
 
 F = Fraction
@@ -201,6 +201,8 @@ def test_endomorphism_algebra_axioms():
                               for u in h.trans.entries))
         ginv = inverse(gram_t)
 
+        cols = Matrix(tuple(zip(*(_flat(b) for b in ef.basis))))
+
         def star(m):
             return ginv * m.transpose() * gram_t
 
@@ -209,11 +211,27 @@ def test_endomorphism_algebra_axioms():
                 assert a * b == b * a
                 assert star(a * b) == star(b) * star(a)
             assert star(star(a)) == a
+            assert solve_linear(cols, _flat(star(a))).particular is not None
+        assert (ef.classification == TOTALLY_REAL) == all(
+            star(a) == a for a in ef.basis)
         embs = nf_embeddings(ef.field)
         if ef.classification == TOTALLY_REAL:
             assert all(s.is_real for s in embs)
         else:
             assert all(not s.is_real for s in embs)
+
+
+def test_adjoint_closure_is_certified():
+    # the quartic CM period with q changed by a form that still kills
+    # omega but is not a trace form: every lambda in F is realized
+    # (t = e_F), tau maps F to itself, yet the adjoint of E leaves E
+    p = quartic_cm_period()
+    sp = qspace([[1, 4, 0, 0], [4, 0, 0, 0], [0, 0, 0, 4], [0, 0, 4, 2]])
+    h = transcendental_lattice(
+        validate_period(sp, p.field, p.embedding, p.omega))
+    assert h.dim_t == 4
+    with pytest.raises(NotClosed, match="adjoint"):
+        endomorphism_field(h)
 
 
 def test_hodge_classes_dimension_is_e():
@@ -248,20 +266,22 @@ def test_hodge_classes_definite_two_dim_nonzero():
     assert len(hodge_classes_tensor_square(h)) >= 1
 
 
-def cm_rank22_period():
-    """The CM recipe at d = 4: T = Q(zeta_8) with q(x, y) = Tr(a x conj y)
-    for the weight a = zeta + zeta^-1, the period the trace-dual basis of
-    the power basis, padded by -1 entries to rank 22 and moved by a
-    unimodular change of basis P: G -> P^T G P, omega -> P^-1 omega.  The
-    mixing is one where G_T^2 is not in E, so E G_T^-1 and E G_T differ."""
-    d, m = 4, 22
-    field = nf_create([1, 0, 0, 0, 1])
+def cm_rank22_period(d=4, shift=0):
+    """The CM recipe: T = Q(zeta_2d) with q(x, y) = Tr(a x conj y) for
+    the weight a = zeta + zeta^-1 + shift, positive at exactly one real
+    place, the period the trace-dual basis of the power basis at an
+    embedding where a > 0, padded by -1 entries to rank 22 and moved by a
+    unimodular change of basis P: G -> P^T G P, omega -> P^-1 omega.  At
+    d = 4 the mixing is one where G_T^2 is not in E, so E G_T^-1 and
+    E G_T differ."""
+    m = 22
+    field = nf_create([1] + [0] * (d - 1) + [1])
     x = field.gen()
-    a = x - x**3
+    a = x - x**(d - 1) + shift
     gram = [[F(0)] * m for _ in range(m)]
     for i in range(d):
         for j in range(d):
-            gram[i][j] = field_trace(a * x**(i - j))
+            gram[i][j] = field_trace(a * x**((i - j) % (2 * d)))
     for i in range(d, m):
         gram[i][i] = F(-1)
     omega = [field.from_rational(F(1, d))]
@@ -279,7 +299,8 @@ def cm_rank22_period():
     p, p_inv = Matrix(p), Matrix(p_inv)
     assert p * p_inv == Matrix.identity(m)
     sp = QuadraticSpace(p.transpose() * Matrix(gram) * p)
-    return validate_period(sp, field, nf_embeddings(field)[2], p_inv.vec(omega))
+    emb = next(s for s in nf_embeddings(field) if certified_sign(a, s) > 0)
+    return validate_period(sp, field, emb, p_inv.vec(omega))
 
 
 # ---- oracles: the generic solvers the eigenvalue character replaced ----
@@ -290,6 +311,37 @@ def _flat(m):
 
 def _square(v, t):
     return Matrix(tuple(tuple(v[i * t:(i + 1) * t]) for i in range(t)))
+
+
+def _matrix_minpoly(m):
+    """Minimal polynomial by the first linear dependence among powers."""
+    powers = [Matrix.identity(m.rows)]
+    while True:
+        ker = kernel(Matrix(tuple(zip(*(_flat(p) for p in powers)))))
+        if ker.rows > 0:
+            lam = ker.entries[0]
+            return tuple(c / lam[-1] for c in lam)
+        powers.append(powers[-1] * m)
+
+
+def _primitive_element(basis, seed):
+    """A basis combination whose minimal polynomial has degree dim E,
+    found by trying basis matrices then seeded small integer
+    combinations."""
+    e = len(basis)
+    for b in basis:
+        p = _matrix_minpoly(b)
+        if len(p) - 1 == e:
+            return b, p
+    rng = random.Random(seed)
+    for _ in range(1000):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        cand = sum((b * c for c, b in zip(coeffs, basis)),
+                   Matrix.zeros(basis[0].rows, basis[0].rows))
+        p = _matrix_minpoly(cand)
+        if len(p) - 1 == e:
+            return cand, p
+    raise AssertionError("no primitive element found")
 
 
 def _restricted_gram(h):
@@ -307,8 +359,9 @@ def oracle_omega_t(h):
 
 def oracle_endomorphism_field(h, seed=0):
     """E as the kernel of the vanishing 2x2 minors of (phi omega, omega),
-    a system in t^2 unknowns, with span membership by solve_linear.
-    Returns (basis, fixed subalgebra, adjoint images, primitive minpoly)."""
+    a system in t^2 unknowns, with span membership by solve_linear, the
+    adjoint as matrices and the primitive element from matrix powers.
+    Returns (basis, fixed subalgebra, primitive matrix, its minpoly)."""
     e_f = h.period.field.degree
     t = h.dim_t
     omega_t = oracle_omega_t(h)
@@ -342,8 +395,8 @@ def oracle_endomorphism_field(h, seed=0):
         fixed = tuple(sum((b * c for c, b in zip(lam, basis)),
                           Matrix.zeros(t, t))
                       for lam in fix_ker.entries)
-    _, minpoly = _primitive_element(basis, t, len(basis), seed)
-    return basis, fixed, adj, minpoly
+    prim, minpoly = _primitive_element(basis, seed)
+    return basis, fixed, prim, minpoly
 
 
 def oracle_hodge_classes(h):
@@ -380,10 +433,10 @@ def test_character_pipeline_matches_oracles(make):
     assert h.omega_t == oracle_omega_t(h)
     assert h.gram == _restricted_gram(h)
     ef = endomorphism_field(h)
-    basis, fixed, adj, minpoly = oracle_endomorphism_field(h)
+    basis, fixed, prim, minpoly = oracle_endomorphism_field(h)
     assert ef.basis == basis
     assert ef.fixed_subalgebra == fixed
-    assert ef.adjoint_images == adj
+    assert ef.primitive_matrix == prim
     assert ef.primitive_minpoly == minpoly
     assert hodge_classes_tensor_square(h) == oracle_hodge_classes(h)
 
@@ -394,3 +447,12 @@ def test_cm_rank22_answer():
     assert (h.dim_t, ef.e, ef.classification) == (4, 4, CM)
     assert ef.mt.family == U_E and ef.mt.rank == 1
     assert len(hodge_classes_tensor_square(h)) == 4
+
+
+def test_cm_rank22_answer_at_degree_cap():
+    h = transcendental_lattice(cm_rank22_period(16, F(-9, 5)))
+    ef = endomorphism_field(h)
+    assert (h.dim_t, ef.e, ef.classification) == (16, 16, CM)
+    assert ef.mt.family == U_E and ef.mt.rank == 1
+    assert len(ef.fixed_subalgebra) == 8
+    assert len(hodge_classes_tensor_square(h)) == 16

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgekit import errors
 from hodgekit.errors import (BasePointIsotropic, OddDimension, TooLarge,
                              ValidationError)
 from hodgekit.exactmath import Matrix, det
@@ -149,6 +150,27 @@ def test_verify_degenerate_pfaffian():
     rep = verify_k_symplectic(KSymplecticCandidate((a, b)))
     assert not rep.ok
     assert rep.failure_reason == "NotGenericallySymplectic"
+
+
+def two_form(terms):
+    """The 4x4 two-form sum of c * e_ij over {(i, j): c}."""
+    m = [[0] * 4 for _ in range(4)]
+    for (i, j), c in terms.items():
+        m[i][j] += c
+        m[j][i] -= c
+    return fmat(m)
+
+
+def test_verify_degenerate_quadric():
+    # Pfaffian of the combination: t0^2 + t1^2 - t2^2, a quadric of rank 3
+    # in the k = 4 variables
+    cand = KSymplecticCandidate((
+        two_form({(0, 2): 1, (1, 3): -1}), two_form({(0, 3): 1, (1, 2): 1}),
+        two_form({(0, 2): 1, (1, 3): 1}), two_form({(0, 1): 1})))
+    rep = verify_k_symplectic(cand)
+    assert not rep.ok
+    assert rep.failure_reason == "DegenerateQuadric"
+    assert issubclass(getattr(errors, rep.failure_reason), ValidationError)
 
 
 def test_verify_two_form_subfamily():

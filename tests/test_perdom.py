@@ -9,7 +9,7 @@ import pytest
 from hodgekit.errors import NotIsotropicPath, RankTooSmall, ValidationError
 from hodgekit.exactmath import Matrix, nf_create, nf_embeddings
 from hodgekit.hodge import MTDescriptor
-from hodgekit.perdom import (PeriodPath, check_family,
+from hodgekit.perdom import (Membership, PeriodPath, check_family,
                              essential_dim_bound, griffiths_check,
                              make_isotropic_path, orbit_dimension,
                              per_membership)
@@ -41,6 +41,15 @@ def test_membership_fails_for_real_isotropic():
                          (field.one(), field.zero(), field.one()))
     assert not res.member
     assert res.failure_reason == "PositivityFails"
+    assert res.witness == 0
+
+
+def test_membership_fails_for_nonisotropic():
+    field = nf_create([1, 0, 1])
+    emb = nf_embeddings(field)[1]
+    res = per_membership(LORENTZ3, field, emb,
+                         (field.gen(), field.zero(), field.zero()))
+    assert res == Membership(False, "IsotropyFails", -field.one())
 
 
 def test_membership_quartic():
