@@ -14,6 +14,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 COMMANDS = [
     ["classify", str(CORPUS / "qi_period.json")],
     ["classify", str(CORPUS / "sqrt2i_period.json")],
+    ["classify", str(CORPUS / "quartic_incompatible_period.json")],
     ["tha", str(CORPUS / "qi_period.json"), "--n", "3"],
     ["tha", str(CORPUS / "sqrt2i_period.json"), "--n", "2"],
     ["ksympl", str(CORPUS / "quaternion3.json")],

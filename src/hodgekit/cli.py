@@ -399,58 +399,49 @@ def make_parser():
     return parser
 
 
+def _check_arguments(args):
+    """Range checks on the numeric options, made before any file is read."""
+    if args.command == "tha" and args.n < 1:
+        raise ValidationError("--n must be at least 1")
+    if args.command == "bounds":
+        if args.d < 0:
+            raise ValidationError("--d must be nonnegative")
+        if args.e is not None and args.e < 1:
+            raise ValidationError("--e must be at least 1")
+        if args.dim_h1 is not None and args.dim_h1 < 0:
+            raise ValidationError("--dim-h1 must be nonnegative")
+
+
+# command -> (report name, problem file kind or None, build and run)
+COMMANDS = {
+    "classify": ("classify", "k3period", lambda doc, args: cmd_classify(
+        build_period(doc, args.precision_start), seed=args.seed)),
+    "tha": ("tha", "k3period", lambda doc, args: cmd_tha(
+        build_period(doc, args.precision_start), args.n, seed=args.seed)),
+    "ksympl": ("ksympl", "ksymplectic", lambda doc, args: cmd_ksympl(
+        build_candidate(doc), seed=args.seed)),
+    "bounds": ("bounds", None, lambda doc, args: cmd_bounds(
+        args.d, args.e, args.dim_h1)),
+    "perdom": ("perdom.check-path", "path", lambda doc, args: cmd_check_path(
+        build_path(doc))),
+}
+
+
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    command = args.command
+    name, kind, run = COMMANDS[args.command]
 
-    if command == "classify":
-        def worker():
-            kind, doc = load_problem_file(args.file)
-            if kind != "k3period":
-                raise FileFormatError(f"classify needs a k3period file, got {kind}")
-            period = build_period(doc, precision_start=args.precision_start)
-            return cmd_classify(period, seed=args.seed)
-        return _run_command(command, worker, args)
+    def worker():
+        _check_arguments(args)
+        doc = None
+        if kind is not None:
+            got, doc = load_problem_file(args.file)
+            if got != kind:
+                raise FileFormatError(f"{name.split('.')[-1]} needs a {kind} "
+                                      f"file, got {got}")
+        return run(doc, args)
 
-    if command == "tha":
-        def worker():
-            if args.n < 1:
-                raise ValidationError("--n must be at least 1")
-            kind, doc = load_problem_file(args.file)
-            if kind != "k3period":
-                raise FileFormatError(f"tha needs a k3period file, got {kind}")
-            period = build_period(doc, precision_start=args.precision_start)
-            return cmd_tha(period, args.n, seed=args.seed)
-        return _run_command(command, worker, args)
-
-    if command == "ksympl":
-        def worker():
-            kind, doc = load_problem_file(args.file)
-            if kind != "ksymplectic":
-                raise FileFormatError(f"ksympl needs a ksymplectic file, got {kind}")
-            return cmd_ksympl(build_candidate(doc), seed=args.seed)
-        return _run_command(command, worker, args)
-
-    if command == "bounds":
-        def worker():
-            if args.d < 0:
-                raise ValidationError("--d must be nonnegative")
-            if args.e is not None and args.e < 1:
-                raise ValidationError("--e must be at least 1")
-            if args.dim_h1 is not None and args.dim_h1 < 0:
-                raise ValidationError("--dim-h1 must be nonnegative")
-            return cmd_bounds(args.d, args.e, args.dim_h1)
-        return _run_command(command, worker, args)
-
-    if command == "perdom":
-        def worker():
-            kind, doc = load_problem_file(args.file)
-            if kind != "path":
-                raise FileFormatError(f"check-path needs a path file, got {kind}")
-            return cmd_check_path(build_path(doc))
-        return _run_command("perdom.check-path", worker, args)
-
-    raise AssertionError(f"unhandled command {command}")
+    return _run_command(name, worker, args)
 
 
 if __name__ == "__main__":

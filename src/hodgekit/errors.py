@@ -76,10 +76,6 @@ class PositivityFails(WitnessedError):
     pass
 
 
-class NotClosed(InternalError):
-    pass
-
-
 # symalg
 
 class DegreeTooHigh(ValidationError):

@@ -191,10 +191,6 @@ class SolveResult:
     particular: tuple | None
     kernel: Matrix
 
-    @property
-    def consistent(self):
-        return self.particular is not None
-
 
 def solve_linear(a, b):
     """Exact solution set of a x = b by one elimination on [a | b]: the

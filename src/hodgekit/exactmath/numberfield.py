@@ -190,14 +190,6 @@ class FieldElement:
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 
-    def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coords[0]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.parent.from_rational(other)

@@ -7,25 +7,25 @@ the span of the rational coefficient vectors of the period in the power
 basis, which is the minimal rational subspace whose complexification
 contains the period line.
 
-The endomorphism field E is the algebra of rational matrices keeping
-the period line invariant.  Its eigenvalue on the period is a character
-mapping E isomorphically onto a subfield L of F (Zarhin 1983), so E is
-computed as L: a linear system in deg F unknowns, after which each
-eigenvalue gives its matrix by one rational solve.  Everything else runs
-in L.  The polarization adjoint a -> q^-1 a^T q is the conjugation tau
-of the embedding restricted to L, certified once on a primitive
-element; tau fixing L means totally real (Mumford-Tate SO_E), otherwise
-E is a CM field over the fixed subfield E_0 (Mumford-Tate U_E).  The
-rational (2,2)-classes of T (x) T are then phi G_T^-1 for phi in E,
-where G_T is the Gram matrix of q on T.
+The endomorphism field E is the field of Hodge endomorphisms of T, the
+rational matrices keeping the period line and T^{1,1}.  Its eigenvalue
+on the period maps E isomorphically onto a subfield of F (Zarhin 1983).
+The matrices keeping the line alone form a subfield L of F; E is cut out
+of L by one rational kernel, the Hodge condition, and is therefore
+closed under the polarization adjoint a -> q^-1 a^T q, which acts on
+eigenvalues as the conjugation tau of the embedding.  tau fixing E means
+totally real (Mumford-Tate SO_E), otherwise E is CM over the fixed
+subfield E_0 (Mumford-Tate U_E).  The rational (2,2)-classes of T (x) T
+are phi G_T^-1 for phi in E, where G_T is the Gram matrix of q on T.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 import random
 
-from .errors import (InternalError, IsotropyFails, NotClosed, PositivityFails,
+from .errors import (InternalError, IsotropyFails, PositivityFails,
                      ValidationError, WrongSignature)
 from .exactmath import (Matrix, certified_sign, conjugate_element, kernel,
                         mult_matrix, nf_create, rref)
@@ -104,6 +104,11 @@ class K3Hodge:
     @property
     def dim_t(self):
         return self.trans.rows
+
+    @cached_property
+    def endomorphisms(self):
+        """E as `_character_basis` returns it, computed once per value."""
+        return _character_basis(self)
 
 
 def transcendental_lattice(period):
@@ -208,45 +213,35 @@ class EndFieldResult:
 
 
 def endomorphism_field(h, seed=0):
-    """Compute E as the eigenvalue field L in F and classify it by the
-    conjugation tau of the embedding.  lambda -> phi_lambda (phi omega =
-    lambda omega) is a ring isomorphism L -> E, as a rational matrix
-    killing omega kills the minimal space T; so 1 in L and closure under
-    products are checked on eigenvalues, and E is commutative.
-
-    Adjoint: if phi* = G_T^-1 phi^T G_T is in E with eigenvalue mu, then
-    lambda q(omega, conj omega) = q(phi omega, conj omega) = q(omega,
-    phi* conj omega) = tau(mu) q(omega, conj omega), and q(omega, conj
-    omega) != 0 gives phi_lambda* = phi_{tau lambda}.  Whether phi* is in
-    E depends on q, not only on L (a non-trace form on T = F keeps E = F
-    but not the adjoint), so it is certified on the primitive element p:
-    p^T G_T omega = tau(p) G_T omega gives p* = phi_{tau p}, hence f(p)* =
-    f(p*) = phi_{tau f(p)} for all of E.  So tau maps L to itself, * is an
-    involution as tau is, E is totally real iff tau fixes each basis
-    eigenvalue, E_0 is cut out by the lambda_i - tau(lambda_i), and the
-    minimal polynomial of p has e (totally real) or 0 (CM) real roots."""
+    """Classify E, read from `h.endomorphisms`, by the conjugation tau.
+    lambda -> phi_lambda (phi omega = lambda omega) is a ring isomorphism
+    onto a subfield of F, as a rational matrix killing omega kills the
+    minimal space T; so 1 in E and closure under products are checked on
+    eigenvalues, and E is commutative.  By the Hodge condition (see
+    `_character_basis`) phi_lambda* = G_T^-1 phi^T G_T = phi_{tau lambda}
+    is in E, so * is an involution as tau is; it is re-checked on the
+    primitive element p as p^T G_T omega = tau(p) G_T omega.  E is
+    totally real iff tau fixes each basis eigenvalue, E_0 is cut out by
+    the lambda_i - tau(lambda_i), and the minimal polynomial of p has e
+    (totally real) or 0 (CM) real roots."""
     t = h.dim_t
-    flat, lams = _character_basis(h)
+    flat, lams, conj = h.endomorphisms
     basis = tuple(_unflatten(v, t) for v in flat.entries)
     e = len(basis)
-    if e == 0:
-        raise InternalError("endomorphism algebra came out empty")
     span = row_space(Matrix(tuple(lam.coords for lam in lams)))
     if _coords_in(span, h.period.field.one().coords) is None:
         raise InternalError("identity is missing from the endomorphism algebra")
     if any(_coords_in(span, (a * b).coords) is None
            for i, a in enumerate(lams) for b in lams[i:]):
-        raise NotClosed("endomorphism algebra is not closed under product")
+        raise InternalError("endomorphism algebra is not closed under product")
 
     coeffs, minpoly = _primitive_element(lams, seed)
     prim = _combine(basis, coeffs)
-    emb = h.period.embedding
-    tau_p = conjugate_element(_combine(lams, coeffs), emb)
+    tau_p = _combine(conj, coeffs)
     lowered = h.gram.vec(h.omega_t)            # G_T omega
     if prim.transpose().vec(lowered) != tuple(tau_p * v for v in lowered):
-        raise NotClosed("endomorphism algebra is not closed under adjoint")
+        raise InternalError("endomorphism field is not closed under adjoint")
 
-    conj = tuple(conjugate_element(lam, emb) for lam in lams)
     totally_real = conj == lams
     fixed = ()
     if not totally_real:
@@ -270,42 +265,61 @@ def endomorphism_field(h, seed=0):
 
 
 def _character_basis(h):
-    """Canonical basis of E with the eigenvalues: the flattened rational
-    matrices phi on T with phi(omega) = lambda omega, as RREF rows, and
-    the lambda in F of each row.  Let Omega be the e_F x t rational
-    matrix of power-basis coefficients of omega_T; it has rank t.  The
-    condition reads Omega phi^T = M_lambda Omega, solvable iff
-    N M_lambda Omega = 0 for N = ker(Omega^T): a linear system in the
-    e_F coordinates of lambda, empty when t = e_F, whose solutions form
-    the subfield L of F isomorphic to E.  Each phi_lambda is solved from
-    t independent rows of Omega and certified on all of them.  The rows
-    [phi_lambda | lambda] are reduced together; all pivots lie in the
-    injective phi block, which is thus the RREF of the phi alone."""
+    """Canonical basis of E: the flattened rational matrices phi on T
+    that are Hodge endomorphisms, as RREF rows, with the eigenvalue lambda
+    in F of each row (phi omega = lambda omega) and its conjugate
+    tau(lambda).  Let Omega be the e_F x t rational matrix of power-basis
+    coefficients of omega_T; it has rank t.  phi keeps the line iff
+    Omega phi^T = M_lambda Omega, solvable iff N M_lambda Omega = 0 for
+    N = ker(Omega^T): a linear system in the e_F coordinates of lambda,
+    empty when t = e_F, whose solutions form the field L.  Each phi_lambda
+    is solved from t independent rows of Omega and certified on all.
+
+    Hodge condition: phi in L also keeps T^{1,1} = {omega, conj omega}^perp
+    iff phi* omega lies in span(omega, conj omega).  Pairing with omega
+    and conj omega (q(omega, omega) = 0, q(omega, conj omega) != 0) shows
+    the only possible such vector is tau(lambda) omega, so the condition
+    is delta = phi^T G_T omega - tau(lambda) G_T omega = 0 in F^t.  Then
+    phi* keeps the line with eigenvalue tau(lambda) and (phi*)* = phi, so
+    phi* is in E: E is closed under * by construction.  delta is Q-linear,
+    so the rows [delta | phi | lambda | tau(lambda)] are reduced together;
+    the rows past the delta pivots span E, their pivots all lie in the
+    injective phi block, which is thus the RREF of the phi alone.  When
+    every delta is 0 (a form compatible with L), E = L."""
     field = h.period.field
+    t, e_f = h.dim_t, field.degree
     omega = Matrix(tuple(zip(*(v.coords for v in h.omega_t))))
     m_x = mult_matrix(field.gen())
     shifted = [omega]                      # M_{x^i} Omega
-    for _ in range(1, field.degree):
+    for _ in range(1, e_f):
         shifted.append(m_x * shifted[-1])
     left = kernel(omega.transpose())
     if left.rows:
         cols = tuple(_flatten(left * s) for s in shifted)
         lams = kernel(Matrix(tuple(zip(*cols))))
     else:
-        lams = Matrix.identity(field.degree)
+        lams = Matrix.identity(e_f)
     _, rows = rref(omega.transpose())
     pick_inv = inverse(Matrix(tuple(omega.entries[i] for i in rows)))
-    phis = []
+    lowered = h.gram.vec(h.omega_t)        # G_T omega
+    aug = []
     for lam in lams.entries:
         image = _combine(shifted, lam)     # M_lambda Omega
         phi_t = pick_inv * Matrix(tuple(image.entries[i] for i in rows))
         if omega * phi_t != image:
             raise InternalError("eigenvalue is not realized by a rational matrix")
-        phis.append(_flatten(phi_t.transpose()) + tuple(lam))
-    tt = h.dim_t ** 2
-    aug = row_space(Matrix(phis)).entries
-    return (Matrix(tuple(r[:tt] for r in aug)),
-            tuple(field.element(r[tt:]) for r in aug))
+        tau = conjugate_element(field.element(lam), h.period.embedding)
+        delta = tuple(c for a, b in zip(phi_t.vec(lowered), lowered)
+                      for c in (a - tau * b).coords)
+        aug.append(delta + _flatten(phi_t.transpose()) + tuple(lam)
+                   + tau.coords)
+    width, tt = t * e_f, t * t             # the delta block, the phi block
+    red, pivots = rref(Matrix(aug))
+    hodge = [r[width:] for r in
+             red.entries[sum(p < width for p in pivots):len(pivots)]]
+    return (Matrix(tuple(r[:tt] for r in hodge)),
+            tuple(field.element(r[tt:tt + e_f]) for r in hodge),
+            tuple(field.element(r[tt + e_f:]) for r in hodge))
 
 
 def _flatten(m):
@@ -361,11 +375,11 @@ def hodge_classes_tensor_square(h):
     components of c are those of A = c G_T times D^-1, which swaps the
     omega and conj omega columns and mixes the (1,1) columns invertibly.
     So the (4,0), (3,1), (1,3) and (0,4) components vanish exactly when
-    A keeps the lines of omega and conj omega (A in E) and so does its
-    adjoint (A* in E).  E is closed under the adjoint, so c is (2,2)
-    iff c G_T is in E."""
+    A keeps the lines of omega and conj omega and so does its adjoint,
+    that is, A is a Hodge endomorphism.  E, read from `h.endomorphisms`,
+    is exactly the field of those, so c is (2,2) iff c G_T is in E."""
     t = h.dim_t
     g_inv = inverse(h.gram)
     rows = tuple(_flatten(_unflatten(v, t) * g_inv)
-                 for v in _character_basis(h)[0].entries)
+                 for v in h.endomorphisms[0].entries)
     return tuple(_unflatten(v, t) for v in row_space(Matrix(rows)).entries)

@@ -144,11 +144,6 @@ class SymAlgebra:
     def zero_scalar(self):
         return self.space.gram.entries[0][0] * 0
 
-    def graded_dim(self, i):
-        if self.mode == HARMONIC:
-            return harm_dim(self.dim, i)
-        return sym_dim(self.dim, i)
-
 
 def contraction_matrix(space, i):
     """Matrix of L = sum q_ab d_a d_b from Sym^i to Sym^(i-2) on the

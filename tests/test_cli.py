@@ -56,6 +56,25 @@ def test_classify_sqrt2i(capsys):
     assert section["hodge_classes_dim"] == 1
 
 
+def test_classify_incompatible_quartic(capsys):
+    # L = F keeps the period line, but only a quadratic subfield keeps
+    # T^{1,1} for this form: E has degree 2, not 4
+    code, out = run_inproc(["classify",
+                            str(CORPUS / "quartic_incompatible_period.json"),
+                            "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    section = doc["sections"]["endomorphism_field"]
+    assert doc["sections"]["transcendental_lattice"]["dim_t"] == 4
+    assert section["e"] == 2
+    assert section["classification"] == "CM"
+    assert section["primitive_minpoly"] == ["1/2", "0", "1"]
+    assert section["dim_fixed_subalgebra"] == 1
+    assert section["mt_family"] == "U_E"
+    assert section["mt_rank"] == 2
+    assert section["hodge_classes_dim"] == 2
+
+
 def test_tha_dims(capsys):
     code, out = run_inproc(["tha", str(CORPUS / "qi_period.json"),
                             "--n", "3", "--json"], capsys)

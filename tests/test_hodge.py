@@ -5,12 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hodgekit.errors import (IsotropyFails, NotClosed, PositivityFails,
-                             WrongSignature)
+from hodgekit import hodge
+from hodgekit.errors import IsotropyFails, PositivityFails, WrongSignature
 from hodgekit.exactmath import (Matrix, certified_sign, conjugate_element,
                                 field_trace, inverse, kernel, nf_create,
                                 nf_embeddings, solve_linear)
+from hodgekit.exactmath.linalg import row_space
 from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
                             hodge_classes_tensor_square, is_hodge_substructure,
                             transcendental_lattice, validate_period)
@@ -221,17 +224,51 @@ def test_endomorphism_algebra_axioms():
             assert all(not s.is_real for s in embs)
 
 
-def test_adjoint_closure_is_certified():
-    # the quartic CM period with q changed by a form that still kills
-    # omega but is not a trace form: every lambda in F is realized
-    # (t = e_F), tau maps F to itself, yet the adjoint of E leaves E
+def incompatible_quartic_period():
+    """The quartic CM period with q changed by a form that still kills
+    omega but is not a trace form: every lambda in F keeps the period
+    line (t = e_F) and tau maps F to itself, yet only Q(sqrt(-2)) in F
+    keeps T^{1,1}, so E is that quadratic field, not F."""
     p = quartic_cm_period()
     sp = qspace([[1, 4, 0, 0], [4, 0, 0, 0], [0, 0, 0, 4], [0, 0, 4, 2]])
-    h = transcendental_lattice(
-        validate_period(sp, p.field, p.embedding, p.omega))
+    return validate_period(sp, p.field, p.embedding, p.omega)
+
+
+def test_adjoint_closure_is_certified():
+    # known answer: E is cut out of the line stabilizer L = F by the
+    # Hodge condition, closed under the adjoint, and agrees with the
+    # frame oracle's classes
+    h = transcendental_lattice(incompatible_quartic_period())
     assert h.dim_t == 4
-    with pytest.raises(NotClosed, match="adjoint"):
-        endomorphism_field(h)
+    ef = endomorphism_field(h)
+    assert (ef.e, ef.classification) == (2, CM)
+    assert len(ef.primitive_minpoly) == 3
+    assert all(not s.is_real for s in nf_embeddings(ef.field))
+    assert ef.mt.family == U_E and ef.mt.rank == 2
+    assert len(ef.fixed_subalgebra) == 1
+    classes = hodge_classes_tensor_square(h)
+    assert classes == oracle_hodge_classes(h)
+    gram_t = _restricted_gram(h)
+    assert _span(c * gram_t for c in classes) == _span(ef.basis)
+    ginv = inverse(gram_t)
+    assert _span(ginv * a.transpose() * gram_t for a in ef.basis) == \
+        _span(ef.basis)
+
+
+def _span(mats):
+    return row_space(Matrix(tuple(_flat(m) for m in mats)))
+
+
+def test_character_basis_computed_once(monkeypatch):
+    calls = []
+    real = hodge._character_basis
+    monkeypatch.setattr(hodge, "_character_basis",
+                        lambda h: calls.append(h) or real(h))
+    h = transcendental_lattice(quartic_cm_period())
+    endomorphism_field(h)
+    hodge_classes_tensor_square(h)
+    endomorphism_field(h, seed=1)
+    assert len(calls) == 1
 
 
 def test_hodge_classes_dimension_is_e():
@@ -456,3 +493,55 @@ def test_cm_rank22_answer_at_degree_cap():
     assert ef.mt.family == U_E and ef.mt.rank == 1
     assert len(ef.fixed_subalgebra) == 8
     assert len(hodge_classes_tensor_square(h)) == 16
+
+
+# ---- metamorphic relations -----------------------------------------------
+
+def _answer(period):
+    h = transcendental_lattice(period)
+    ef = endomorphism_field(h)
+    return (h.dim_t, ef.e, ef.classification, ef.mt.family, ef.mt.rank,
+            len(ef.fixed_subalgebra), len(hodge_classes_tensor_square(h)))
+
+
+METAMORPHIC_PERIODS = {
+    "gaussian": gaussian_period, "sqrt2i": sqrt2i_period,
+    "quartic_cm": quartic_cm_period,
+    "incompatible_quartic": incompatible_quartic_period,
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(METAMORPHIC_PERIODS)),
+       st.lists(st.integers(1, 3), max_size=2),
+       st.lists(st.tuples(st.integers(0, 99), st.integers(1, 99),
+                          st.sampled_from((1, -1))), max_size=8),
+       st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+def test_answer_invariant_under_basis_padding_and_scaling(name, pad, moves,
+                                                          scale):
+    # the answer does not change under padding by a negative-definite
+    # algebraic block, a unimodular change of basis P (G -> P^T G P,
+    # omega -> P^-1 omega) and scaling omega by a nonzero c in F
+    base = METAMORPHIC_PERIODS[name]()
+    field, m = base.field, base.dim + len(pad)
+    c = field.element(scale[:field.degree])
+    assume(not c.is_zero())
+    gram = [list(r) + [F(0)] * len(pad) for r in base.space.gram.entries]
+    gram += [[F(0)] * m for _ in pad]
+    for k, d in enumerate(pad):
+        gram[base.dim + k][base.dim + k] = F(-d)
+    omega = list(base.omega) + [field.zero()] * len(pad)
+    p = [[F(int(i == j)) for j in range(m)] for i in range(m)]
+    p_inv = [row[:] for row in p]
+    for i, j, sign in moves:
+        i, j = i % m, (i + j) % m
+        if i != j:
+            p[i] = [u + sign * v for u, v in zip(p[i], p[j])]
+            for row in p_inv:
+                row[j] -= sign * row[i]
+    p, p_inv = Matrix(p), Matrix(p_inv)
+    assert p * p_inv == Matrix.identity(m)
+    moved = validate_period(QuadraticSpace(p.transpose() * Matrix(gram) * p),
+                            field, base.embedding,
+                            tuple(c * v for v in p_inv.vec(omega)))
+    assert _answer(moved) == _answer(base)
