@@ -82,10 +82,18 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def vec(self, v):
-        """Matrix-vector product."""
+        """Matrix-vector product.  Zero matrix entries are skipped; a row
+        of zeros gives r[0] * v[0], the zero of the product's type."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(_dot(r, v) for r in self.entries)
+        out = []
+        for r in self.entries:
+            acc = None
+            for a, b in zip(r, v):
+                if a != 0:
+                    acc = a * b if acc is None else acc + a * b
+            out.append(r[0] * v[0] if acc is None and r else acc)
+        return tuple(out)
 
     def is_symmetric(self):
         return all(self.entries[i][j] == self.entries[j][i]

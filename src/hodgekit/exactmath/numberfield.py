@@ -2,10 +2,16 @@
 embeddings.
 
 A NumberField carries a monic irreducible defining polynomial; elements
-are coordinate vectors in the power basis 1, x, ..., x**(e-1).  Each of
-the e embeddings into C is certified by an isolating box with rational
-corners; sign questions are settled by interval evaluation at doubling
-precision, with exact zero decided algebraically.
+are coordinate vectors in the power basis 1, x, ..., x**(e-1).
+nf_create certifies irreducibility without factoring: monic factors
+over Q correspond to sets of roots closed under conjugation, and the
+sets of at most e/2 roots are tried on the certified root disks of
+rootiso, dropped by integrality of their coefficient enclosures, and
+decided by exact trial division (_root_subset_factors).  Each of the e
+embeddings into C is certified by an isolating interval (real) or
+inclusion disk (nonreal) of the generator; sign questions are settled
+by interval evaluation at doubling precision, with exact zero decided
+algebraically.
 
 Conjugation is handled through the conjugation automorphism of the
 chosen embedding: the field element tau with sigma(tau(v)) equal to the
@@ -15,9 +21,10 @@ the image g = tau(gen) is the polynomial of degree < e interpolating
 r -> conj(r) over all roots r of the defining polynomial f, and its
 coefficients are rational.  The guess is rebuilt as rationals and then
 certified exactly: f(g) = 0 in the field, and sigma(g) lies in the
-isolating box of the conjugate root.  When no guess of a short
-precision ramp passes both checks, the roots of f in the field are
-found by Trager's norm method (roots_in_field) instead.  Only that
+isolating box of the conjugate root.  The guess reads the same root
+approximations (rootiso.approx_roots) as the embeddings.  When no guess
+of a short precision ramp passes both checks, the roots of f in the
+field are found by Trager's norm method (roots_in_field) instead.  Only that
 fallback can report that the image field is not stable under
 conjugation; period-style inputs are then rejected
 (ConjugationNotInternal).
@@ -26,17 +33,22 @@ conjugation; period-style inputs are then rejected
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import lcm
 
 from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible)
 from . import unipoly as up
-from .intervals import box_disjoint, interval, iv_sign, poly_eval_box
-from .rootiso import RealRoot, isolate_nonreal_roots, isolate_real_roots
+from .intervals import box_disjoint, iv_sign, poly_eval_box
+from .rootiso import (ROOT_DIGITS, RealRoot, approx_roots,
+                      isolate_nonreal_roots, isolate_real_roots, mpf_fraction,
+                      root_disks)
 
 MAX_DEGREE = 16
 _SIGN_BITS_CAP = 4096
-# decimal working precisions of the numeric conjugation guess
-_GUESS_DIGITS = (30, 60, 120)
+# decimal working precisions of the numeric conjugation guess, sharing
+# the root approximations of the embeddings
+_GUESS_DIGITS = ROOT_DIGITS[:3]
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,113 @@ def nf_create(coeffs):
         raise DegreeTooLarge(f"defining polynomial degree {e} outside 1..{MAX_DEGREE}")
     if f[-1] != 1:
         raise NotMonic("defining polynomial must be monic")
-    _, factors = up.factor_rational(f)
-    if len(factors) != 1 or factors[0][1] != 1:
-        witness = factors[0][0]
+    witness = _least_factor(f)
+    if witness is not None:
         raise Reducible(f"defining polynomial factors; witness degree {up.degree(witness)}",
                         witness=witness)
     return NumberField(f)
+
+
+def _least_factor(f):
+    """None when the monic f is irreducible over Q, else its monic
+    irreducible factor of least degree, ties broken by the coefficient
+    tuple.  f and its squarefree part h = f / gcd(f, f') have the same
+    irreducible factors, and h is irreducible iff no proper factor of
+    degree <= deg(h) / 2 is found among the root subsets of h."""
+    h = up.divmod_poly(f, up.gcd(f, up.derivative(f)))[0]
+    found = _root_subset_factors(h) if up.degree(h) > 1 else ()
+    if found:
+        return min(found)
+    return None if h == f else h
+
+
+def _root_subset_factors(h):
+    """The monic factors of least degree k <= n/2 of the monic squarefree
+    h of degree n, or () when there are none.
+
+    With D the common denominator of h, g(x) = D**n h(x/D) is monic over
+    Z, and by Gauss's lemma each monic factor of g over Q has integer
+    coefficients and is prod_S (x - D alpha) for a set S of roots alpha
+    of h that is closed under conjugation.  Such sets are enumerated by
+    size, smallest first, on the certified root disks of h refined so
+    that every coefficient enclosure is narrower than 1/2.  A set is
+    dropped as soon as one enclosure, starting with the trace, contains
+    no integer; the integer candidate of a set that survives is decided
+    by exact trial division of g."""
+    n = up.degree(h)
+    kmax = n // 2
+    den = lcm(*(c.denominator for c in h))
+    g = tuple(c * den**(n - k) for k, c in enumerate(h))
+    disks, mirror = root_disks(h)
+    # |D alpha| <= bound; with every radius of D alpha at most rho, each
+    # coefficient error is at most C(k,j) j rho (bound + 1)**(j-1) <= 1/4
+    bound = den * max(Fraction(abs(d.x) + abs(d.y) + d.r, 2**d.scale) for d in disks)
+    rho = 1 / (2**(kmax + 2) * kmax * (bound + 1)**(kmax - 1))
+    disks = [d.refined_below(2 * rho / den) for d in disks]
+    s = max(d.scale for d in disks)
+    cx = [den * (d.x << (s - d.scale)) for d in disks]
+    cy = [den * (d.y << (s - d.scale)) for d in disks]
+    cr = [den * (d.r << (s - d.scale)) for d in disks]
+    reals = [(i,) for i in range(n) if mirror[i] == i]
+    pairs = [(i, mirror[i]) for i in range(n) if mirror[i] > i]
+    for k in range(1, kmax + 1):
+        found = []
+        for p in range(min(k // 2, len(pairs)) + 1):
+            for singles in combinations(reals, k - 2 * p):
+                for conj in combinations(pairs, p):
+                    members = [i for u in singles + conj for i in u]
+                    tx = sum(cx[i] for i in members)
+                    ty = sum(cy[i] for i in members)
+                    tr = sum(cr[i] for i in members)
+                    if _integer_near(tx, ty, tr, s) is None:
+                        continue
+                    cand = _integer_candidate(members, cx, cy, cr, s)
+                    if cand is not None and not up.divmod_poly(g, cand)[1]:
+                        found.append(tuple(c / den**(k - i)
+                                           for i, c in enumerate(cand)))
+        if found:
+            return found
+    return ()
+
+
+def _integer_near(re, im, err, s):
+    """The integer m with |re - m 2**s| <= err, provided |im| <= err, or
+    None: a box around an integer coefficient.  err < 2**(s-1), so there
+    is at most one."""
+    if abs(im) > err:
+        return None
+    m = -((err - re) >> s)             # ceil((re - err) / 2**s)
+    return m if m << s <= re + err else None
+
+
+def _integer_candidate(members, cx, cy, cr, s):
+    """The monic integer polynomial (constant first) whose coefficients
+    are the integers inside the enclosures of prod (x - c_i) over the
+    member disks, or None when some enclosure holds no integer.  All
+    coefficients are over 2**(s k): the centre product
+    prod (2**s x - C_i), and the majorants prod (2**s x + M_i) and
+    prod (2**s x + M_i + R_i) with M_i >= |C_i|, whose difference bounds
+    the error of each coefficient."""
+    re, im, lo, hi = [1], [0], [1], [1]
+    for i in members:
+        x, y, m = cx[i], cy[i], abs(cx[i]) + abs(cy[i])
+        re, im = (_times_x(re, s, [y * b - x * a for a, b in zip(re, im)]),
+                  _times_x(im, s, [-(x * b + y * a) for a, b in zip(re, im)]))
+        lo = _times_x(lo, s, [m * a for a in lo])
+        hi = _times_x(hi, s, [(m + cr[i]) * a for a in hi])
+    k = len(members)
+    cand = []
+    for j in range(k):
+        c = _integer_near(re[j], im[j], hi[j] - lo[j], s * k)
+        if c is None:
+            return None
+        cand.append(Fraction(c))
+    return tuple(cand) + (Fraction(1),)
+
+
+def _times_x(p, s, q):
+    """2**s x p + q for constant-first lists, len(q) == len(p)."""
+    return [q[0]] + [(a << s) + b for a, b in zip(p, q[1:])] + [p[-1] << s]
 
 
 QQ = None  # the rationals as a degree-1 field, created below
@@ -268,34 +381,25 @@ def field_trace(a):
 
 @dataclass(frozen=True)
 class ComplexEmbedding:
-    """One embedding of a number field into C, certified by an isolating
-    box around the image of the generator."""
+    """One embedding of a number field into C, certified by the isolating
+    interval (RealRoot) or disk (RootDisk) of the image of the generator."""
 
     parent: NumberField
     index: int
-    re_root: RealRoot
-    im_root: RealRoot | None
+    root: object
     is_real: bool
     conjugate_index: int
 
     @property
     def root_box(self):
-        im = self.im_root.interval if self.im_root is not None else (Fraction(0), Fraction(0))
-        return (self.re_root.interval, im)
-
-    def _refined_parts(self, width):
-        re = self.re_root.refined_below(width)
-        im = self.im_root.refined_below(width) if self.im_root is not None else None
-        return re, im
+        return self.root.box
 
     def eval_box(self, element, width):
         """Enclosure of element evaluated at this embedding, with the
         generator box refined below the given width."""
         if element.parent != self.parent:
             raise ValueError("element of a different field")
-        re, im = self._refined_parts(width)
-        gen_box = (re.interval, im.interval if im is not None else interval(0))
-        return poly_eval_box(element.coords, gen_box)
+        return poly_eval_box(element.coords, self.root.refined_below(width).box)
 
     def __repr__(self):
         kind = "real" if self.is_real else "complex"
@@ -311,16 +415,12 @@ def nf_embeddings(field):
     e = field.degree
     if e == 1:
         root = RealRoot(None, -f[0], -f[0])
-        return (ComplexEmbedding(field, 0, root, None, True, 0),)
+        return (ComplexEmbedding(field, 0, root, True, 0),)
     reals = isolate_real_roots(f)
-    embs = [ComplexEmbedding(field, i, r, None, True, i)
-            for i, r in enumerate(reals)]
+    embs = [ComplexEmbedding(field, i, r, True, i) for i, r in enumerate(reals)]
     off = len(reals)
-    for pos, (crb, conj_pos) in enumerate(isolate_nonreal_roots(f, e - off)):
-        embs.append(ComplexEmbedding(field, off + pos, crb.xr, crb.yr,
-                                     False, off + conj_pos))
-    if len(embs) != e:
-        raise InternalError("embedding count does not match degree")
+    for pos, (disk, conj_pos) in enumerate(isolate_nonreal_roots(f, e - off)):
+        embs.append(ComplexEmbedding(field, off + pos, disk, False, off + conj_pos))
     return tuple(embs)
 
 
@@ -420,12 +520,11 @@ def _guess_conjugation(field, digits):
 
     f = field.defining_poly
     e = field.degree
+    roots = approx_roots(f, digits)
+    if roots is None:
+        return None
     with mpmath.workdps(digits):
         fm = [mpmath.mpf(c.numerator) / c.denominator for c in f]
-        try:
-            roots = mpmath.polyroots(fm[::-1], maxsteps=100)
-        except mpmath.mp.NoConvergence:
-            return None
         coeffs = [mpmath.mpc(0)] * e
         for r in roots:
             # quotient f(x) / (x - r) by synthetic division; its value
@@ -439,16 +538,8 @@ def _guess_conjugation(field, digits):
             for k in range(e):
                 coeffs[k] += weight * quot[k]
         max_den = 10 ** (digits // 3)
-        return field.element([_mpf_fraction(mpmath.re(c)).limit_denominator(max_den)
+        return field.element([mpf_fraction(mpmath.re(c)).limit_denominator(max_den)
                               for c in coeffs])
-
-
-def _mpf_fraction(x):
-    """The exact rational value of an mpmath real."""
-    man, exp = x.man_exp
-    if x < 0:
-        man = -man
-    return Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
 
 
 def _embedded_root_is(cand, emb, root_index):
@@ -458,11 +549,7 @@ def _embedded_root_is(cand, emb, root_index):
     width = Fraction(1, 2**16)
     while True:
         val = emb.eval_box(cand, width)
-        boxes = []
-        for other in embs:
-            re, im = other._refined_parts(width)
-            boxes.append((re.interval,
-                          im.interval if im is not None else interval(0)))
+        boxes = [other.root.refined_below(width).box for other in embs]
         hits = [i for i, b in enumerate(boxes) if not box_disjoint(val, b)]
         if len(hits) == 1:
             return hits[0] == root_index

@@ -1,24 +1,46 @@
-"""Certified real and complex root isolation for rational polynomials.
+"""Certified root isolation for monic squarefree rational polynomials.
 
-Real roots are isolated per irreducible factor with Sturm sequences;
-rational roots are represented exactly as degenerate intervals, so
-bisection refinement never stalls on a rational midpoint.
+All roots of f (degree n) are isolated at once by Weierstrass-Gerschgorin
+inclusion disks (Smith 1970, JACM 17; Carstensen 1991, Numer. Math. 59).
+Approximations from mpmath.polyroots are rounded to Gaussian rationals
+z_i with denominator 2**b, the nonreal ones mirrored exactly about the
+real axis, and the Weierstrass corrections
+w_i = f(z_i) / prod_{j != i} (z_i - z_j) are computed exactly.  The roots
+of f are the eigenvalues of diag(z) - w 1^T, so by Gerschgorin's theorem
+they lie in the union of the disks D(z_i - w_i, (n - 1)|w_i|), and a
+union of k of them disjoint from the rest holds exactly k roots.  Each
+such disk lies inside D(z_i, n|w_i|); once the bounding squares of these
+are pairwise disjoint, every disk holds exactly one root.  Otherwise the
+precision is raised.  The family is closed under conjugation, so a disk
+centred on the real axis holds a real root and any other disk a nonreal
+one, whose conjugate lies in the mirror disk.
 
-Nonreal roots of f are located through the projections of the system
-Re f(x+iy) = Im f(x+iy) = 0: their x-coordinates are roots of
-R_x = Res_y(u, w) and their y-coordinates roots of R_y = Res_x(u, w),
-where u + i*y*w = f(x+iy).  Candidate boxes (x-root interval) x (y-root
-interval) are pruned by interval evaluation of f until exactly
-deg(f) - #real boxes survive; each survivor then isolates one root, and
-both coordinates refine by plain Sturm bisection.
+A disk refines by Newton steps in Q(i).  Each step is certified by the
+single-root bound |z - alpha| <= n |f(z) / f'(z)|: when that disk lies
+inside the isolating disk, the root it holds is the isolated one.
+
+Real roots are isolated with Sturm sequences on f itself; f has no
+rational root (it is irreducible of degree >= 2), so bisection never
+stalls.  Nonreal roots are sorted by (real part, imaginary part).
+Conjugates share their real part; other real parts are compared by
+refinement, and a tie that survives _TIE_BITS bits is decided exactly
+from the real roots of Res_y(f(y), f(t - y)), whose roots are the sums
+of two roots of f.  That resultant is the only use of sympy here.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key, lru_cache
+from math import isqrt, lcm
 
 from ..errors import InternalError
 from . import unipoly as up
-from .intervals import iv_disjoint, poly_eval_box
+from .intervals import iv_disjoint
+
+# decimal precisions of the root approximations, tried in turn
+ROOT_DIGITS = (30, 60, 120, 240, 480, 960)
+# refinement, in bits, after which overlapping real parts count as a tie
+_TIE_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -38,6 +60,10 @@ class RealRoot:
     @property
     def interval(self):
         return (self.lo, self.hi)
+
+    @property
+    def box(self):
+        return (self.interval, (Fraction(0), Fraction(0)))
 
     def refined(self):
         """One bisection step; exact roots are returned unchanged."""
@@ -59,166 +85,289 @@ class RealRoot:
         return r
 
 
-def _isolate_irreducible(poly):
-    """Isolating intervals with endpoint sign changes for an irreducible
-    Fraction polynomial of degree >= 2."""
-    chain = up.sturm_chain(poly)
-    bound = up.root_bound(poly)
-    out = []
+def isolate_real_roots(f):
+    """Pairwise disjoint isolating intervals, sorted increasingly, of the
+    real roots of f, irreducible of degree >= 2, by a Sturm chain on f."""
+    chain = up.sturm_chain(f)
+    bound = up.root_bound(f)
+    roots = []
 
     def descend(a, b):
         n = up.sturm_count(chain, a, b)
         if n == 0:
             return
         if n == 1:
-            out.append(RealRoot(poly, a, b))
+            roots.append(RealRoot(f, a, b))
             return
         mid = (a + b) / 2
         descend(a, mid)
         descend(mid, b)
 
     descend(-bound, bound)
-    return out
-
-
-def isolate_real_roots(p):
-    """All distinct real roots of p, as RealRoots sorted increasingly."""
-    p = up.normalize(p)
-    if up.degree(p) <= 0:
-        return []
-    _, factors = up.factor_rational(p)
-    roots = []
-    for f, _mult in factors:
-        if up.degree(f) == 1:
-            roots.append(RealRoot(None, -f[0], -f[0]))
-        else:
-            roots.extend(_isolate_irreducible(f))
-    # refine until intervals from different factors are pairwise disjoint
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                while not iv_disjoint(roots[i].interval, roots[j].interval):
-                    roots[i] = roots[i].refined()
-                    roots[j] = roots[j].refined()
-                    changed = True
-    roots.sort(key=lambda r: r.lo)
+    # the half-open pieces of one bisection may share an endpoint
+    for i in range(len(roots) - 1):
+        while not iv_disjoint(roots[i].interval, roots[i + 1].interval):
+            roots[i] = roots[i].refined()
+            roots[i + 1] = roots[i + 1].refined()
     return roots
 
 
-def _complex_parts(f):
-    """Split f(x+iy) into u + i*y*w with u, w in Q[x, y] (dicts keyed by
-    (x-exponent, y-exponent))."""
-    re = {(0, 0): Fraction(1)}
-    im = {}
-    u, v = {}, {}
-
-    def accum(target, source, c):
-        for k, a in source.items():
-            target[k] = target.get(k, Fraction(0)) + c * a
-
-    for k, a in enumerate(f):
-        if k > 0:
-            nre, nim = {}, {}
-            for (i, j), c in re.items():
-                nre[(i + 1, j)] = nre.get((i + 1, j), Fraction(0)) + c
-                nim[(i, j + 1)] = nim.get((i, j + 1), Fraction(0)) + c
-            for (i, j), c in im.items():
-                nre[(i, j + 1)] = nre.get((i, j + 1), Fraction(0)) - c
-                nim[(i + 1, j)] = nim.get((i + 1, j), Fraction(0)) + c
-            re = {k: c for k, c in nre.items() if c}
-            im = {k: c for k, c in nim.items() if c}
-        if a:
-            accum(u, re, a)
-            accum(v, im, a)
-    u = {k: c for k, c in u.items() if c}
-    v = {k: c for k, c in v.items() if c}
-    if any(j == 0 for (_, j) in v):
-        raise InternalError("Im f(x+iy) must be divisible by y")
-    w = {(i, j - 1): c for (i, j), c in v.items()}
-    return u, w
+@lru_cache(maxsize=None)
+def _integer_poly(f):
+    """Integer coefficients of L*f and of its derivative, for the least
+    common denominator L of f."""
+    den = lcm(*(c.denominator for c in f))
+    a = tuple(int(c * den) for c in f)
+    return a, tuple(k * c for k, c in enumerate(a))[1:]
 
 
-def _resultant_projection(u, w, eliminate):
-    """Res over the eliminated variable, as a Fraction polynomial in the
-    other one (constant first)."""
-    import sympy
+def _horner(a, x, y, s):
+    """sum_k a_k Z^k 2**(s (n - k)) for Z = x + iy, n = deg a: the value
+    at z = Z / 2**s scaled by 2**(s n), as a pair of integers."""
+    re, im = a[-1], 0
+    shift = 0
+    for c in reversed(a[:-1]):
+        shift += s
+        re, im = re * x - im * y + (c << shift), re * y + im * x
+    return re, im
 
-    x, y = sympy.symbols("x y")
-    ue = sympy.Add(*[sympy.Rational(c) * x**i * y**j for (i, j), c in u.items()])
-    we = sympy.Add(*[sympy.Rational(c) * x**i * y**j for (i, j), c in w.items()])
-    main = y if eliminate == "y" else x
-    keep = x if eliminate == "y" else y
-    res = sympy.Poly(ue, main).resultant(sympy.Poly(we, main))
-    pres = sympy.Poly(res, keep)
-    coeffs = [Fraction(sympy.Rational(c)) for c in reversed(pres.all_coeffs())]
-    return up.normalize(coeffs)
+
+def _ceil_sqrt(num, den):
+    """An integer at least sqrt(num / den)."""
+    q = -(-num // den)
+    r = isqrt(q)
+    return r if r * r == q else r + 1
+
+
+def _round_div(num, den):
+    return (2 * num + den) // (2 * den)
 
 
 @dataclass(frozen=True)
-class ComplexRootBox:
-    """Isolating box of one nonreal root: coordinate-wise real algebraic
-    numbers for the real and imaginary parts."""
+class RootDisk:
+    """Closed disk |z - (x + iy) / 2**scale| <= r / 2**scale holding
+    exactly one root of the monic squarefree polynomial poly."""
 
-    xr: RealRoot
-    yr: RealRoot
+    poly: tuple
+    x: int
+    y: int
+    r: int
+    scale: int
 
     @property
     def box(self):
-        return (self.xr.interval, self.yr.interval)
-
-    def refined(self):
-        return ComplexRootBox(self.xr.refined(), self.yr.refined())
+        d = 2**self.scale
+        return ((Fraction(self.x - self.r, d), Fraction(self.x + self.r, d)),
+                (Fraction(self.y - self.r, d), Fraction(self.y + self.r, d)))
 
     def refined_below(self, width):
-        return ComplexRootBox(self.xr.refined_below(width),
-                              self.yr.refined_below(width))
+        """A disk of diameter at most width around the same root."""
+        disk = self
+        while Fraction(2 * disk.r, 2**disk.scale) > width:
+            disk = disk._newton_step()
+        return disk
+
+    def _newton_step(self):
+        """z - f(z)/f'(z) from the centre, rounded at twice the scale, with
+        radius n |f/f'| there; certified by lying inside this disk."""
+        a, da = _integer_poly(self.poly)
+        n = len(a) - 1
+        s, t = self.scale, 2 * self.scale
+        hr, hi = _horner(a, self.x, self.y, s)
+        gr, gi = _horner(da, self.x, self.y, s)
+        den = gr * gr + gi * gi
+        if den == 0:
+            raise InternalError("derivative vanishes inside an isolating disk")
+        # f(z)/f'(z) = H / (2**s H'), so the step is (Z H' - H) / (2**s H')
+        nr = self.x * gr - self.y * gi - hr
+        ni = self.x * gi + self.y * gr - hi
+        x = _round_div((nr * gr + ni * gi) << (t - s), den)
+        y = _round_div((ni * gr - nr * gi) << (t - s), den)
+        hr, hi = _horner(a, x, y, t)
+        gr, gi = _horner(da, x, y, t)
+        if gr == gi == 0:
+            raise InternalError("derivative vanishes inside an isolating disk")
+        r = _ceil_sqrt(n * n * (hr * hr + hi * hi), gr * gr + gi * gi)
+        cx, cy, cr = self.x << (t - s), self.y << (t - s), self.r << (t - s)
+        if r > cr or (x - cx)**2 + (y - cy)**2 > (cr - r)**2:
+            raise InternalError("Newton step left the isolating disk")
+        return RootDisk(self.poly, x, y, r, t)
+
+
+def mpf_fraction(x):
+    """The exact rational value of an mpmath real."""
+    man, exp = x.man_exp
+    if x < 0:
+        man = -man
+    return Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
+
+
+@lru_cache(maxsize=None)
+def approx_roots(f, digits):
+    """mpmath approximations of all roots of the Fraction polynomial f at
+    the given decimal precision, or None when polyroots does not
+    converge.  Working at twice the precision covers the cancellation in
+    evaluating a dense f near its roots."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(f)]
+        try:
+            return tuple(mpmath.polyroots(coeffs, maxsteps=200,
+                                          extraprec=mpmath.mp.prec))
+        except mpmath.mp.NoConvergence:
+            return None
+
+
+def _mirrored_centres(roots, bits):
+    """Gaussian integers X + iY ~ 2**bits z for the approximations z,
+    closed under conjugation: reals on the axis, then the upper ones,
+    then their exact mirrors.  Returns (centres, conjugate index) or None
+    when the approximations do not pair up."""
+    reals, upper, lower = [], [], 0
+    for z in roots:
+        x = round(mpf_fraction(z.real) * 2**bits)
+        y = round(mpf_fraction(z.imag) * 2**bits)
+        if abs(y) << (bits // 2) <= abs(x) + (1 << bits):
+            reals.append((x, 0))
+        elif y > 0:
+            upper.append((x, y))
+        else:
+            lower += 1
+    if lower != len(upper):
+        return None
+    m, k = len(reals), len(upper)
+    centres = reals + upper + [(x, -y) for x, y in upper]
+    mirror = (tuple(range(m)) + tuple(range(m + k, m + 2 * k))
+              + tuple(range(m, m + k)))
+    return centres, mirror
+
+
+def _weierstrass_disks(f, centres, bits):
+    """The disks D(z_i, n|w_i|) at the centres z_i = (X + iY) / 2**bits,
+    or None when two centres coincide or two bounding squares meet."""
+    a, _ = _integer_poly(f)
+    n, den = len(a) - 1, a[-1]
+    disks = []
+    for i, (x, y) in enumerate(centres):
+        hr, hi = _horner(a, x, y, bits)
+        pr, pi = 1, 0
+        for j, (u, v) in enumerate(centres):
+            if j != i:
+                pr, pi = pr * (x - u) - pi * (y - v), pr * (y - v) + pi * (x - u)
+        if pr == pi == 0:
+            return None
+        # f(z_i) = H / (den 2**(bits n)) and the product is P / 2**(bits (n-1)),
+        # so n |w_i| 2**bits = n |H| / (den |P|)
+        r = _ceil_sqrt(n * n * (hr * hr + hi * hi), den * den * (pr * pr + pi * pi))
+        disks.append(RootDisk(f, x, y, r, bits))
+    for i, p in enumerate(disks):
+        for q in disks[i + 1:]:
+            gap = p.r + q.r
+            if abs(p.x - q.x) <= gap and abs(p.y - q.y) <= gap:
+                return None
+    return tuple(disks)
+
+
+@lru_cache(maxsize=None)
+def root_disks(f):
+    """Isolating disks of all roots of the monic squarefree f, closed
+    under conjugation: (disks, conjugate index of each disk)."""
+    for digits in ROOT_DIGITS:
+        roots = approx_roots(f, digits)
+        if roots is None:
+            continue
+        bits = digits * 10 // 3 + 1
+        paired = _mirrored_centres(roots, bits)
+        if paired is None:
+            continue
+        disks = _weierstrass_disks(f, paired[0], bits)
+        if disks is not None:
+            return disks, paired[1]
+    raise InternalError("roots could not be separated by inclusion disks")
 
 
 def isolate_nonreal_roots(f, n_nonreal):
-    """Isolating boxes for the n_nonreal nonreal roots of a squarefree f,
-    sorted by (real part, imaginary part).  Returns a list of
-    (ComplexRootBox, conjugate_position) pairs."""
-    if n_nonreal == 0:
-        return []
-    u, w = _complex_parts(f)
-    rx = _resultant_projection(u, w, "y")
-    ry = _resultant_projection(u, w, "x")
-    xroots = isolate_real_roots(rx)
-    yroots = []
-    for r in isolate_real_roots(ry):
-        if r.exact and r.lo == 0:
-            continue
-        while r.lo <= 0 <= r.hi:
-            r = r.refined()
-        yroots.append(r)
+    """Isolating disks for the n_nonreal nonreal roots of f, sorted by
+    (real part, imaginary part).  n_nonreal, from the Sturm count, must
+    match the disks off the real axis.  Returns a list of
+    (RootDisk, conjugate_position) pairs."""
+    disks, mirror = root_disks(f)
+    order = [i for i, d in enumerate(disks) if d.y != 0]
+    if len(order) != n_nonreal:
+        raise InternalError("Sturm count contradicts the root disks")
+    ranking = _Ranking(f, disks, mirror)
+    order.sort(key=cmp_to_key(ranking.compare))
+    pos = {i: p for p, i in enumerate(order)}
+    return [(ranking.disks[i], pos[mirror[i]]) for i in order]
 
-    candidates = [(i, j) for i in range(len(xroots)) for j in range(len(yroots))]
-    while True:
-        keep = []
-        for i, j in candidates:
-            val = poly_eval_box(f, (xroots[i].interval, yroots[j].interval))
-            if val[0][0] <= 0 <= val[0][1] and val[1][0] <= 0 <= val[1][1]:
-                keep.append((i, j))
-        candidates = keep
-        if len(candidates) == n_nonreal:
-            break
-        if len(candidates) < n_nonreal:
-            raise InternalError("lost a nonreal root during isolation")
-        xroots = [r.refined() for r in xroots]
-        yroots = [r.refined() for r in yroots]
 
-    candidates.sort()
-    # roots with the same real part come in conjugate pairs; negation
-    # reverses the imaginary-part order, so the j-th smallest pairs with
-    # the j-th largest
-    conj = {}
-    by_x = {}
-    for pos, (i, j) in enumerate(candidates):
-        by_x.setdefault(i, []).append(pos)
-    for positions in by_x.values():
-        for a, b in zip(positions, reversed(positions)):
-            conj[a] = b
-    return [(ComplexRootBox(xroots[i], yroots[j]), conj[pos])
-            for pos, (i, j) in enumerate(candidates)]
+class _Ranking:
+    """Exact comparison of nonreal roots by (real part, imaginary part),
+    refining the disks as it goes."""
+
+    def __init__(self, f, disks, mirror):
+        self.f = f
+        self.disks = list(disks)
+        self.mirror = mirror
+        self._sums = None
+
+    def compare(self, i, j):
+        if self.mirror[i] == j:
+            # conjugates: same real part, and neither disk meets the axis
+            return -1 if self.disks[i].y < 0 else 1
+        c = self._separate(i, j, 0, _TIE_BITS)
+        if c == 0 and not self._equal_real_parts(i, j):
+            c = self._separate(i, j, 0)
+        return c or self._separate(i, j, 1)
+
+    def _refine(self, i, bits):
+        self.disks[i] = self.disks[i].refined_below(Fraction(1, 2**bits))
+        return self.disks[i].box
+
+    def _separate(self, i, j, part, max_bits=None):
+        """Sign of (part of root i) - (part of root j), refining until the
+        enclosures are disjoint; 0 when they still meet at max_bits."""
+        bits = 64
+        while True:
+            a, b = self._refine(i, bits)[part], self._refine(j, bits)[part]
+            if a[1] < b[0]:
+                return -1
+            if b[1] < a[0]:
+                return 1
+            if max_bits is not None and bits >= max_bits:
+                return 0
+            bits *= 2
+
+    def _equal_real_parts(self, i, j):
+        """Exact: 2 Re is a real root of S(t) = Res_y(f(y), f(t - y)).  Once
+        both enclosures of 2 Re lie in one gap between the isolating
+        intervals of S around a single root, the real parts are equal."""
+        if self._sums is None:
+            self._sums = _sum_root_intervals(self.f)
+        ivs = self._sums
+        bits = _TIE_BITS
+        while True:
+            a, b = (tuple(2 * c for c in self._refine(k, bits)[0]) for k in (i, j))
+            if iv_disjoint(a, b):
+                return False
+            for k in range(len(ivs)):
+                lo = ivs[k - 1][1] if k else None
+                hi = ivs[k + 1][0] if k + 1 < len(ivs) else None
+                if all((lo is None or lo < e[0]) and (hi is None or e[1] < hi)
+                       for e in (a, b)):
+                    return True
+            bits *= 2
+
+
+def _sum_root_intervals(f):
+    """Sorted disjoint isolating intervals of the real roots of
+    Res_y(f(y), f(t - y)), whose roots are the sums of two roots of f."""
+    import sympy
+
+    t, y = sympy.symbols("t y")
+    fy = sympy.Poly(sum(sympy.Rational(c) * y**k for k, c in enumerate(f)), y)
+    ft = sympy.Poly(sum(sympy.Rational(c) * (t - y)**k for k, c in enumerate(f)), y)
+    res = sympy.Poly(fy.resultant(ft), t)
+    return [(Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q)))
+            for (lo, hi), _ in res.intervals()]

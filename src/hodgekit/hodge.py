@@ -27,8 +27,8 @@ import random
 
 from .errors import (InternalError, IsotropyFails, PositivityFails,
                      ValidationError, WrongSignature)
-from .exactmath import (Matrix, certified_sign, conjugate_element, kernel,
-                        mult_matrix, nf_create, rref)
+from .exactmath import (Matrix, NumberField, certified_sign,
+                        conjugate_element, kernel, mult_matrix, rref)
 from .exactmath import unipoly as up
 from .exactmath.linalg import inverse, row_space
 from .qforms import QuadraticSpace, orth_complement, signature
@@ -251,7 +251,9 @@ def endomorphism_field(h, seed=0):
         if 2 * len(fixed) != e:
             raise InternalError("fixed subalgebra does not have dimension e/2")
 
-    efield = nf_create(minpoly)
+    # the first dependence among the powers of p in F: minimal, so
+    # irreducible, and nf_create's certificate would only repeat that
+    efield = NumberField(minpoly)
     bound = up.root_bound(minpoly)
     reals = up.sturm_count(up.sturm_chain(minpoly), -bound, bound)
     if reals != (e if totally_real else 0):

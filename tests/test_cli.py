@@ -242,3 +242,22 @@ def test_internal_error_exit_code(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert json.loads(out)["status"] == "internal-error"
+
+
+def test_classify_and_tha_do_not_import_sympy():
+    # every good period file is validated and classified from mpmath
+    # guesses and exact certificates, without loading sympy
+    periods = sorted(p for p in CORPUS.glob("*_period.json"))
+    assert len(periods) == 3
+    script = (
+        "import sys\n"
+        "from hodgekit.cli import main\n"
+        "codes = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    codes.append(main(['classify', path, '--json']))\n"
+        "    codes.append(main(['tha', path, '--n', '2', '--json']))\n"
+        "print(codes, 'sympy' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, periods)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == f"{[0] * 6} False"

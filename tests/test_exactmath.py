@@ -1,5 +1,7 @@
 """Tests for exact rationals, number fields, embeddings and linear algebra."""
 
+import cmath
+import math
 import time
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
                                             _guess_conjugation,
                                             apply_automorphism, field_trace)
+from hodgekit.exactmath.rootiso import isolate_nonreal_roots
 
 F = Fraction
 
@@ -304,3 +307,146 @@ def test_field_matrix_linear_algebra():
     assert det(a) == field.from_rational(2)
     inv = inverse(a)
     assert inv * a == Matrix.identity(2, one)
+
+
+# ---- certified embeddings and the irreducibility certificate ------------
+
+def _gen_box(emb, bits=40):
+    return emb.eval_box(emb.parent.gen(), F(1, 2**bits))
+
+
+def _shifted(coeffs, c):
+    """f(x - c), constant first."""
+    return up.compose(tuple(F(a) for a in coeffs), (-F(c), F(1)))
+
+
+@pytest.mark.parametrize("shift", [F(0), F(1, 3)])
+def test_embeddings_of_purely_imaginary_roots(shift):
+    # the roots of x^4 + 5x^2 + 5 are +-i sqrt((5 +- sqrt5)/2): all real
+    # parts tie, so the order by imaginary part rests on the exact tie
+    # decision; the shift moves the common real part off 0
+    embs = nf_embeddings(nf_create(_shifted([5, 0, 5, 0, 1], shift)))
+    assert [e.is_real for e in embs] == [False] * 4
+    assert [e.conjugate_index for e in embs] == [3, 2, 1, 0]
+    boxes = [_gen_box(e) for e in embs]
+    assert all(re[0] <= shift <= re[1] for re, _ in boxes)
+    ims = [im for _, im in boxes]
+    assert ims[0][1] < -F(19, 10) < ims[0][0] + F(1, 10)
+    assert ims[1][1] < -1 and ims[2][0] > 1
+    assert all(a[1] < b[0] for a, b in zip(ims, ims[1:]))
+
+
+def test_nonreal_order_with_real_parts_closer_than_tie_bits():
+    # roots +-i and eps +- 2i with eps = 2**-600: the real parts still
+    # overlap after the refinement that flags a tie, and only the exact
+    # tie test puts both roots of real part 0 first
+    eps = F(1, 2**600)
+    f = up.mul((F(1), F(0), F(1)), (eps * eps + 4, -2 * eps, F(1)))
+    ranked = isolate_nonreal_roots(f, 4)
+    assert [conj for _, conj in ranked] == [1, 0, 3, 2]
+    re_parts = [disk.refined_below(F(1, 2**700)).box[0] for disk, _ in ranked]
+    assert re_parts[1][1] < re_parts[2][0] <= eps <= re_parts[2][1]
+    ims = [disk.box[1] for disk, _ in ranked]
+    assert ims[0][1] < 0 < ims[1][0] and ims[2][1] < -1 < 1 < ims[3][0]
+
+
+# 2cos(2 pi/17) + i, whose conjugates are 2cos(2 pi k/17) +- i
+MINPOLY_2COS17_PLUS_I = (1597, 632, 1435, 614, 790, 102, 231, 328, 189,
+                         -118, -37, 68, 32, -12, -5, 2, 1)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    (_shifted([1] + [0] * 15 + [1], 1),
+     [1 + cmath.exp(1j * math.pi * (2 * k + 1) / 16) for k in range(16)]),
+    (MINPOLY_2COS17_PLUS_I,
+     [2 * math.cos(2 * math.pi * k / 17) + s * 1j
+      for k in range(1, 9) for s in (1, -1)]),
+], ids=["(x-1)^16+1", "2cos(2pi/17)+i"])
+def test_embeddings_of_dense_degree_16(coeffs, roots):
+    start = time.monotonic()
+    field = nf_create(coeffs)
+    embs = nf_embeddings(field)
+    elapsed = time.monotonic() - start
+    assert elapsed < 10
+    roots.sort(key=lambda z: (round(z.real, 9), z.imag))
+    assert [e.conjugate_index for e in embs] == [k ^ 1 for k in range(16)]
+    for emb, want in zip(embs, roots):
+        re, im = _gen_box(emb)
+        assert abs(float(re[0]) - want.real) < 1e-9
+        assert abs(float(im[0]) - want.imag) < 1e-9
+    # Newton refinement stays inside the isolating disk
+    fine = embs[5].root.refined_below(F(1, 2**600)).box
+    coarse = embs[5].root_box
+    for part in (0, 1):
+        assert coarse[part][0] <= fine[part][0] <= fine[part][1] <= coarse[part][1]
+        assert fine[part][1] - fine[part][0] <= F(1, 2**600)
+
+
+def _oracle_least_factor(coeffs):
+    """None or the monic irreducible factor of least degree (ties by the
+    coefficient tuple), from sympy's factorization."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x)
+    _, factors = poly.factor_list()
+    if len(factors) == 1 and factors[0][1] == 1:
+        return None
+    monic = []
+    for g, _mult in factors:
+        cs = [F(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+        monic.append(tuple(c / cs[-1] for c in cs))
+    return min(monic, key=lambda g: (len(g), g))
+
+
+ORACLE_POLYS = {
+    "x^4+4": [4, 0, 0, 0, 1],                      # no rational root
+    "x^4-10x^2+1": [1, 0, -10, 0, 1],              # reducible mod every p
+    "(x^2+1)^2": [1, 0, 2, 0, 1],
+    "x^6-1": [-1, 0, 0, 0, 0, 0, 1],
+    "x^2-1": [-1, 0, 1],
+    "x^2-1/4": [F(-1, 4), 0, 1],
+    "2cos(pi/32)": [2, 0, -64, 0, 336, 0, -672, 0, 660, 0, -352, 0, 104, 0,
+                    -16, 0, 1],
+    "x^2+1": [1, 0, 1], "x^4+1": [1, 0, 0, 0, 1],  # cm_ladder fields
+    "x^8+1": [1, 0, 0, 0, 0, 0, 0, 0, 1],
+    "(x^8+1)((x-1)^8+1)": up.mul(_shifted([1] + [0] * 7 + [1], 0),
+                                  _shifted([1] + [0] * 7 + [1], 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POLYS))
+def test_nf_create_matches_factorization_oracle(name):
+    coeffs = ORACLE_POLYS[name]
+    want = _oracle_least_factor(coeffs)
+    if want is None:
+        assert nf_create(coeffs).degree == len(coeffs) - 1
+    else:
+        with pytest.raises(Reducible) as err:
+            nf_create(coeffs)
+        assert err.value.witness == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+       st.lists(st.integers(-6, 6), min_size=0, max_size=4))
+def test_nf_create_agrees_with_factorization(a, b):
+    # monic products of two random factors, or one factor alone
+    poly = up.mul(tuple(F(c) for c in a + [1]), tuple(F(c) for c in b + [1]))
+    want = _oracle_least_factor(poly)
+    try:
+        nf_create(poly)
+        got = None
+    except Reducible as err:
+        got = err.witness
+    assert got == want
+
+
+def test_matrix_vec_skips_zero_entries():
+    field = nf_create([1, 0, 1])
+    i_el = field.gen()
+    m = Matrix(((F(0), F(0)), (F(2), F(0)), (F(1), F(-3))))
+    out = m.vec((i_el, field.one()))
+    assert out == (field.zero(), 2 * i_el, i_el - 3)
+    assert all(isinstance(v, type(i_el)) for v in out)
+    assert Matrix(((F(0), F(0)),)).vec((F(1), F(2))) == (F(0),)

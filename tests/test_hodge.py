@@ -13,6 +13,8 @@ from hodgekit.errors import IsotropyFails, PositivityFails, WrongSignature
 from hodgekit.exactmath import (Matrix, certified_sign, conjugate_element,
                                 field_trace, inverse, kernel, nf_create,
                                 nf_embeddings, solve_linear)
+from hodgekit.exactmath import unipoly as up
+from hodgekit.exactmath.intervals import box_disjoint
 from hodgekit.exactmath.linalg import row_space
 from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
                             hodge_classes_tensor_square, is_hodge_substructure,
@@ -257,6 +259,24 @@ def test_adjoint_closure_is_certified():
 
 def _span(mats):
     return row_space(Matrix(tuple(_flat(m) for m in mats)))
+
+
+def test_totally_real_reads_every_eigenvalue():
+    # the quartic CM period under a change of basis whose last canonical
+    # row of E lies in E_0 = Q(sqrt2): a test of tau on that row alone
+    # would read E as totally real
+    base = quartic_cm_period()
+    p = Matrix([[F(c) for c in r] for r in ((1, 0, 0, 0), (0, 0, 0, 1),
+                                            (0, 0, 1, -1), (0, -1, 0, 1))])
+    moved = validate_period(QuadraticSpace(p.transpose() * base.space.gram * p),
+                            base.field, base.embedding,
+                            inverse(p).vec(base.omega))
+    h = transcendental_lattice(moved)
+    _, lams, conj = h.endomorphisms
+    assert conj[-1] == lams[-1] and conj != lams
+    ef = endomorphism_field(h)
+    assert (ef.e, ef.classification, len(ef.fixed_subalgebra)) == (4, CM, 2)
+    assert ef.mt.family == U_E and ef.mt.rank == 1
 
 
 def test_character_basis_computed_once(monkeypatch):
@@ -544,4 +564,45 @@ def test_answer_invariant_under_basis_padding_and_scaling(name, pad, moves,
     moved = validate_period(QuadraticSpace(p.transpose() * Matrix(gram) * p),
                             field, base.embedding,
                             tuple(c * v for v in p_inv.vec(omega)))
+    assert _answer(moved) == _answer(base)
+
+
+SHIFT_PERIODS = {
+    "qi": gaussian_period, "sqrt2i": sqrt2i_period,
+    "incompatible_quartic": incompatible_quartic_period,
+    "cm_d4": cm_rank22_period,
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(SHIFT_PERIODS)),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_answer_invariant_under_field_shift(name, c):
+    # F = Q[x]/(f) presented as Q[y]/(f(y - c)) with y = x + c: every
+    # embedding moves by c, so the embedding order, the conjugate indices
+    # and the answer stay the same
+    base = SHIFT_PERIODS[name]()
+    field = base.field
+    shifted = nf_create(up.compose(field.defining_poly, (-c, F(1))))
+    image = shifted.gen() - c
+
+    def move(v):
+        acc = shifted.zero()
+        for a in reversed(v.coords):
+            acc = acc * image + a
+        return acc
+
+    embs, moved_embs = nf_embeddings(field), nf_embeddings(shifted)
+    assert [e.conjugate_index for e in moved_embs] == \
+        [e.conjugate_index for e in embs]
+    # sigma'_k(y) - c is the root of f isolated by sigma_k
+    width = F(1, 2**30)
+    boxes = [e.eval_box(field.gen(), width) for e in embs]
+    for k, emb in enumerate(moved_embs):
+        re, im = emb.eval_box(shifted.gen(), width)
+        box = ((re[0] - c, re[1] - c), im)
+        assert all(box_disjoint(box, b) for j, b in enumerate(boxes) if j != k)
+    moved = validate_period(base.space, shifted,
+                            moved_embs[base.embedding.index],
+                            tuple(move(v) for v in base.omega))
     assert _answer(moved) == _answer(base)
