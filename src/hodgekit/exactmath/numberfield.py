@@ -138,9 +138,11 @@ def _root_subset_factors(h):
     den = lcm(*(c.denominator for c in h))
     g = tuple(c * den**(n - k) for k, c in enumerate(h))
     disks, mirror = root_disks(h)
-    # |D alpha| <= bound; with every radius of D alpha at most rho, each
-    # coefficient error is at most C(k,j) j rho (bound + 1)**(j-1) <= 1/4
-    bound = den * max(Fraction(abs(d.x) + abs(d.y) + d.r, 2**d.scale) for d in disks)
+    # |x| + |y| of any centre refined inside a disk, times D, is at most
+    # bound; with every radius of D alpha at most rho, each coefficient
+    # error is at most C(k,j) j rho (bound + 1)**(j-1) <= 1/4
+    bound = den * max(Fraction(abs(d.x) + abs(d.y) + 2 * d.r, 2**d.scale)
+                      for d in disks)
     rho = 1 / (2**(kmax + 2) * kmax * (bound + 1)**(kmax - 1))
     disks = [d.refined_below(2 * rho / den) for d in disks]
     s = max(d.scale for d in disks)

@@ -412,6 +412,9 @@ ORACLE_POLYS = {
     "x^8+1": [1, 0, 0, 0, 0, 0, 0, 0, 1],
     "(x^8+1)((x-1)^8+1)": up.mul(_shifted([1] + [0] * 7 + [1], 0),
                                   _shifted([1] + [0] * 7 + [1], 1)),
+    # denominators of 127 bits: the integer rescaling is huge
+    "(x^2+x-2/3^80)(x^3-3x+5+1/3^80)": up.mul(
+        (F(-2, 3**80), F(1), F(1)), (5 + F(1, 3**80), F(-3), F(0), F(1))),
 }
 
 
