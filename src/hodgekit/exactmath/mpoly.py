@@ -80,6 +80,12 @@ def mp_pow(p, n):
     return result
 
 
+def mp_diff(p, i):
+    """Partial derivative in the i-th variable."""
+    return {k[:i] + (k[i] - 1,) + k[i + 1:]: c * k[i]
+            for k, c in p.items() if k[i]}
+
+
 def mp_eval(p, point):
     """Evaluate at a point given as a scalar sequence."""
     acc = None

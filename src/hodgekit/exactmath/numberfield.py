@@ -30,7 +30,7 @@ conjugation; period-style inputs are then rejected
 (ConjugationNotInternal).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -391,17 +391,28 @@ class ComplexEmbedding:
     root: object
     is_real: bool
     conjugate_index: int
+    # the narrowest refinement of root reached so far, in a list because
+    # the dataclass is frozen
+    _finest: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
 
     @property
     def root_box(self):
         return self.root.box
+
+    def refined_root(self, width):
+        """The root refined below width, resuming from the narrowest
+        refinement reached so far on its one deterministic path."""
+        root = (self._finest or [self.root])[0].refined_below(width)
+        self._finest[:] = [root]
+        return root
 
     def eval_box(self, element, width):
         """Enclosure of element evaluated at this embedding, with the
         generator box refined below the given width."""
         if element.parent != self.parent:
             raise ValueError("element of a different field")
-        return poly_eval_box(element.coords, self.root.refined_below(width).box)
+        return poly_eval_box(element.coords, self.refined_root(width).box)
 
     def __repr__(self):
         kind = "real" if self.is_real else "complex"
@@ -551,7 +562,7 @@ def _embedded_root_is(cand, emb, root_index):
     width = Fraction(1, 2**16)
     while True:
         val = emb.eval_box(cand, width)
-        boxes = [other.root.refined_below(width).box for other in embs]
+        boxes = [other.refined_root(width).box for other in embs]
         hits = [i for i, b in enumerate(boxes) if not box_disjoint(val, b)]
         if len(hits) == 1:
             return hits[0] == root_index

@@ -28,7 +28,7 @@ from the real roots of Res_y(f(y), f(t - y)), whose roots are the sums
 of two roots of f.  That resultant is the only use of sympy here.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import isqrt, lcm
@@ -52,6 +52,9 @@ class RealRoot:
     poly: tuple | None
     lo: Fraction
     hi: Fraction
+    # whether poly(lo) > 0, carried along so that a bisection step costs
+    # one evaluation of poly
+    lo_positive: bool | None = field(default=None, compare=False)
 
     @property
     def exact(self):
@@ -73,10 +76,12 @@ class RealRoot:
         # irreducible of degree >= 2: no rational roots, so the sign at
         # mid is never zero
         smid = up.eval_at(self.poly, mid) > 0
-        slo = up.eval_at(self.poly, self.lo) > 0
+        slo = self.lo_positive
+        if slo is None:
+            slo = up.eval_at(self.poly, self.lo) > 0
         if smid != slo:
-            return RealRoot(self.poly, self.lo, mid)
-        return RealRoot(self.poly, mid, self.hi)
+            return RealRoot(self.poly, self.lo, mid, slo)
+        return RealRoot(self.poly, mid, self.hi, smid)
 
     def refined_below(self, width):
         r = self

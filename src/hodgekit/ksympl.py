@@ -4,15 +4,23 @@ divisibility bounds.
 
 A candidate is a linearly independent family of antisymmetric matrices
 Psi_1..Psi_k on a 4n-dimensional space.  Verification computes the
-Pfaffian of the generic combination sum t_i Psi_i, demands the exact
-shape c * q(t)**n for a nondegenerate quadratic form q, and checks that
-the combination has rank 2n at a certified point of the quadric,
-passing to a quadratic extension field when the quadric has no obvious
-rational point.
+Pfaffian p of the generic combination sum t_i Psi_i, demands the exact
+shape c * q(t)**n for a nondegenerate quadratic form q, irreducible
+over Q, and checks that the combination has rank 2n at a certified
+point of the quadric, passing to a quadratic extension field when the
+quadric has no obvious rational point.
+
+The only candidate for q is read off at one point v with p(v) != 0:
+if p = c q**n, then n p H - (n - 1) g g^T = c**2 n**2 q(v)**(2n-1) Hess(q)
+for the gradient g and Hessian H of p at v.  The candidate counts only
+if c * q**n reproduces p exactly.  q is reducible iff its rank is at
+most 1, or it is 2 and -m is a rational square for a nonzero principal
+2x2 minor m of its matrix.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 import random
 
 from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
@@ -21,8 +29,8 @@ from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
                      WrongRankOnQuadric)
 from .exactmath import Matrix, det, inverse, kernel, nf_create, rank
 from .exactmath.linalg import _dot, rref
-from .exactmath.mpoly import (mp_add, mp_eval, mp_items_grlex, mp_mul, mp_neg,
-                              mp_pow, mp_scale)
+from .exactmath.mpoly import (mp_add, mp_diff, mp_eval, mp_items_grlex, mp_mul,
+                              mp_neg, mp_pow, mp_scale)
 from .qforms import congruence_diagonal
 
 MAX_VDIM = 8
@@ -122,15 +130,8 @@ def pfaffian(entries, seed=0):
 
 
 def _pfaffian_self_check(entries, pf_poly, seed):
-    n = len(entries)
-    nvars = None
-    for row in entries:
-        for e in row:
-            if e:
-                nvars = len(next(iter(e)))
-                break
-        if nvars is not None:
-            break
+    nvars = next((len(next(iter(e))) for row in entries for e in row if e),
+                 None)
     if nvars is None:
         return
     rng = random.Random(seed)
@@ -178,17 +179,10 @@ def verify_k_symplectic(cand, seed=0):
     p = pfaffian(generic, seed=seed).as_dict()
     if not p:
         return _fail(NotGenericallySymplectic)
-    factors = _factor_multivariate(p, k)
-    if len(factors) != 1:
+    root = _quadric_root(p, n, k)
+    if root is None:
         return _fail(NotQuadricPower)
-    qpoly, mult = factors[0]
-    if _poly_degree(qpoly) != 2 or mult != n:
-        return _fail(NotQuadricPower)
-    qpoly = _canonical_quadric(qpoly)
-    scalar = _exact_ratio(p, mp_pow(qpoly, n))
-    if scalar is None:
-        raise InternalError("factorization does not reproduce the Pfaffian")
-    qmat = _quadric_matrix(qpoly, k)
+    qmat, scalar = root
     if det(qmat) == 0:
         return _fail(DegenerateQuadric)
     point, field_poly = _quadric_point(qmat)
@@ -211,61 +205,41 @@ def _generic_entry(cand, i, j):
     return out
 
 
-def _poly_degree(p):
-    return max((sum(e) for e in p), default=-1)
-
-
-def _factor_multivariate(p, k):
-    """Irreducible factorization over Q via sympy; returns a list of
-    (coefficient dict, multiplicity) with deterministic normalization."""
-    import sympy
-
-    ts = sympy.symbols(f"t0:{k}")
-    expr = sympy.Add(*[sympy.Rational(c) * sympy.Mul(*[ts[a]**e
-                                                       for a, e in enumerate(exp)])
-                       for exp, c in p.items()])
-    _, factors = sympy.factor_list(expr, *ts)
-    out = []
-    for f, mult in factors:
-        poly = sympy.Poly(f, *ts)
-        d = {}
-        for exp, c in poly.terms():
-            d[tuple(int(x) for x in exp)] = Fraction(sympy.Rational(c))
-        out.append((d, int(mult)))
-    out.sort(key=lambda fm: sorted(fm[0]))
-    return out
-
-
-def _canonical_quadric(q):
-    """Scale so the grlex-leading coefficient is 1."""
+def _quadric_root(p, n, k):
+    """(Q, c) with p = c * q**n for the matrix Q of a quadric q irreducible
+    over Q, scaled to grlex-leading coefficient 1; None if there is none."""
+    gram = _gram_candidate(p, n, k)
+    r = rank(gram)
+    if r <= 1:
+        return None
+    e = gram.entries
+    q = {tuple((a == i) + (a == j) for a in range(k)): e[i][j] * (1 + (i != j))
+         for i in range(k) for j in range(i, k) if e[i][j]}
     lead = mp_items_grlex(q)[0][1]
-    return mp_scale(q, Fraction(1) / lead)
-
-
-def _exact_ratio(p, q):
-    """The constant c with p = c * q, or None."""
-    items = mp_items_grlex(q)
-    if not items:
+    qn = mp_pow(mp_scale(q, 1 / lead), n)
+    # the grlex-leading coefficient of qn is 1
+    c = p.get(mp_items_grlex(qn)[0][0])
+    if c is None or mp_scale(qn, c) != p:
         return None
-    exp, c0 = items[0]
-    if exp not in p:
-        return None
-    c = p[exp] / c0
-    return c if mp_scale(q, c) == p else None
+    if r == 2:
+        # q splits over Q iff -m is a square for a nonzero 2x2 minor m
+        minors = (e[i][i] * e[j][j] - e[i][j] ** 2
+                  for i in range(k) for j in range(i + 1, k))
+        if _is_square(-next(m for m in minors if m)) is not None:
+            return None
+    return gram * (1 / lead), c
 
 
-def _quadric_matrix(q, k):
-    entries = [[Fraction(0)] * k for _ in range(k)]
-    for exp, c in q.items():
-        idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        if len(idx) != 2:
-            raise InternalError("quadric factor is not quadratic")
-        i, j = idx
-        if i == j:
-            entries[i][i] = c
-        else:
-            entries[i][j] = entries[j][i] = c / 2
-    return Matrix(entries)
+def _gram_candidate(p, n, k):
+    """n p H - (n - 1) g g^T at the first point v != 0 of {0..2n}^k with
+    p(v) != 0; p has degree at most 2n in each variable, so one exists."""
+    v = next(v for v in product(range(2 * n + 1), repeat=k) if mp_eval(p, v))
+    pv = mp_eval(p, v)
+    grad = [mp_diff(p, i) for i in range(k)]
+    g = [mp_eval(d, v) for d in grad]
+    return Matrix(tuple(tuple(n * pv * mp_eval(mp_diff(d, j), v)
+                              - (n - 1) * g[i] * g[j] for j in range(k))
+                        for i, d in enumerate(grad)))
 
 
 def _is_square(f):

@@ -244,20 +244,28 @@ def test_internal_error_exit_code(capsys):
     assert json.loads(out)["status"] == "internal-error"
 
 
-def test_classify_and_tha_do_not_import_sympy():
+def test_classify_tha_and_ksympl_do_not_import_sympy():
     # every good period file is validated and classified from mpmath
-    # guesses and exact certificates, without loading sympy
+    # guesses and exact certificates, and every ksympl file decided by the
+    # closed-form quadric root, without loading sympy
     periods = sorted(p for p in CORPUS.glob("*_period.json"))
     assert len(periods) == 3
+    families = [CORPUS / "quaternion3.json",
+                CORPUS / "quaternion3_doubled.json",
+                CORPUS / "bad" / "k1_symplectic.json"]
     script = (
         "import sys\n"
         "from hodgekit.cli import main\n"
         "codes = []\n"
         "for path in sys.argv[1:]:\n"
-        "    codes.append(main(['classify', path, '--json']))\n"
-        "    codes.append(main(['tha', path, '--n', '2', '--json']))\n"
+        "    if path.endswith('_period.json'):\n"
+        "        codes.append(main(['classify', path, '--json']))\n"
+        "        codes.append(main(['tha', path, '--n', '2', '--json']))\n"
+        "    else:\n"
+        "        codes.append(main(['ksympl', path, '--json']))\n"
         "print(codes, 'sympy' in sys.modules, file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, periods)],
-                          capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, periods + families)],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == f"{[0] * 6} False"
+    assert proc.stderr.strip() == f"{[0] * 6 + [0, 0, 2]} False"

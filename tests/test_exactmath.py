@@ -453,3 +453,26 @@ def test_matrix_vec_skips_zero_entries():
     assert out == (field.zero(), 2 * i_el, i_el - 3)
     assert all(isinstance(v, type(i_el)) for v in out)
     assert Matrix(((F(0), F(0)),)).vec((F(1), F(2))) == (F(0),)
+
+
+def test_real_embedding_refinement_resumes(monkeypatch):
+    # (x - 1)^4 - 2: real roots 1 -+ 2^(1/4), nonreal 1 -+ i 2^(1/4)
+    field = nf_create([-1, -4, 6, -4, 1])
+    emb = nf_embeddings(field)[0]
+    assert emb.is_real
+    # a fresh embedding, not refined by earlier tests through the cache
+    emb = numberfield.ComplexEmbedding(field, 0, emb.root, True, 0)
+    calls = []
+    eval_at = up.eval_at
+    monkeypatch.setattr(up, "eval_at",
+                        lambda p, x: calls.append(x) or eval_at(p, x))
+    width = F(1, 2**256)
+    box = emb.eval_box(field.gen(), width)
+    start, end = emb.root, emb.refined_root(width)
+    ratio = (start.hi - start.lo) / (end.hi - end.lo)
+    halvings = ratio.numerator.bit_length() - 1
+    # one evaluation of f per bit, plus the sign at the first lower end
+    assert halvings >= 256 and len(calls) <= halvings + 1
+    calls.clear()
+    assert emb.eval_box(field.gen(), width) == box
+    assert calls == []

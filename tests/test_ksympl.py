@@ -12,9 +12,11 @@ from hodgekit import errors
 from hodgekit.errors import (BasePointIsotropic, OddDimension, TooLarge,
                              ValidationError)
 from hodgekit.exactmath import Matrix, det
-from hodgekit.exactmath.mpoly import mp_const, mp_eval
+from hodgekit.exactmath.mpoly import (mp_add, mp_const, mp_eval,
+                                      mp_from_vector, mp_items_grlex, mp_mul,
+                                      mp_pow, mp_scale)
 from hodgekit.ksympl import (CliffordResult, KSymplecticCandidate,
-                             check_torus, clifford_operators,
+                             _quadric_root, check_torus, clifford_operators,
                              divisibility_bound, pfaffian, subvariety_bound,
                              torus_bound, verify_k_symplectic)
 
@@ -182,6 +184,142 @@ def test_verify_two_form_subfamily():
     cliff = clifford_operators(cand, rep, (1, 0))
     assert len(cliff.operators) == 1
     assert cliff.squares == (F(-1),)
+
+
+def test_verify_split_and_nonsplit_binary_quadrics():
+    # (e01, e23): Pfaffian ab, a product of rational linear forms
+    rep = verify_k_symplectic(KSymplecticCandidate((
+        two_form({(0, 1): 1}), two_form({(2, 3): 1}))))
+    assert not rep.ok
+    assert rep.failure_reason == "NotQuadricPower"
+    # (e01 + e23, e02 + 2 e13): Pfaffian a^2 - 2b^2, irreducible over Q
+    rep = verify_k_symplectic(KSymplecticCandidate((
+        two_form({(0, 1): 1, (2, 3): 1}), two_form({(0, 2): 1, (1, 3): 2}))))
+    assert rep.ok
+    assert rep.quadric == fmat([[1, 0], [0, -2]])
+    assert rep.scalar == 1
+    assert rep.rank_on_quadric == 2
+    assert rep.witness_field_poly == (F(-1, 2), F(0), F(1))
+    r = rep.witness_point[1]
+    assert rep.witness_point[0] == r.parent.one() and r == r.parent.gen()
+
+
+def factor_list_root(p, n, k):
+    """Oracle for _quadric_root: sympy's factorization over Q, accepted
+    when it is one factor of degree 2 with multiplicity n; the factor is
+    scaled to grlex-leading coefficient 1 and returned as its matrix,
+    with the scalar."""
+    import sympy
+
+    ts = sympy.symbols(f"t0:{k}")
+    expr = sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.Mul(*[t**e for t, e in zip(ts, exp)])
+               for exp, c in p.items())
+    _, factors = sympy.factor_list(expr, *ts)
+    if len(factors) != 1 or factors[0][1] != n:
+        return None
+    poly = sympy.Poly(factors[0][0], *ts)
+    if poly.total_degree() != 2:
+        return None
+    q = {tuple(int(e) for e in exp): F(int(c.p), int(c.q))
+         for exp, c in poly.terms()}
+    q = mp_scale(q, 1 / mp_items_grlex(q)[0][1])
+    c = p[mp_items_grlex(p)[0][0]] / mp_items_grlex(mp_pow(q, n))[0][1]
+    assert mp_scale(mp_pow(q, n), c) == p
+    gram = [[F(0)] * k for _ in range(k)]
+    for exp, a in q.items():
+        i, j = [v for v, e in enumerate(exp) for _ in range(e)]
+        gram[i][j] = gram[j][i] = a if i == j else a / 2
+    return Matrix(gram), c
+
+
+def _form(k, coeffs):
+    """The polynomial sum c * t^exp over {exp: c} in k variables."""
+    assert all(len(exp) == k for exp in coeffs)
+    return {exp: F(c) for exp, c in coeffs.items() if c}
+
+
+HYPERBOLIC = _form(2, {(1, 1): 1})
+SPLIT_NOT = _form(2, {(2, 0): 1, (0, 2): -2})
+HYPERBOLIC_K3 = _form(3, {(1, 1, 0): 1})
+SPLIT_NOT_K3 = _form(3, {(2, 0, 0): 1, (0, 2, 0): -2})
+SUM3 = _form(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+MIXED3 = _form(3, {(2, 0, 0): F(1, 3), (1, 1, 0): 2, (0, 1, 1): -5,
+                   (0, 0, 2): 7})
+LINEAR = mp_from_vector((F(1), F(2), F(-1)))
+
+
+@pytest.mark.parametrize("p, n, k, accepted", [
+    (HYPERBOLIC, 1, 2, False),
+    (mp_pow(HYPERBOLIC, 2), 2, 2, False),
+    (SPLIT_NOT, 1, 2, True),
+    (mp_scale(mp_pow(SPLIT_NOT, 2), F(5, 2)), 2, 2, True),
+    (_form(1, {(2,): 1}), 1, 1, False),
+    (_form(1, {(4,): -3}), 2, 1, False),
+    (HYPERBOLIC_K3, 1, 3, False),
+    (mp_pow(HYPERBOLIC_K3, 2), 2, 3, False),
+    (SPLIT_NOT_K3, 1, 3, True),
+    (mp_pow(SPLIT_NOT_K3, 2), 2, 3, True),
+    (mp_pow(LINEAR, 4), 2, 3, False),
+    (mp_pow(LINEAR, 2), 1, 3, False),
+    (mp_mul(SUM3, MIXED3), 2, 3, False),
+    (mp_add(mp_pow(SUM3, 2), _form(3, {(4, 0, 0): 1})), 2, 3, False),
+    (mp_scale(mp_pow(SUM3, 2), -3), 2, 3, True),
+    (mp_scale(MIXED3, F(-2, 7)), 1, 3, True),
+    (mp_scale(mp_pow(MIXED3, 2), -1), 2, 3, True),
+])
+def test_quadric_root_matches_factorization_on_crafted_powers(p, n, k,
+                                                              accepted):
+    root = _quadric_root(p, n, k)
+    assert root == factor_list_root(p, n, k)
+    assert (root is not None) == accepted
+
+
+def _structured_family(rng, v_dim, k):
+    """Quaternion blocks (or random forms past the third), mixed by a
+    random k x k matrix and moved by a random congruence of V."""
+    blocks = [I_L, J_L, K_L]
+    if v_dim == 8:
+        scales = [rng.choice((1, 2, 3)) for _ in blocks]
+        blocks = [Matrix([tuple(r) + (F(0),) * 4 for r in m.entries]
+                         + [(F(0),) * 4 + tuple(c * s for c in r)
+                            for r in m.entries])
+                  for m, s in zip(blocks, scales)]
+    psis = blocks[:k] + [_random_two_form(rng, v_dim) for _ in range(k - 3)]
+    mixing = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+    psis = [sum((m * F(c) for m, c in zip(psis[1:], row[1:])),
+                psis[0] * F(row[0])) for row in mixing]
+    p = Matrix([[F(rng.choice((0, 0, 1, -1)) if i != j else rng.choice((1, 2)))
+                 for j in range(v_dim)] for i in range(v_dim)])
+    return [p.transpose() * m * p for m in psis]
+
+
+def _random_two_form(rng, v_dim):
+    rows = [[F(0)] * v_dim for _ in range(v_dim)]
+    for i in range(v_dim):
+        for j in range(i + 1, v_dim):
+            rows[i][j] = F(rng.randint(-2, 2))
+            rows[j][i] = -rows[i][j]
+    return Matrix(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([4, 8]), st.integers(1, 5),
+       st.booleans())
+def test_quadric_root_matches_factorization_on_families(seed, v_dim, k,
+                                                        structured):
+    rng = random.Random(seed)
+    if structured:
+        psis = _structured_family(rng, v_dim, k)
+    else:
+        psis = [_random_two_form(rng, v_dim) for _ in range(k)]
+    generic = [[{tuple(int(a == b) for b in range(k)): m.entries[i][j]
+                 for a, m in enumerate(psis) if m.entries[i][j]}
+                for j in range(v_dim)] for i in range(v_dim)]
+    p = pfaffian(generic).as_dict()
+    if p:
+        n = v_dim // 4
+        assert _quadric_root(p, n, k) == factor_list_root(p, n, k)
 
 
 def test_clifford_quaternion():
