@@ -206,8 +206,8 @@ def _generic_entry(cand, i, j):
 
 
 def _quadric_root(p, n, k):
-    """(Q, c) with p = c * q**n for the matrix Q of a quadric q irreducible
-    over Q, scaled to grlex-leading coefficient 1; None if there is none."""
+    """(qmat, c) with p = c * q**n for the matrix qmat of a quadric q
+    irreducible over Q with grlex-leading coefficient 1, or None."""
     gram = _gram_candidate(p, n, k)
     r = rank(gram)
     if r <= 1:
