@@ -8,10 +8,9 @@ over Q correspond to sets of roots closed under conjugation, and the
 sets of at most e/2 roots are tried on the certified root disks of
 rootiso, dropped by integrality of their coefficient enclosures, and
 decided by exact trial division (_root_subset_factors).  Each of the e
-embeddings into C is certified by an isolating interval (real) or
-inclusion disk (nonreal) of the generator; sign questions are settled
-by interval evaluation at doubling precision, with exact zero decided
-algebraically.
+embeddings into C is certified by the inclusion disk of the generator's
+image, real or not; sign questions are settled by interval evaluation
+at doubling precision, with exact zero decided algebraically.
 
 Conjugation is handled through the conjugation automorphism of the
 chosen embedding: the field element tau with sigma(tau(v)) equal to the
@@ -40,9 +39,8 @@ from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible)
 from . import unipoly as up
 from .intervals import box_disjoint, iv_sign, poly_eval_box
-from .rootiso import (ROOT_DIGITS, RealRoot, approx_roots,
-                      isolate_nonreal_roots, isolate_real_roots, mpf_fraction,
-                      root_disks)
+from .rootiso import (ROOT_DIGITS, approx_roots, isolate_nonreal_roots,
+                      isolate_real_roots, mpf_fraction, root_disks)
 
 MAX_DEGREE = 16
 _SIGN_BITS_CAP = 4096
@@ -384,7 +382,7 @@ def field_trace(a):
 @dataclass(frozen=True)
 class ComplexEmbedding:
     """One embedding of a number field into C, certified by the isolating
-    interval (RealRoot) or disk (RootDisk) of the image of the generator."""
+    disk (RootDisk) of the image of the generator."""
 
     parent: NumberField
     index: int
@@ -425,14 +423,11 @@ def nf_embeddings(field):
     sorted by (real part, imaginary part).  Conjugation is recorded as an
     index involution fixing exactly the real embeddings."""
     f = field.defining_poly
-    e = field.degree
-    if e == 1:
-        root = RealRoot(None, -f[0], -f[0])
-        return (ComplexEmbedding(field, 0, root, True, 0),)
     reals = isolate_real_roots(f)
     embs = [ComplexEmbedding(field, i, r, True, i) for i, r in enumerate(reals)]
     off = len(reals)
-    for pos, (disk, conj_pos) in enumerate(isolate_nonreal_roots(f, e - off)):
+    n_nonreal = field.degree - up.count_real_roots(f)
+    for pos, (disk, conj_pos) in enumerate(isolate_nonreal_roots(f, n_nonreal)):
         embs.append(ComplexEmbedding(field, off + pos, disk, False, off + conj_pos))
     return tuple(embs)
 

@@ -11,110 +11,41 @@ they lie in the union of the disks D(z_i - w_i, (n - 1)|w_i|), and a
 union of k of them disjoint from the rest holds exactly k roots.  Each
 such disk lies inside D(z_i, n|w_i|); once the bounding squares of these
 are pairwise disjoint, every disk holds exactly one root.  Otherwise the
-precision is raised.  The family is closed under conjugation, so a disk
-centred on the real axis holds a real root and any other disk a nonreal
-one, whose conjugate lies in the mirror disk.
+precision is raised.
 
-A disk refines by Newton steps in Q(i).  Each step is certified by the
+The disks also decide which roots are real.  The family is closed under
+conjugation: mirrored centres have conjugate corrections, hence equal
+radii.  A disk centred on the real axis is its own mirror, so its one
+root is its own conjugate: real.  A real root in a disk off the axis
+would lie in the mirror disk too, but their bounding squares are
+disjoint.  The Sturm count of the real roots (unipoly.count_real_roots)
+only cross-checks this.
+
+A disk refines by Newton steps in Q(i), each certified by the
 single-root bound |z - alpha| <= n |f(z) / f'(z)|: when that disk lies
-inside the isolating disk, the root it holds is the isolated one.
+inside the isolating disk, it holds the isolated root.  From a real
+centre the step is real, so a real disk stays on the axis and its box
+has the exact imaginary interval (0, 0).
 
-Real roots are isolated with Sturm sequences on f itself; f has no
-rational root (it is irreducible of degree >= 2), so bisection never
-stalls.  Nonreal roots are sorted by (real part, imaginary part).
-Conjugates share their real part; other real parts are compared by
-refinement, and a tie that survives _TIE_BITS bits is decided exactly
+Real roots are sorted by centre, nonreal ones by (real part, imaginary
+part).  Conjugates share their real part; other real parts are compared
+by refinement, and a tie that survives _TIE_BITS bits is decided exactly
 from the real roots of Res_y(f(y), f(t - y)), whose roots are the sums
 of two roots of f.  That resultant is the only use of sympy here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import isqrt, lcm
 
 from ..errors import InternalError
-from . import unipoly as up
 from .intervals import iv_disjoint
 
 # decimal precisions of the root approximations, tried in turn
 ROOT_DIGITS = (30, 60, 120, 240, 480, 960)
 # refinement, in bits, after which overlapping real parts count as a tie
 _TIE_BITS = 256
-
-
-@dataclass(frozen=True)
-class RealRoot:
-    """One real algebraic number: either an exact rational (lo == hi) or
-    an isolating interval of an irreducible polynomial with a sign change
-    at the endpoints."""
-
-    poly: tuple | None
-    lo: Fraction
-    hi: Fraction
-    # whether poly(lo) > 0, carried along so that a bisection step costs
-    # one evaluation of poly
-    lo_positive: bool | None = field(default=None, compare=False)
-
-    @property
-    def exact(self):
-        return self.poly is None
-
-    @property
-    def interval(self):
-        return (self.lo, self.hi)
-
-    @property
-    def box(self):
-        return (self.interval, (Fraction(0), Fraction(0)))
-
-    def refined(self):
-        """One bisection step; exact roots are returned unchanged."""
-        if self.exact:
-            return self
-        mid = (self.lo + self.hi) / 2
-        # irreducible of degree >= 2: no rational roots, so the sign at
-        # mid is never zero
-        smid = up.eval_at(self.poly, mid) > 0
-        slo = self.lo_positive
-        if slo is None:
-            slo = up.eval_at(self.poly, self.lo) > 0
-        if smid != slo:
-            return RealRoot(self.poly, self.lo, mid, slo)
-        return RealRoot(self.poly, mid, self.hi, smid)
-
-    def refined_below(self, width):
-        r = self
-        while r.hi - r.lo > width:
-            r = r.refined()
-        return r
-
-
-def isolate_real_roots(f):
-    """Pairwise disjoint isolating intervals, sorted increasingly, of the
-    real roots of f, irreducible of degree >= 2, by a Sturm chain on f."""
-    chain = up.sturm_chain(f)
-    bound = up.root_bound(f)
-    roots = []
-
-    def descend(a, b):
-        n = up.sturm_count(chain, a, b)
-        if n == 0:
-            return
-        if n == 1:
-            roots.append(RealRoot(f, a, b))
-            return
-        mid = (a + b) / 2
-        descend(a, mid)
-        descend(mid, b)
-
-    descend(-bound, bound)
-    # the half-open pieces of one bisection may share an endpoint
-    for i in range(len(roots) - 1):
-        while not iv_disjoint(roots[i].interval, roots[i + 1].interval):
-            roots[i] = roots[i].refined()
-            roots[i + 1] = roots[i + 1].refined()
-    return roots
 
 
 @lru_cache(maxsize=None)
@@ -161,9 +92,13 @@ class RootDisk:
 
     @property
     def box(self):
+        """Bounding square; a disk on the real axis holds a real root, so
+        its imaginary interval is exactly (0, 0)."""
         d = 2**self.scale
-        return ((Fraction(self.x - self.r, d), Fraction(self.x + self.r, d)),
-                (Fraction(self.y - self.r, d), Fraction(self.y + self.r, d)))
+        re = (Fraction(self.x - self.r, d), Fraction(self.x + self.r, d))
+        if self.y == 0:
+            return re, (Fraction(0), Fraction(0))
+        return re, (Fraction(self.y - self.r, d), Fraction(self.y + self.r, d))
 
     def refined_below(self, width):
         """A disk of diameter at most width around the same root."""
@@ -290,6 +225,13 @@ def root_disks(f):
         if disks is not None:
             return disks, paired[1]
     raise InternalError("roots could not be separated by inclusion disks")
+
+
+def isolate_real_roots(f):
+    """The isolating disks of the real roots of f, which lie on the real
+    axis, sorted increasingly."""
+    disks, _ = root_disks(f)
+    return sorted((d for d in disks if d.y == 0), key=lambda d: d.x)
 
 
 def isolate_nonreal_roots(f, n_nonreal):

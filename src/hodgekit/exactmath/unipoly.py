@@ -163,6 +163,13 @@ def root_bound(p):
     return ONE + m / lead
 
 
+def count_real_roots(p):
+    """Number of distinct real roots, by the Sturm count over the Cauchy
+    bound."""
+    bound = root_bound(p)
+    return sturm_count(sturm_chain(p), -bound, bound)
+
+
 def factor_rational(p):
     """Irreducible factorization over Q via sympy.
 

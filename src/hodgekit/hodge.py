@@ -254,9 +254,7 @@ def endomorphism_field(h, seed=0):
     # the first dependence among the powers of p in F: minimal, so
     # irreducible, and nf_create's certificate would only repeat that
     efield = NumberField(minpoly)
-    bound = up.root_bound(minpoly)
-    reals = up.sturm_count(up.sturm_chain(minpoly), -bound, bound)
-    if reals != (e if totally_real else 0):
+    if up.count_real_roots(minpoly) != (e if totally_real else 0):
         raise InternalError("real roots of the minimal polynomial contradict "
                             "the classification")
     if t % e != 0:

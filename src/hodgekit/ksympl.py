@@ -28,10 +28,10 @@ from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
                      RelationsFail, TooLarge, ValidationError,
                      WrongRankOnQuadric)
 from .exactmath import Matrix, det, inverse, kernel, nf_create, rank
-from .exactmath.linalg import _dot, rref
+from .exactmath.linalg import rref
 from .exactmath.mpoly import (mp_add, mp_diff, mp_eval, mp_items_grlex, mp_mul,
                               mp_neg, mp_pow, mp_scale)
-from .qforms import congruence_diagonal
+from .qforms import bilinear, congruence_diagonal
 
 MAX_VDIM = 8
 MAX_K = 5
@@ -309,7 +309,7 @@ def clifford_operators(cand, report, omega0):
         raise ValidationError("report does not certify a k-symplectic structure")
     q = report.quadric
     omega0 = tuple(Fraction(c) for c in omega0)
-    norm0 = _qform(q, omega0, omega0)
+    norm0 = bilinear(q, omega0, omega0)
     if norm0 == 0:
         raise BasePointIsotropic("base point lies on the quadric")
     comp = kernel(Matrix((q.vec(omega0),)))
@@ -337,10 +337,6 @@ def clifford_operators(cand, report, omega0):
     return CliffordResult(tuple(ops), tuple(squares), omega0, tuple(obasis))
 
 
-def _qform(q, u, v):
-    return _dot(q.vec(v), u)
-
-
 def _orthogonalize(q, vectors):
     """Deterministic q-orthogonal basis of the span of the given vectors;
     isotropic candidates are repaired by adding a later vector."""
@@ -351,12 +347,12 @@ def _orthogonalize(q, vectors):
         for v in pool:
             w = list(v)
             for u in basis:
-                f = _qform(q, v, u) / _qform(q, u, u)
+                f = bilinear(q, v, u) / bilinear(q, u, u)
                 w = [x - f * y for x, y in zip(w, u)]
             reduced.append(tuple(w))
         pick = None
         for idx, w in enumerate(reduced):
-            if any(c != 0 for c in w) and _qform(q, w, w) != 0:
+            if any(c != 0 for c in w) and bilinear(q, w, w) != 0:
                 pick = idx
                 break
         if pick is None:
@@ -365,7 +361,7 @@ def _orthogonalize(q, vectors):
             found = None
             for a in range(len(reduced)):
                 for b in range(a + 1, len(reduced)):
-                    if _qform(q, reduced[a], reduced[b]) != 0:
+                    if bilinear(q, reduced[a], reduced[b]) != 0:
                         found = (a, b)
                         break
                 if found:

@@ -15,6 +15,20 @@ from .exactmath import Matrix, det, inverse, kernel
 from .exactmath.linalg import row_space
 
 
+def bilinear(gram, u, v):
+    """u^T gram v for a nondegenerate Gram matrix; entries may lie in a
+    number field.  Zero Gram entries are skipped, so each row costs one
+    product of entries of u and v."""
+    acc = None
+    for ui, row in zip(u, gram.entries):
+        w = None
+        for g, vj in zip(row, v):
+            if g != 0:
+                w = vj * g if w is None else w + vj * g
+        acc = ui * w if acc is None else acc + ui * w
+    return acc
+
+
 @dataclass(frozen=True)
 class QuadraticSpace:
     """Vector space with a nondegenerate symmetric Gram matrix."""
@@ -35,17 +49,8 @@ class QuadraticSpace:
         return self.gram.rows
 
     def form(self, u, v):
-        """The bilinear form q(u, v); entries may lie in a number field.
-        Zero Gram entries are skipped, so each row costs one product of
-        entries of u and v."""
-        acc = None
-        for ui, row in zip(u, self.gram.entries):
-            w = None
-            for g, vj in zip(row, v):
-                if g != 0:
-                    w = vj * g if w is None else w + vj * g
-            acc = ui * w if acc is None else acc + ui * w
-        return acc
+        """The bilinear form q(u, v); entries may lie in a number field."""
+        return bilinear(self.gram, u, v)
 
     def is_isotropic(self, v):
         return self.form(v, v) == 0

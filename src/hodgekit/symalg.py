@@ -22,10 +22,9 @@ from math import comb
 from .errors import (DegreeTooHigh, HarmonicDimTooSmall, InternalError,
                      ValidationError)
 from .exactmath import Matrix, inverse, kernel
-from .exactmath.linalg import _dot
 from .exactmath.mpoly import (mp_add, mp_from_vector, mp_items_grlex, mp_mul,
                               mp_pow, mp_scale, mp_sub)
-from .qforms import QuadraticSpace, dual_bivector
+from .qforms import QuadraticSpace, bilinear, dual_bivector
 
 FULL = "full"
 HARMONIC = "harmonic"
@@ -384,7 +383,7 @@ def trace_transfer_form(h, ef, es):
             xj = es.basis[j]
             acted = xi
             for k in range(e):
-                rhs.append(_form(h.gram, acted, xj))
+                rhs.append(bilinear(h.gram, acted, xj))
                 acted = es.primitive_matrix.vec(acted)
             sol = solve_linear(trmat, tuple(rhs))
             if sol.particular is None:
@@ -395,10 +394,6 @@ def trace_transfer_form(h, ef, es):
         raise InternalError("trace-transfer pairing is not symmetric; "
                             "the endomorphism field is not acting totally real")
     return QuadraticSpace(g)
-
-
-def _form(gram, u, v):
-    return _dot(gram.vec(v), u)
 
 
 FULL_E = "full_e"

@@ -20,7 +20,7 @@ from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
                                             _guess_conjugation,
                                             apply_automorphism, field_trace)
-from hodgekit.exactmath.rootiso import isolate_nonreal_roots
+from hodgekit.exactmath.rootiso import RootDisk, isolate_nonreal_roots
 
 F = Fraction
 
@@ -463,16 +463,56 @@ def test_real_embedding_refinement_resumes(monkeypatch):
     # a fresh embedding, not refined by earlier tests through the cache
     emb = numberfield.ComplexEmbedding(field, 0, emb.root, True, 0)
     calls = []
-    eval_at = up.eval_at
-    monkeypatch.setattr(up, "eval_at",
-                        lambda p, x: calls.append(x) or eval_at(p, x))
+    step = RootDisk._newton_step
+    monkeypatch.setattr(RootDisk, "_newton_step",
+                        lambda disk: calls.append(disk.scale) or step(disk))
     width = F(1, 2**256)
     box = emb.eval_box(field.gen(), width)
-    start, end = emb.root, emb.refined_root(width)
-    ratio = (start.hi - start.lo) / (end.hi - end.lo)
-    halvings = ratio.numerator.bit_length() - 1
-    # one evaluation of f per bit, plus the sign at the first lower end
-    assert halvings >= 256 and len(calls) <= halvings + 1
+    # each Newton step doubles the scale of the disk
+    assert 1 <= len(calls) <= 3
+    root_box = emb.refined_root(width).box
+    assert root_box[0][1] - root_box[0][0] <= width
+    assert root_box[1] == box[1] == (0, 0)
     calls.clear()
     assert emb.eval_box(field.gen(), width) == box
     assert calls == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=8))
+def test_real_embeddings_match_sturm_oracle(coeffs):
+    f = tuple(F(c) for c in coeffs) + (F(1),)
+    try:
+        field = nf_create(f)
+    except Reducible:
+        return
+    chain = up.sturm_chain(f)
+    bound = up.root_bound(f)
+    reals = [emb for emb in nf_embeddings(field) if emb.is_real]
+    assert len(reals) == up.sturm_count(chain, -bound, bound)
+    # the certified disks, and the same disks after Newton refinement
+    for boxes in ([emb.root_box for emb in reals],
+                  [emb.refined_root(F(1, 2**100)).box for emb in reals]):
+        assert all(a[0][1] < b[0][0] for a, b in zip(boxes, boxes[1:]))
+        for (lo, hi), im in boxes:
+            assert im == (0, 0)
+            assert up.sturm_count(chain, lo, hi) == 1
+            assert up.eval_at(f, lo) * up.eval_at(f, hi) < 0
+
+
+def test_totally_real_embeddings_of_2cos_pi_32():
+    field = nf_create(ORACLE_POLYS["2cos(pi/32)"])
+    # fresh embeddings, not refined by earlier tests through the cache
+    embs = nf_embeddings.__wrapped__(field)
+    assert [e.is_real for e in embs] == [True] * 16
+    assert [e.conjugate_index for e in embs] == list(range(16))
+    want = sorted(2 * math.cos((2 * k + 1) * math.pi / 32) for k in range(16))
+    width = F(1, 2**1024)
+    start = time.monotonic()
+    boxes = [emb.eval_box(field.gen(), width) for emb in embs]
+    elapsed = time.monotonic() - start
+    assert elapsed < 3
+    for (re, im), root in zip(boxes, want):
+        assert im == (0, 0)
+        assert re[1] - re[0] <= width
+        assert abs(float(re[0]) - root) < 1e-12
