@@ -98,7 +98,8 @@ def build_period(doc, precision_start=64):
     field = nf_create(_fraction_list(doc["field"], "field"))
     embs = nf_embeddings(field)
     idx = doc["embedding"]
-    if not isinstance(idx, int) or not 0 <= idx < len(embs):
+    # bool is a subclass of int, but true is not an index
+    if type(idx) is not int or not 0 <= idx < len(embs):
         raise FileFormatError(
             f"embedding index must be an integer in 0..{len(embs) - 1}")
     omega_rows = doc["omega"]

@@ -20,8 +20,9 @@ the image g = tau(gen) is the polynomial of degree < e interpolating
 r -> conj(r) over all roots r of the defining polynomial f, and its
 coefficients are rational.  The guess is rebuilt as rationals and then
 certified exactly: f(g) = 0 in the field, and sigma(g) lies in the
-isolating box of the conjugate root.  The guess reads the same root
-approximations (rootiso.approx_roots) as the embeddings.  When no guess
+isolating box of the conjugate root.  The guess interpolates in the same
+fixed-point arithmetic and from the same root approximations
+(rootiso.approx_roots) as the embeddings.  When no guess
 of a short precision ramp passes both checks, the roots of f in the
 field are found by Trager's norm method (roots_in_field) instead.  Only that
 fallback can report that the image field is not stable under
@@ -39,8 +40,8 @@ from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible)
 from . import unipoly as up
 from .intervals import box_disjoint, iv_sign, poly_eval_box
-from .rootiso import (ROOT_DIGITS, approx_roots, isolate_nonreal_roots,
-                      isolate_real_roots, mpf_fraction, root_disks)
+from .rootiso import (ROOT_DIGITS, approx_conjugation, digits_bits,
+                      isolate_nonreal_roots, isolate_real_roots, root_disks)
 
 MAX_DEGREE = 16
 _SIGN_BITS_CAP = 4096
@@ -519,35 +520,17 @@ def conjugation_automorphism(field, index):
 def _guess_conjugation(field, digits):
     """Rational guess of tau(gen), assuming conjugation commutes with
     every embedding: the g of degree < e with g(r) = conj(r) at every
-    root r of f, i.e. the solution of the Vandermonde system, written
-    in Lagrange form sum_r conj(r) * f(x) / ((x - r) * f'(r)) and
-    evaluated at the given decimal precision.  Each coefficient is
-    rounded to the nearest rational with denominator at most
-    10**(digits // 3).  None when the root finder does not converge."""
-    import mpmath
-
-    f = field.defining_poly
-    e = field.degree
-    roots = approx_roots(f, digits)
-    if roots is None:
+    root r of f (rootiso.approx_conjugation), at the binary precision of
+    the given decimal precision.  Each coefficient is rounded to the
+    nearest rational with denominator at most 10**(digits // 3).  None
+    when the root approximations fail."""
+    bits = digits_bits(digits)
+    coeffs = approx_conjugation(field.defining_poly, bits)
+    if coeffs is None:
         return None
-    with mpmath.workdps(digits):
-        fm = [mpmath.mpf(c.numerator) / c.denominator for c in f]
-        coeffs = [mpmath.mpc(0)] * e
-        for r in roots:
-            # quotient f(x) / (x - r) by synthetic division; its value
-            # at r is f'(r)
-            quot = [None] * e
-            acc = fm[e]
-            for k in range(e - 1, -1, -1):
-                quot[k] = acc
-                acc = fm[k] + acc * r
-            weight = mpmath.conj(r) / mpmath.polyval(quot[::-1], r)
-            for k in range(e):
-                coeffs[k] += weight * quot[k]
-        max_den = 10 ** (digits // 3)
-        return field.element([mpf_fraction(mpmath.re(c)).limit_denominator(max_den)
-                              for c in coeffs])
+    max_den = 10 ** (digits // 3)
+    return field.element([Fraction(c, 2**(2 * bits)).limit_denominator(max_den)
+                          for c in coeffs])
 
 
 def _embedded_root_is(cand, emb, root_index):

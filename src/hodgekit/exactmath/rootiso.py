@@ -2,9 +2,10 @@
 
 All roots of f (degree n) are isolated at once by Weierstrass-Gerschgorin
 inclusion disks (Smith 1970, JACM 17; Carstensen 1991, Numer. Math. 59).
-Approximations from mpmath.polyroots are rounded to Gaussian rationals
-z_i with denominator 2**b, the nonreal ones mirrored exactly about the
-real axis, and the Weierstrass corrections
+Approximations z_i, Gaussian rationals with denominator 2**b, come from
+Durand-Kerner iteration (Kerner 1966) on Python integers in fixed point
+(approx_roots); the nonreal ones are mirrored exactly about the real
+axis, and the Weierstrass corrections
 w_i = f(z_i) / prod_{j != i} (z_i - z_j) are computed exactly.  The roots
 of f are the eigenvalues of diag(z) - w 1^T, so by Gerschgorin's theorem
 they lie in the union of the disks D(z_i - w_i, (n - 1)|w_i|), and a
@@ -44,6 +45,8 @@ from .intervals import iv_disjoint
 
 # decimal precisions of the root approximations, tried in turn
 ROOT_DIGITS = (30, 60, 120, 240, 480, 960)
+# sweeps of the Durand-Kerner iteration before approx_roots gives up
+_MAX_STEPS = 200
 # refinement, in bits, after which overlapping real parts count as a tie
 _TIE_BITS = 256
 
@@ -134,40 +137,111 @@ class RootDisk:
         return RootDisk(self.poly, x, y, r, t)
 
 
-def mpf_fraction(x):
-    """The exact rational value of an mpmath real."""
-    man, exp = x.man_exp
-    if x < 0:
-        man = -man
-    return Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
+def digits_bits(digits):
+    """Binary precision of a decimal precision of ROOT_DIGITS: at least
+    digits log2(10) bits."""
+    return digits * 10 // 3 + 1
+
+
+def _fx_divide(a, x, y, w):
+    """Synthetic division of the integer polynomial a by X - z, for
+    z = (x + iy) / 2**w, in fixed point: every value v is the pair of
+    integers ~ 2**w v, rounded down after each product.  Returns the
+    quotient coefficients (constant first) and a(z)."""
+    re, im = a[-1] << w, 0
+    quot = [None] * (len(a) - 1)
+    for k in range(len(a) - 2, -1, -1):
+        quot[k] = re, im
+        re, im = ((re * x - im * y) >> w) + (a[k] << w), (re * y + im * x) >> w
+    return quot, (re, im)
 
 
 @lru_cache(maxsize=None)
-def approx_roots(f, digits):
-    """mpmath approximations of all roots of the Fraction polynomial f at
-    the given decimal precision, or None when polyroots does not
-    converge.  Working at twice the precision covers the cancellation in
-    evaluating a dense f near its roots."""
-    import mpmath
+def approx_roots(f, bits):
+    """Gaussian integers X + iY with (X + iY) / 2**bits close to the roots
+    of the Fraction polynomial f, or None when the iteration does not
+    converge within _MAX_STEPS sweeps or two approximations collide.
 
-    with mpmath.workdps(digits):
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(f)]
-        try:
-            return tuple(mpmath.polyroots(coeffs, maxsteps=200,
-                                          extraprec=mpmath.mp.prec))
-        except mpmath.mp.NoConvergence:
+    Durand-Kerner (Weierstrass) iteration z_i <- z_i - a(z_i) / (l
+    prod_{j != i} (z_i - z_j)) for a = l f with integer coefficients, in
+    the fixed point 2**w, w = 2 bits: working at twice the precision
+    covers the cancellation in evaluating a dense f near its roots.  It
+    starts from the powers of 0.4 + 0.9i, updates in place, and stops
+    once every correction of a sweep is below 2**-(bits + 8)."""
+    a, _ = _integer_poly(f)
+    n, lead = len(a) - 1, a[-1]
+    w = 2 * bits
+    br, bi = (2 << w) // 5, (9 << w) // 10
+    xs, ys = [], []
+    x, y = 1 << w, 0
+    for _ in range(n):
+        xs.append(x)
+        ys.append(y)
+        x, y = (x * br - y * bi) >> w, (x * bi + y * br) >> w
+    tol = 1 << (w - bits - 8)
+    for _ in range(_MAX_STEPS):
+        converged = True
+        for i in range(n):
+            x, y = xs[i], ys[i]
+            dr, di = lead << w, 0
+            for j in range(n):
+                if j != i:
+                    u, v = x - xs[j], y - ys[j]
+                    dr, di = (dr * u - di * v) >> w, (dr * v + di * u) >> w
+            den = dr * dr + di * di
+            if den == 0:
+                return None
+            _, (pr, pi) = _fx_divide(a, x, y, w)
+            cr = ((pr * dr + pi * di) << w) // den
+            ci = ((pi * dr - pr * di) << w) // den
+            xs[i], ys[i] = x - cr, y - ci
+            if abs(cr) >= tol or abs(ci) >= tol:
+                converged = False
+        if converged:
+            s = w - bits
+            half = 1 << (s - 1)
+            return tuple(((x + half) >> s, (y + half) >> s)
+                         for x, y in zip(xs, ys))
+    return None
+
+
+def approx_conjugation(f, bits):
+    """Fixed-point coefficients c_k, with sum c_k x**k / 2**(2 bits)
+    close to the polynomial g of degree < n with g(r) = conj(r) at every
+    approximate root r (approx_roots(f, bits)), or None when there are no
+    approximations.  g = sum_r conj(r) q_r(x) / q_r(r) in Lagrange form,
+    with q_r = a / (x - r) by synthetic division for a = l f with integer
+    coefficients; its value q_r(r) is a'(r).  Only the real parts are
+    kept: g has real coefficients when conjugation commutes with every
+    embedding, the one case in which it is used."""
+    roots = approx_roots(f, bits)
+    if roots is None:
+        return None
+    a, da = _integer_poly(f)
+    w = 2 * bits
+    coeffs = [0] * (len(a) - 1)
+    for x, y in roots:
+        x, y = x << bits, y << bits
+        quot, _ = _fx_divide(a, x, y, w)
+        _, (hr, hi) = _fx_divide(da, x, y, w)
+        den = hr * hr + hi * hi
+        if den == 0:
             return None
+        # conj(r) / a'(r)
+        wr = ((x * hr - y * hi) << w) // den
+        wi = -((x * hi + y * hr) << w) // den
+        for k, (qr, qi) in enumerate(quot):
+            coeffs[k] += (wr * qr - wi * qi) >> w
+    return coeffs
 
 
 def _mirrored_centres(roots, bits):
-    """Gaussian integers X + iY ~ 2**bits z for the approximations z,
-    closed under conjugation: reals on the axis, then the upper ones,
-    then their exact mirrors.  Returns (centres, conjugate index) or None
-    when the approximations do not pair up."""
+    """The approximations X + iY of approx_roots, closed under
+    conjugation: reals on the axis, then the upper ones, then their exact
+    mirrors.  Returns (centres, conjugate index) or None when the
+    approximations do not pair up."""
     reals, upper, lower = [], [], 0
-    for z in roots:
-        x = round(mpf_fraction(z.real) * 2**bits)
-        y = round(mpf_fraction(z.imag) * 2**bits)
+    for x, y in roots:
         if abs(y) << (bits // 2) <= abs(x) + (1 << bits):
             reals.append((x, 0))
         elif y > 0:
@@ -214,10 +288,10 @@ def root_disks(f):
     """Isolating disks of all roots of the monic squarefree f, closed
     under conjugation: (disks, conjugate index of each disk)."""
     for digits in ROOT_DIGITS:
-        roots = approx_roots(f, digits)
+        bits = digits_bits(digits)
+        roots = approx_roots(f, bits)
         if roots is None:
             continue
-        bits = digits * 10 // 3 + 1
         paired = _mirrored_centres(roots, bits)
         if paired is None:
             continue

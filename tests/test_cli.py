@@ -172,6 +172,19 @@ def test_malformed_corpus(name, command, error_class, capsys):
     assert doc["sections"]["error"]["class"] == error_class
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+def test_embedding_index_must_be_an_integer(index, tmp_path, capsys):
+    doc = json.loads((CORPUS / "qi_period.json").read_text())
+    doc["embedding"] = index
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_inproc(["classify", str(path), "--json"], capsys)
+    assert code == 2
+    error = json.loads(out)["sections"]["error"]
+    assert error["class"] == "FileFormatError"
+    assert "embedding index" in error["message"]
+
+
 def test_k1_rejected_at_runtime(capsys):
     code, out = run_inproc(["ksympl", str(CORPUS / "bad" / "k1_symplectic.json"),
                             "--json"], capsys)
@@ -245,9 +258,10 @@ def test_internal_error_exit_code(capsys):
 
 
 def test_classify_tha_and_ksympl_do_not_import_sympy():
-    # every good period file is validated and classified from mpmath
-    # guesses and exact certificates, and every ksympl file decided by the
-    # closed-form quadric root, without loading sympy
+    # every good period file is validated and classified from fixed-point
+    # root approximations and exact certificates, and every ksympl file
+    # decided by the closed-form quadric root, without loading sympy or
+    # mpmath
     periods = sorted(p for p in CORPUS.glob("*_period.json"))
     assert len(periods) == 3
     families = [CORPUS / "quaternion3.json",
@@ -263,9 +277,10 @@ def test_classify_tha_and_ksympl_do_not_import_sympy():
         "        codes.append(main(['tha', path, '--n', '2', '--json']))\n"
         "    else:\n"
         "        codes.append(main(['ksympl', path, '--json']))\n"
-        "print(codes, 'sympy' in sys.modules, file=sys.stderr)\n")
+        "print(codes, 'sympy' in sys.modules, 'mpmath' in sys.modules,\n"
+        "      file=sys.stderr)\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, *map(str, periods + families)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == f"{[0] * 6 + [0, 0, 2]} False"
+    assert proc.stderr.strip() == f"{[0] * 6 + [0, 0, 2]} False False"

@@ -20,7 +20,8 @@ from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
                                             _guess_conjugation,
                                             apply_automorphism, field_trace)
-from hodgekit.exactmath.rootiso import RootDisk, isolate_nonreal_roots
+from hodgekit.exactmath.rootiso import (RootDisk, isolate_nonreal_roots,
+                                        root_disks)
 
 F = Fraction
 
@@ -89,13 +90,23 @@ def test_embeddings_cubic():
     assert embs[2].conjugate_index == 1
 
 
+def _mignotte(n, a):
+    """x^n - 2(ax - 1)^2, constant first: irreducible by Eisenstein at 2,
+    with two real roots about sqrt2 a^(-n/2 - 1) apart near 1/a."""
+    return [-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1]
+
+
 @pytest.mark.parametrize("coeffs", [
     [1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1], [9, 0, -2, 0, 1],
     [-1, 0, -1, 0, 1], [1, 1, 1, 1, 1],  # 5th cyclotomic
+    _mignotte(8, 10), _mignotte(16, 100), _mignotte(16, 1000),
+    [10**12, 0, 1], [F(1, 10**12), 0, 1],
 ])
 def test_embedding_count_invariant(coeffs):
+    start = time.monotonic()
     field = nf_create(coeffs)
     embs = nf_embeddings(field)
+    assert time.monotonic() - start < 1
     reals = sum(1 for e in embs if e.is_real)
     pairs = sum(1 for e in embs if not e.is_real)
     assert pairs % 2 == 0
@@ -380,6 +391,32 @@ def test_embeddings_of_dense_degree_16(coeffs, roots):
     for part in (0, 1):
         assert coarse[part][0] <= fine[part][0] <= fine[part][1] <= coarse[part][1]
         assert fine[part][1] - fine[part][0] <= F(1, 2**600)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 1], [1, 0, 0, 0, 1], [1] + [0] * 7 + [1], [1] + [0] * 15 + [1],
+    _shifted([1] + [0] * 15 + [1], 1), MINPOLY_2COS17_PLUS_I,
+], ids=["x^2+1", "x^4+1", "x^8+1", "x^16+1", "(x-1)^16+1", "2cos(2pi/17)+i"])
+def test_root_disks_and_conjugation_match_mpmath_oracle(coeffs, monkeypatch):
+    import mpmath
+
+    field = nf_create(coeffs)
+    f = field.defining_poly
+    disks, _ = root_disks(f)
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(f)],
+                                 maxsteps=200, extraprec=200)
+        hits = [[k for k, z in enumerate(roots)
+                 if abs(z - mpmath.mpc(d.x, d.y) / 2**d.scale) <= mpmath.mpf(d.r) / 2**d.scale]
+                for d in disks]
+    assert sorted(k for ks in hits for k in ks) == list(range(len(roots)))
+    assert all(len(ks) == 1 for ks in hits)
+    # each CM field is conjugated by the certified guess, never by Trager
+    monkeypatch.setattr(numberfield, "roots_in_field", _no_trager)
+    tau = conjugation_automorphism.__wrapped__(field, 0)
+    assert tau != field.gen()
+    assert apply_automorphism(tau, tau) == field.gen()
 
 
 def _oracle_least_factor(coeffs):
