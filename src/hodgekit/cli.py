@@ -30,7 +30,7 @@ from .qforms import QuadraticSpace
 from .symalg import build_tha
 
 FORMAT_VERSION = "1"
-KINDS = ("k3period", "ksymplectic", "bounds", "path")
+KINDS = ("k3period", "ksymplectic", "path")
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -79,7 +79,6 @@ def load_problem_file(path):
     allowed = {
         "k3period": {"version", "kind", "gram", "field", "embedding", "omega"},
         "ksymplectic": {"version", "kind", "psis"},
-        "bounds": {"version", "kind", "d", "e", "dim_h1"},
         "path": {"version", "kind", "gram", "coords"},
     }[kind]
     extra = set(doc) - allowed
@@ -88,7 +87,7 @@ def load_problem_file(path):
     return kind, doc
 
 
-def build_period(doc, precision_start=64):
+def build_period(doc):
     """K3 period from a parsed k3period document."""
     for key in ("gram", "field", "embedding", "omega"):
         if key not in doc:
@@ -106,8 +105,7 @@ def build_period(doc, precision_start=64):
     if not isinstance(omega_rows, list) or len(omega_rows) != space.dim:
         raise FileFormatError("omega must list one field element per dimension")
     omega = tuple(field.element(_fraction_list(r, "omega")) for r in omega_rows)
-    return validate_period(space, field, embs[idx], omega,
-                           precision_start=precision_start)
+    return validate_period(space, field, embs[idx], omega)
 
 
 def build_candidate(doc):
@@ -347,17 +345,25 @@ def _run_command(command, worker, args):
     return report.exit_code
 
 
-def _common_flags(parser):
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they are reported and exit
+    like any other input error; the usage line still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
+def _common_flags(parser, seed=True):
     parser.add_argument("--json", action="store_true",
                         help="print canonical machine JSON only")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized self-checks (default 0)")
-    parser.add_argument("--precision-start", type=int, default=64,
-                        help="initial interval precision in bits (default 64)")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="seed for randomized self-checks (default 0)")
 
 
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hodgekit",
         description="exact K3-type Hodge structure and k-symplectic toolkit")
     parser.add_argument("--version", action="version",
@@ -388,14 +394,14 @@ def make_parser():
                    help="degree of the endomorphism field")
     p.add_argument("--dim-h1", type=int, default=None,
                    help="dim H^1 of the candidate torus")
-    _common_flags(p)
+    _common_flags(p, seed=False)
 
     p = sub.add_parser("perdom", help="period-domain checks")
     psub = p.add_subparsers(dest="perdom_command", required=True)
     pc = psub.add_parser("check-path",
                          help="verify the transversality identity on a path")
     pc.add_argument("file")
-    _common_flags(pc)
+    _common_flags(pc, seed=False)
 
     return parser
 
@@ -416,9 +422,9 @@ def _check_arguments(args):
 # command -> (report name, problem file kind or None, build and run)
 COMMANDS = {
     "classify": ("classify", "k3period", lambda doc, args: cmd_classify(
-        build_period(doc, args.precision_start), seed=args.seed)),
+        build_period(doc), seed=args.seed)),
     "tha": ("tha", "k3period", lambda doc, args: cmd_tha(
-        build_period(doc, args.precision_start), args.n, seed=args.seed)),
+        build_period(doc), args.n, seed=args.seed)),
     "ksympl": ("ksympl", "ksymplectic", lambda doc, args: cmd_ksympl(
         build_candidate(doc), seed=args.seed)),
     "bounds": ("bounds", None, lambda doc, args: cmd_bounds(
@@ -429,7 +435,16 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = make_parser().parse_args(argv)
+    except ValidationError as exc:
+        name = COMMANDS[argv[0]][0] if argv and argv[0] in COMMANDS \
+            else "hodgekit"
+        # argparse accepts any unambiguous prefix of --json, such as --js
+        as_json = any(len(a) > 2 and "--json".startswith(a) for a in argv)
+        _emit(error_report(name, exc), as_json)
+        return 2
     name, kind, run = COMMANDS[args.command]
 
     def worker():

@@ -126,10 +126,6 @@ class NotIsotropicPath(ValidationError):
     pass
 
 
-class RankTooSmall(ValidationError):
-    pass
-
-
 # cli
 
 class FileFormatError(ValidationError):

@@ -9,7 +9,6 @@ canonical and byte-reproducible.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _intgcd
 
 
 class Matrix:
@@ -260,43 +259,3 @@ def inverse(m):
     if len(pivots) < m.rows or any(p >= m.cols for p in pivots):
         raise ValueError("matrix is singular")
     return Matrix(tuple(row[m.cols:] for row in r.entries))
-
-
-def int_rank(rows):
-    """Rank of an integer matrix by fraction-free elimination with
-    content stripping; fast path for large dimension counts."""
-    a = [list(map(int, r)) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rk = 0
-    pr = 0
-    for pc in range(ncols):
-        pivot = None
-        best = None
-        for r in range(pr, nrows):
-            v = abs(a[r][pc])
-            if v and (best is None or v < best):
-                pivot, best = r, v
-        if pivot is None:
-            continue
-        a[pr], a[pivot] = a[pivot], a[pr]
-        prow = a[pr]
-        pv = prow[pc]
-        for r in range(pr + 1, nrows):
-            v = a[r][pc]
-            if v:
-                row = a[r]
-                nr = [pv * x - v * y for x, y in zip(row, prow)]
-                g = 0
-                for x in nr:
-                    g = _intgcd(g, x)
-                    if g == 1:
-                        break
-                if g > 1:
-                    nr = [x // g for x in nr]
-                a[r] = nr
-        rk += 1
-        pr += 1
-        if pr == nrows:
-            break
-    return rk

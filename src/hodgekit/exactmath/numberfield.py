@@ -83,9 +83,6 @@ class NumberField:
         coords[1] = Fraction(1)
         return self.element(coords)
 
-    def embeddings(self):
-        return nf_embeddings(self)
-
     def __repr__(self):
         return f"NumberField({list(self.defining_poly)})"
 
@@ -569,23 +566,22 @@ def conjugate_element(v, emb):
     return apply_automorphism(tau, v)
 
 
-def certified_sign(v, emb, assume_real=False, precision_start=64):
-    """Sign (-1, 0, +1) of a field element known to be real-valued at the
-    embedding.  Zero is decided exactly; a nonzero sign is certified by
-    interval evaluation at doubling precision.
+def certified_sign(v, emb):
+    """Sign (-1, 0, +1) of a field element real-valued at the embedding.
+    Zero is decided exactly; a nonzero sign is certified by interval
+    evaluation at doubling precision from 64 bits.
 
-    Realness must be certifiable (real embedding, or fixed by the
-    conjugation automorphism) unless the caller asserts it via
-    assume_real.
+    Realness must be certifiable: a real embedding, or v fixed by the
+    conjugation automorphism.
     """
     if v.is_zero():
         return 0
-    if not emb.is_real and not assume_real:
+    if not emb.is_real:
         tau = conjugation_automorphism(v.parent, emb.index)
         if tau is None or apply_automorphism(tau, v) != v:
             raise NotRealValued(
                 "value is not certifiably real at this embedding")
-    bits = max(4, precision_start)
+    bits = 64
     while bits <= _SIGN_BITS_CAP:
         val = emb.eval_box(v, Fraction(1, 2**bits))
         s = iv_sign(val[0])

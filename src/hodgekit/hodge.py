@@ -20,7 +20,6 @@ are phi G_T^-1 for phi in E, where G_T is the Gram matrix of q on T.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 import random
@@ -54,7 +53,7 @@ class K3Period:
         return self.space.dim
 
 
-def validate_period(space, field, embedding, omega, precision_start=64):
+def validate_period(space, field, embedding, omega):
     """Certify the period conditions: signature (2, m-2), then the
     period-line conditions of `check_period_line`."""
     m = space.dim
@@ -66,11 +65,11 @@ def validate_period(space, field, embedding, omega, precision_start=64):
     sig = signature(space).as_pair()
     if sig != (2, m - 2):
         raise WrongSignature(f"signature {sig} is not (2, {m - 2})")
-    check_period_line(space, embedding, omega, precision_start)
+    check_period_line(space, embedding, omega)
     return K3Period(space, field, embedding, omega)
 
 
-def check_period_line(space, embedding, vec, precision_start=64):
+def check_period_line(space, embedding, vec):
     """q(l, l) = 0 exactly, else IsotropyFails with witness q(l, l); then
     q(l, conj l) > 0 certified, else PositivityFails with the sign."""
     iso = space.form(vec, vec)
@@ -78,8 +77,7 @@ def check_period_line(space, embedding, vec, precision_start=64):
         raise IsotropyFails(
             f"q(omega, omega) is nonzero: {list(iso.coords)}", witness=iso)
     conj = tuple(conjugate_element(v, embedding) for v in vec)
-    s = certified_sign(space.form(vec, conj), embedding,
-                       precision_start=precision_start)
+    s = certified_sign(space.form(vec, conj), embedding)
     if s <= 0:
         raise PositivityFails(f"q(omega, conj omega) has sign {s}, not positive",
                               witness=s)
@@ -156,36 +154,6 @@ def _coords_in(basis, v):
         if vj != 0:
             return None
     return coords
-
-
-def is_hodge_substructure(h, w):
-    """A rational subspace is a Hodge substructure iff it splits into its
-    intersections with T and T-perp and meets T in 0 or all of T; valid
-    because T is simple and T-perp is a sum of trivial structures."""
-    w = row_space(w)
-    wt = _intersect(w, h.trans)
-    wp = _intersect(w, h.alg)
-    if wt.rows not in (0, h.trans.rows):
-        return False
-    return wt.rows + wp.rows == w.rows
-
-
-def _intersect(a, b):
-    """Canonical basis of the intersection of two row spaces."""
-    if a.rows == 0 or b.rows == 0:
-        return Matrix.zeros(0, a.cols)
-    stacked = Matrix(a.entries + b.entries)
-    ker = kernel(stacked.transpose())
-    if ker.rows == 0:
-        return Matrix.zeros(0, a.cols)
-    rows = []
-    for lam in ker.entries:
-        vec = [Fraction(0)] * a.cols
-        for c, row in zip(lam[:a.rows], a.entries):
-            if c != 0:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        rows.append(tuple(vec))
-    return row_space(Matrix(rows))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .errors import Degenerate, NotSymmetric
 from .exactmath import Matrix, det, inverse, kernel
-from .exactmath.linalg import row_space
 
 
 def bilinear(gram, u, v):
@@ -151,11 +150,6 @@ def orth_complement(space, w):
     return kernel(w * space.gram)
 
 
-def subspace(space, rows):
-    """Canonical (RREF) basis of the span of the given row vectors."""
-    return row_space(Matrix(rows))
-
-
 def dual_bivector(space):
     """The symmetric 2-tensor with matrix gram**-1, written as a
     quadratic polynomial in the basis coordinates: the coefficient of
@@ -173,25 +167,3 @@ def dual_bivector(space):
                 exp[j] += 1
                 out[tuple(exp)] = c
     return out
-
-
-def bivector_pairing(space, biv, u, v):
-    """Evaluate a Sym^2 element, written as a quadratic polynomial,
-    against the q-lowered covectors of u and v; for the dual bivector
-    this recovers q(u, v)."""
-    lu = space.gram.vec(u)
-    lv = space.gram.vec(v)
-    acc = None
-    for exp, c in biv.items():
-        idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        if len(idx) != 2:
-            raise ValueError("not a quadratic form")
-        i, j = idx
-        if i == j:
-            term = c * lu[i] * lv[i]
-        else:
-            term = c * (lu[i] * lv[j] + lu[j] * lv[i]) / 2
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return space.gram.entries[0][0] * 0
-    return acc

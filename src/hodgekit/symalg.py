@@ -290,30 +290,10 @@ class EStructure:
     field: object            # NumberField generated by the primitive element
     primitive_matrix: Matrix  # scalar action of the generator on T
     basis: tuple             # n_E generating vectors, T-coordinates over Q
-    to_rational: Matrix      # columns: primitive^k * basis_i, i outer, k inner
 
     @property
     def rank(self):
         return len(self.basis)
-
-    def from_e_coords(self, coords):
-        """Q-coordinate vector of sum_i coords[i] * basis_i."""
-        flat = []
-        for a in coords:
-            flat.extend(a.coords)
-        return self.to_rational.vec(tuple(flat))
-
-    def to_e_coords(self, vec):
-        """E-coordinates of a rational vector of T."""
-        from .exactmath import solve_linear
-
-        sol = solve_linear(self.to_rational, tuple(vec))
-        if sol.particular is None:
-            raise ValidationError("vector outside the lattice span")
-        e = self.field.degree
-        flat = sol.particular
-        return tuple(self.field.element(flat[i * e:(i + 1) * e])
-                     for i in range(self.rank))
 
 
 def e_structure(h, ef):
@@ -342,14 +322,7 @@ def e_structure(h, ef):
             break
     if span is None or span.rows != t:
         raise InternalError("primitive orbits failed to span the lattice")
-    cols = []
-    for base in chosen:
-        v = base
-        for _ in range(e):
-            cols.append(v)
-            v = mat.vec(v)
-    to_rational = Matrix(tuple(zip(*cols)))
-    return EStructure(field, mat, tuple(chosen), to_rational)
+    return EStructure(field, mat, tuple(chosen))
 
 
 def _in_row_space(span, vec):

@@ -101,6 +101,18 @@ def test_tha_rejects_n_zero():
     assert doc["sections"]["error"]["class"] == "ValidationError"
 
 
+@pytest.mark.parametrize("flag", ["--json", "--js"])
+def test_usage_error_is_a_report(flag, capsys):
+    code, out = run_inproc(["tha", str(CORPUS / "qi_period.json"), flag],
+                           capsys)
+    assert code == 2
+    error = json.loads(out)["sections"]["error"]
+    assert error == {"class": "ValidationError",
+                     "message": "the following arguments are required: --n"}
+    code, out = run_inproc(["tha", str(CORPUS / "qi_period.json")], capsys)
+    assert code == 2 and out.startswith("hodgekit tha: error\n")
+
+
 def test_ksympl_quaternion(capsys):
     code, out = run_inproc(["ksympl", str(CORPUS / "quaternion3.json"),
                             "--json"], capsys)
@@ -231,14 +243,6 @@ def test_classify_check_mode(tmp_path, capsys):
     code, _ = run_inproc(["classify", str(CORPUS / "qi_period.json"),
                           "--json", "--check", str(recorded)], capsys)
     assert code == 2
-
-
-def test_bounds_file_kind_parses():
-    from hodgekit.cli import load_problem_file
-
-    kind, doc = load_problem_file(str(CORPUS / "bounds_hk23.json"))
-    assert kind == "bounds"
-    assert doc["d"] == 20 and doc["e"] == 1
 
 
 def test_internal_error_exit_code(capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from hodgekit.errors import (ConjugationNotInternal, DegreeTooLarge, NotMonic,
                              NotRealValued, Reducible)
-from hodgekit.exactmath import (Matrix, certified_sign,
+from hodgekit.exactmath import (ComplexEmbedding, Matrix, certified_sign,
                                 conjugate_element, conjugation_automorphism,
                                 det, inverse, kernel, nf_create, nf_embeddings,
                                 rank, roots_in_field, solve_linear)
@@ -149,9 +150,6 @@ def test_certified_sign_examples():
     assert certified_sign((1 + i_el) * (1 - i_el), gemb) == 1
     with pytest.raises(NotRealValued):
         certified_sign(i_el, gemb)
-    # a false realness assertion is detected after bounded work
-    with pytest.raises(NotRealValued):
-        certified_sign(i_el, gemb, assume_real=True)
 
 
 def test_certified_sign_reevaluation_invariant():
@@ -160,10 +158,36 @@ def test_certified_sign_reevaluation_invariant():
     th = field.gen()
     sqrt2 = (5 * th - th**3) / 6
     values = [sqrt2, sqrt2 - 1, sqrt2 - 2, 3 - 2 * sqrt2, sqrt2 * 7 - 10]
-    for v in values:
-        s64 = certified_sign(v, emb, precision_start=64)
-        s256 = certified_sign(v, emb, precision_start=256)
-        assert s64 == s256 != 0
+    fresh = [certified_sign(v, emb) for v in values]
+    emb.eval_box(sqrt2, Fraction(1, 2**512))  # refine the embedding further
+    assert [certified_sign(v, emb) for v in values] == fresh
+    assert 0 not in fresh
+
+
+def test_certified_sign_ramps_past_64_bits(monkeypatch):
+    nf_embeddings.cache_clear()  # an unrefined embedding
+    field = nf_create([9, 0, -2, 0, 1])
+    emb = nf_embeddings(field)[3]
+    th = field.gen()
+    sqrt2 = (5 * th - th**3) / 6
+    with localcontext() as ctx:
+        ctx.prec = 80
+        r = Fraction(Decimal(2).sqrt()).limit_denominator(10**40)
+    calls = []
+    eval_box = ComplexEmbedding.eval_box
+
+    def spy(self, element, width):
+        calls.append((element, width))
+        return eval_box(self, element, width)
+
+    monkeypatch.setattr(ComplexEmbedding, "eval_box", spy)
+    # |sqrt2 - r| is about 10**-80, so 64 bits cannot settle its sign
+    v = sqrt2 - r
+    assert certified_sign(v, emb) == 1
+    ramp = [w for el, w in calls if el == v]
+    assert ramp == [Fraction(1, 2**bits) for bits in (64, 128, 256)]
+    assert certified_sign(r - sqrt2, emb) == -1
+    assert certified_sign(sqrt2 * sqrt2 - 2, emb) == 0
 
 
 def test_conjugation_automorphism_quartic():

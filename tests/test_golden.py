@@ -58,7 +58,6 @@ def _cases():
             cases.append(["tha", path, "--n", "2"])
     # wrong file kinds, argument checks ahead of loading, unreadable files
     cases += [["classify", "corpus/quaternion3.json"],
-              ["classify", "corpus/bounds_hk23.json"],
               ["tha", "corpus/circle_path.json", "--n", "1"],
               ["tha", "corpus/bad/unknown_kind.json", "--n", "0"],
               ["ksympl", "corpus/qi_period.json"],
@@ -67,6 +66,10 @@ def _cases():
               ["classify", "corpus/qi_period.json", "--check",
                "corpus/missing.json"],
               ["tha", "corpus/missing.json", "--n", "1"]]
+    # usage errors: a missing file, a bad number, flags the command lacks
+    cases += [["classify"], ["bounds", "--d", "x"],
+              ["bounds", "--d", "3", "--seed", "1"],
+              ["classify", "corpus/qi_period.json", "--precision-start", "64"]]
     return [argv + ["--json"] for argv in cases]
 
 

@@ -17,7 +17,7 @@ from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.intervals import box_disjoint
 from hodgekit.exactmath.linalg import row_space
 from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
-                            hodge_classes_tensor_square, is_hodge_substructure,
+                            hodge_classes_tensor_square,
                             transcendental_lattice, validate_period)
 from hodgekit.qforms import QuadraticSpace
 
@@ -136,19 +136,6 @@ def test_lattice_independent_of_power_basis():
     omega = (field2.element(sqrt2), field2.element(i_el), field2.one())
     h2 = transcendental_lattice(validate_period(sp, field2, emb2, omega))
     assert h1.trans == h2.trans
-
-
-def test_is_hodge_substructure():
-    h = transcendental_lattice(sqrt2i_period(padded=True))
-    assert is_hodge_substructure(h, h.trans)
-    assert is_hodge_substructure(h, h.alg)
-    assert is_hodge_substructure(h, Matrix.identity(4))
-    assert is_hodge_substructure(h, Matrix.zeros(0, 4))
-    # a proper nonzero subspace of T is not a substructure
-    assert not is_hodge_substructure(h, Matrix(((F(1), F(0), F(0), F(0)),)))
-    # T-part plus an algebraic line is fine only if the T-part is all of T
-    mixed = Matrix(((F(1), F(0), F(0), F(1)),))
-    assert not is_hodge_substructure(h, mixed)
 
 
 def test_endomorphism_field_gaussian():

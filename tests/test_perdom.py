@@ -1,18 +1,18 @@
-"""Tests for period-domain membership, the transversality identity and
-the essential-dimension bounds."""
+"""Tests for period-domain membership (the period-line conditions of
+`hodge.check_period_line`) and the transversality identity on
+polynomial period paths."""
 
 from fractions import Fraction
 import random
 
 import pytest
 
-from hodgekit.errors import NotIsotropicPath, RankTooSmall, ValidationError
+from hodgekit.errors import (IsotropyFails, NotIsotropicPath, PositivityFails,
+                             ValidationError)
 from hodgekit.exactmath import Matrix, nf_create, nf_embeddings
-from hodgekit.hodge import MTDescriptor
-from hodgekit.perdom import (Membership, PeriodPath, check_family,
-                             essential_dim_bound, griffiths_check,
-                             make_isotropic_path, orbit_dimension,
-                             per_membership)
+from hodgekit.exactmath import unipoly as up
+from hodgekit.hodge import check_period_line
+from hodgekit.perdom import PeriodPath, _poly_form, griffiths_check
 from hodgekit.qforms import QuadraticSpace
 
 F = Fraction
@@ -25,31 +25,51 @@ def qspace(rows):
 LORENTZ3 = qspace([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 
 
+def make_isotropic_path(space, base, w1, w2):
+    """Polynomial path on the quadric through an isotropic base vector:
+    the chord construction l(t) = -q(m(t), m(t)) * base
+    + 2 q(base, m(t)) * m(t) with m(t) = t*w1 + (1-t)*w2 is isotropic by
+    construction.  Returns None when the data degenerates to the zero
+    path."""
+    if not space.is_isotropic(base):
+        raise ValidationError("base vector must be isotropic")
+    one = (F(0), F(1))     # t
+    onem = (F(1), F(-1))   # 1 - t
+    m = [up.add(up.scale(one, a), up.scale(onem, b)) for a, b in zip(w1, w2)]
+    qmm = _poly_form(space, m, m)
+    qbm = _poly_form(space, [up.constant(c) for c in base], m)
+    coords = []
+    for i in range(space.dim):
+        term = up.scale(qmm, -base[i])
+        coords.append(up.add(term, up.scale(up.mul(qbm, m[i]), 2)))
+    if all(not c for c in coords):
+        return None
+    return PeriodPath(space, tuple(coords))
+
+
 def test_membership_gaussian():
     field = nf_create([1, 0, 1])
     emb = nf_embeddings(field)[1]
     sp = qspace([[1, 0], [0, 1]])
-    res = per_membership(sp, field, emb, (field.element([1, 0]),
-                                          field.element([0, 1])))
-    assert res.member
+    check_period_line(sp, emb, (field.element([1, 0]), field.element([0, 1])))
 
 
 def test_membership_fails_for_real_isotropic():
     field = nf_create([1, 0, 1])
     emb = nf_embeddings(field)[1]
-    res = per_membership(LORENTZ3, field, emb,
-                         (field.one(), field.zero(), field.one()))
-    assert not res.member
-    assert res.failure_reason == "PositivityFails"
-    assert res.witness == 0
+    with pytest.raises(PositivityFails) as exc:
+        check_period_line(LORENTZ3, emb,
+                          (field.one(), field.zero(), field.one()))
+    assert exc.value.witness == 0
 
 
 def test_membership_fails_for_nonisotropic():
     field = nf_create([1, 0, 1])
     emb = nf_embeddings(field)[1]
-    res = per_membership(LORENTZ3, field, emb,
-                         (field.gen(), field.zero(), field.zero()))
-    assert res == Membership(False, "IsotropyFails", -field.one())
+    with pytest.raises(IsotropyFails) as exc:
+        check_period_line(LORENTZ3, emb,
+                          (field.gen(), field.zero(), field.zero()))
+    assert exc.value.witness == -field.one()
 
 
 def test_membership_quartic():
@@ -57,8 +77,7 @@ def test_membership_quartic():
     emb = nf_embeddings(field)[3]
     sqrt2 = field.element([0, F(5, 6), 0, F(-1, 6)])
     i_el = field.element([0, F(1, 6), 0, F(1, 6)])
-    res = per_membership(LORENTZ3, field, emb, (sqrt2, i_el, field.one()))
-    assert res.member
+    check_period_line(LORENTZ3, emb, (sqrt2, i_el, field.one()))
 
 
 def test_membership_scaling_invariance():
@@ -70,7 +89,7 @@ def test_membership_scaling_invariance():
     for scale in (field.from_rational(F(7, 3)), field.gen(),
                   field.gen() ** 2 + 1):
         scaled = tuple(scale * v for v in vec)
-        assert per_membership(LORENTZ3, field, emb, scaled).member
+        check_period_line(LORENTZ3, emb, scaled)
 
 
 def test_griffiths_circle():
@@ -115,25 +134,3 @@ def test_period_path_rejects_zero():
         PeriodPath(LORENTZ3, ((), (), ()))
     with pytest.raises(ValidationError):
         PeriodPath(LORENTZ3, ((F(1),), (F(0),)))
-
-
-def test_essential_dim_bounds():
-    assert essential_dim_bound(22) == 20
-    assert essential_dim_bound(2) == 0
-    assert check_family(22, 20)
-    assert check_family(2, 0)
-    assert not check_family(3, 0)
-
-
-def test_orbit_dimension():
-    assert orbit_dimension(MTDescriptor("SO_E", 22)) == 20
-    assert orbit_dimension(MTDescriptor("U_E", 2)) == 0
-    assert orbit_dimension(MTDescriptor("SO_E", 3)) == 1
-    with pytest.raises(RankTooSmall):
-        orbit_dimension(MTDescriptor("U_E", 1))
-
-
-def test_bounds_agree():
-    for n_e in range(2, 12):
-        assert essential_dim_bound(n_e) == orbit_dimension(
-            MTDescriptor("SO_E", n_e))
