@@ -26,7 +26,7 @@ from .ksympl import (KSymplecticCandidate, check_torus, clifford_operators,
                      divisibility_bound, subvariety_bound, torus_bound,
                      verify_k_symplectic)
 from .perdom import PeriodPath, griffiths_check
-from .qforms import QuadraticSpace
+from .qforms import QuadraticSpace, congruence_diagonal
 from .symalg import build_tha
 
 FORMAT_VERSION = "1"
@@ -174,9 +174,9 @@ def _fmt_matrix(m):
     return [[_fmt_fraction(c) for c in row] for row in m.entries]
 
 
-def cmd_classify(period, seed=0):
+def cmd_classify(period):
     h = transcendental_lattice(period)
-    ef = endomorphism_field(h, seed=seed)
+    ef = endomorphism_field(h)
     classes = hodge_classes_tensor_square(h)
     sections = (
         ("space", (
@@ -202,9 +202,9 @@ def cmd_classify(period, seed=0):
     return Report("classify", "ok", sections)
 
 
-def cmd_tha(period, n, seed=0):
+def cmd_tha(period, n):
     h = transcendental_lattice(period)
-    ef = endomorphism_field(h, seed=seed)
+    ef = endomorphism_field(h)
     tha = build_tha(h, ef, n)
     sections = (
         ("transcendental_hodge_algebra", (
@@ -219,8 +219,8 @@ def cmd_tha(period, n, seed=0):
     return Report("tha", "ok", sections)
 
 
-def cmd_ksympl(cand, seed=0):
-    report = verify_k_symplectic(cand, seed=seed)
+def cmd_ksympl(cand):
+    report = verify_k_symplectic(cand)
     if not report.ok:
         sections = (
             ("verification", (
@@ -231,7 +231,8 @@ def cmd_ksympl(cand, seed=0):
             )),
         )
         return Report("ksympl", "error", sections)
-    base = _default_base_point(report.quadric)
+    # the first diagonalizing vector is anisotropic
+    base = congruence_diagonal(report.quadric)[1].entries[0]
     cliff = clifford_operators(cand, report, base)
     bound = divisibility_bound(cand.k)
     sections = (
@@ -255,19 +256,6 @@ def cmd_ksympl(cand, seed=0):
         )),
     )
     return Report("ksympl", "ok", sections)
-
-
-def _default_base_point(quadric):
-    """First standard basis vector, or pair sum, that is anisotropic."""
-    k = quadric.rows
-    for i in range(k):
-        if quadric.entries[i][i] != 0:
-            return tuple(Fraction(int(i == j)) for j in range(k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if quadric.entries[i][j] != 0:
-                return tuple(Fraction(int(a == i or a == j)) for a in range(k))
-    raise InternalError("nondegenerate quadric with no anisotropic vector")
 
 
 def cmd_bounds(d, e=None, dim_h1=None):
@@ -354,12 +342,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _common_flags(parser, seed=True):
+def _common_flags(parser):
     parser.add_argument("--json", action="store_true",
                         help="print canonical machine JSON only")
-    if seed:
-        parser.add_argument("--seed", type=int, default=0,
-                            help="seed for randomized self-checks (default 0)")
 
 
 def make_parser():
@@ -394,14 +379,14 @@ def make_parser():
                    help="degree of the endomorphism field")
     p.add_argument("--dim-h1", type=int, default=None,
                    help="dim H^1 of the candidate torus")
-    _common_flags(p, seed=False)
+    _common_flags(p)
 
     p = sub.add_parser("perdom", help="period-domain checks")
     psub = p.add_subparsers(dest="perdom_command", required=True)
     pc = psub.add_parser("check-path",
                          help="verify the transversality identity on a path")
     pc.add_argument("file")
-    _common_flags(pc, seed=False)
+    _common_flags(pc)
 
     return parser
 
@@ -422,11 +407,11 @@ def _check_arguments(args):
 # command -> (report name, problem file kind or None, build and run)
 COMMANDS = {
     "classify": ("classify", "k3period", lambda doc, args: cmd_classify(
-        build_period(doc), seed=args.seed)),
+        build_period(doc))),
     "tha": ("tha", "k3period", lambda doc, args: cmd_tha(
-        build_period(doc), args.n, seed=args.seed)),
+        build_period(doc), args.n)),
     "ksympl": ("ksympl", "ksymplectic", lambda doc, args: cmd_ksympl(
-        build_candidate(doc), seed=args.seed)),
+        build_candidate(doc))),
     "bounds": ("bounds", None, lambda doc, args: cmd_bounds(
         args.d, args.e, args.dim_h1)),
     "perdom": ("perdom.check-path", "path", lambda doc, args: cmd_check_path(

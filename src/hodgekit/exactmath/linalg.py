@@ -154,6 +154,22 @@ def rank(m):
     return len(rref(m)[1])
 
 
+def coords_in(basis, v):
+    """Coordinates of v over an RREF row basis, read off the pivot
+    columns; None when v is outside the span.  Entries of v may lie in
+    a number field."""
+    pivots = (next(j for j, c in enumerate(row) if c != 0)
+              for row in basis.entries)
+    coords = tuple(v[p] for p in pivots)
+    for j, vj in enumerate(v):
+        for c, row in zip(coords, basis.entries):
+            if row[j] != 0:
+                vj = vj - c * row[j]
+        if vj != 0:
+            return None
+    return coords
+
+
 def kernel(m):
     """Canonical (RREF) basis of the right kernel, one row per basis
     vector; zero-row Matrix when the kernel is trivial."""

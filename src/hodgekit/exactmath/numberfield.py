@@ -30,7 +30,7 @@ conjugation; period-style inputs are then rejected
 (ConjugationNotInternal).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -387,21 +387,15 @@ class ComplexEmbedding:
     root: object
     is_real: bool
     conjugate_index: int
-    # the narrowest refinement of root reached so far, in a list because
-    # the dataclass is frozen
-    _finest: list = field(default_factory=list, init=False, repr=False,
-                          compare=False)
 
     @property
     def root_box(self):
         return self.root.box
 
     def refined_root(self, width):
-        """The root refined below width, resuming from the narrowest
-        refinement reached so far on its one deterministic path."""
-        root = (self._finest or [self.root])[0].refined_below(width)
-        self._finest[:] = [root]
-        return root
+        """The root disk refined below width by Newton steps from the
+        isolating disk: a function of the width alone."""
+        return self.root.refined_below(width)
 
     def eval_box(self, element, width):
         """Enclosure of element evaluated at this embedding, with the

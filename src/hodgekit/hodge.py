@@ -29,7 +29,7 @@ from .errors import (InternalError, IsotropyFails, PositivityFails,
 from .exactmath import (Matrix, NumberField, certified_sign,
                         conjugate_element, kernel, mult_matrix, rref)
 from .exactmath import unipoly as up
-from .exactmath.linalg import inverse, row_space
+from .exactmath.linalg import coords_in, inverse, row_space
 from .qforms import QuadraticSpace, orth_complement, signature
 
 TOTALLY_REAL = "TotallyReal"
@@ -126,7 +126,7 @@ def transcendental_lattice(period):
     if tsig != (2, t.rows - 2):
         raise WrongSignature(
             f"q restricted to the transcendental lattice has signature {tsig}")
-    omega_t = _coords_in(t, period.omega)
+    omega_t = coords_in(t, period.omega)
     if omega_t is None:
         raise InternalError("period does not lie in the computed lattice")
     tperp = orth_complement(period.space, t)
@@ -138,22 +138,6 @@ def transcendental_lattice(period):
 def _restrict_gram(space, basis):
     rows = basis.entries
     return Matrix(tuple(tuple(space.form(u, v) for v in rows) for u in rows))
-
-
-def _coords_in(basis, v):
-    """Coordinates of v over an RREF row basis, read off the pivot
-    columns; None when v is outside the span.  Entries of v may lie in
-    a number field."""
-    pivots = (next(j for j, c in enumerate(row) if c != 0)
-              for row in basis.entries)
-    coords = tuple(v[p] for p in pivots)
-    for j, vj in enumerate(v):
-        for c, row in zip(coords, basis.entries):
-            if row[j] != 0:
-                vj = vj - c * row[j]
-        if vj != 0:
-            return None
-    return coords
 
 
 @dataclass(frozen=True)
@@ -180,7 +164,7 @@ class EndFieldResult:
     mt: MTDescriptor
 
 
-def endomorphism_field(h, seed=0):
+def endomorphism_field(h):
     """Classify E, read from `h.endomorphisms`, by the conjugation tau.
     lambda -> phi_lambda (phi omega = lambda omega) is a ring isomorphism
     onto a subfield of F, as a rational matrix killing omega kills the
@@ -197,13 +181,13 @@ def endomorphism_field(h, seed=0):
     basis = tuple(_unflatten(v, t) for v in flat.entries)
     e = len(basis)
     span = row_space(Matrix(tuple(lam.coords for lam in lams)))
-    if _coords_in(span, h.period.field.one().coords) is None:
+    if coords_in(span, h.period.field.one().coords) is None:
         raise InternalError("identity is missing from the endomorphism algebra")
-    if any(_coords_in(span, (a * b).coords) is None
+    if any(coords_in(span, (a * b).coords) is None
            for i, a in enumerate(lams) for b in lams[i:]):
         raise InternalError("endomorphism algebra is not closed under product")
 
-    coeffs, minpoly = _primitive_element(lams, seed)
+    coeffs, minpoly = _primitive_element(lams)
     prim = _combine(basis, coeffs)
     tau_p = _combine(conj, coeffs)
     lowered = h.gram.vec(h.omega_t)            # G_T omega
@@ -318,13 +302,13 @@ def _minpoly(lam):
         powers.append(powers[-1] * lam)
 
 
-def _primitive_element(lams, seed):
+def _primitive_element(lams):
     """Coefficients over the basis of a generator of L, with its minimal
-    polynomial: each basis element in turn, then seeded small integer
-    combinations."""
+    polynomial: each basis element in turn, then small integer
+    combinations in a fixed pseudorandom order."""
     e = len(lams)
     units = (tuple(int(i == j) for j in range(e)) for i in range(e))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     draws = ([rng.randint(-3, 3) for _ in lams] for _ in range(1000))
     for coeffs in chain(units, draws):
         p = _minpoly(_combine(lams, coeffs))

@@ -312,8 +312,11 @@ def clifford_operators(cand, report, omega0):
     norm0 = bilinear(q, omega0, omega0)
     if norm0 == 0:
         raise BasePointIsotropic("base point lies on the quadric")
+    # C spans the complement of omega0; congruence-diagonalizing
+    # C q C^T by U makes the rows of U C q-orthogonal
     comp = kernel(Matrix((q.vec(omega0),)))
-    obasis = _orthogonalize(q, comp.entries)
+    _, u = congruence_diagonal(comp * q * comp.transpose())
+    obasis = (u * comp).entries
     m0 = _combination(cand, omega0)
     if det(m0) == 0:
         raise InternalError("Psi(base point) is singular despite anisotropy")
@@ -335,51 +338,6 @@ def clifford_operators(cand, report, omega0):
             if any(c != 0 for row in anti.entries for c in row):
                 raise RelationsFail("operators fail to anticommute")
     return CliffordResult(tuple(ops), tuple(squares), omega0, tuple(obasis))
-
-
-def _orthogonalize(q, vectors):
-    """Deterministic q-orthogonal basis of the span of the given vectors;
-    isotropic candidates are repaired by adding a later vector."""
-    basis = []
-    pool = [tuple(v) for v in vectors]
-    while pool:
-        reduced = []
-        for v in pool:
-            w = list(v)
-            for u in basis:
-                f = bilinear(q, v, u) / bilinear(q, u, u)
-                w = [x - f * y for x, y in zip(w, u)]
-            reduced.append(tuple(w))
-        pick = None
-        for idx, w in enumerate(reduced):
-            if any(c != 0 for c in w) and bilinear(q, w, w) != 0:
-                pick = idx
-                break
-        if pick is None:
-            # all reduced vectors isotropic: some pairwise pairing is
-            # nonzero because the form is nondegenerate on the span
-            found = None
-            for a in range(len(reduced)):
-                for b in range(a + 1, len(reduced)):
-                    if bilinear(q, reduced[a], reduced[b]) != 0:
-                        found = (a, b)
-                        break
-                if found:
-                    break
-            if found is None:
-                nonzero = [w for w in reduced if any(c != 0 for c in w)]
-                if not nonzero:
-                    break
-                raise InternalError("orthogonalization stalled on a "
-                                    "totally isotropic block")
-            a, b = found
-            merged = tuple(x + y for x, y in zip(reduced[a], reduced[b]))
-            pool = [merged] + [w for i, w in enumerate(reduced) if i not in found]
-            continue
-        basis.append(reduced[pick])
-        pool = [w for i, w in enumerate(reduced)
-                if i != pick and any(c != 0 for c in w)]
-    return basis
 
 
 def divisibility_bound(k):

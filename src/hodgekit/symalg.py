@@ -299,7 +299,7 @@ class EStructure:
 def e_structure(h, ef):
     """Deterministic E-basis of the transcendental lattice: greedy orbit
     closure of standard basis vectors under the primitive element."""
-    from .exactmath.linalg import row_space
+    from .exactmath.linalg import coords_in, row_space
 
     t = h.trans.rows
     e = ef.e
@@ -310,7 +310,7 @@ def e_structure(h, ef):
     span = None
     for k in range(t):
         cand = tuple(Fraction(1) if j == k else Fraction(0) for j in range(t))
-        if span is not None and _in_row_space(span, cand):
+        if span is not None and coords_in(span, cand) is not None:
             continue
         chosen.append(cand)
         orbit = cand
@@ -323,12 +323,6 @@ def e_structure(h, ef):
     if span is None or span.rows != t:
         raise InternalError("primitive orbits failed to span the lattice")
     return EStructure(field, mat, tuple(chosen))
-
-
-def _in_row_space(span, vec):
-    from .exactmath import solve_linear
-
-    return solve_linear(span.transpose(), vec).particular is not None
 
 
 def trace_transfer_form(h, ef, es):

@@ -1,17 +1,20 @@
 """Tests for the command-line front end: file parsing, reports,
 deterministic machine output, and error exit codes."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hodgekit.cli import main
+from hodgekit.cli import main, make_parser
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def run_cli(args, hashseed="0"):
@@ -111,6 +114,32 @@ def test_usage_error_is_a_report(flag, capsys):
                      "message": "the following arguments are required: --n"}
     code, out = run_inproc(["tha", str(CORPUS / "qi_period.json")], capsys)
     assert code == 2 and out.startswith("hodgekit tha: error\n")
+
+
+def _parser_flags(parser, path=()):
+    """{subcommand path: option strings} over the leaf subparsers,
+    without -h and --help."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: {s for a in parser._actions for s in a.option_strings}
+                - {"-h", "--help"}}
+    flags = {}
+    for name, sub in subs[0].choices.items():
+        flags.update(_parser_flags(sub, path + (name,)))
+    return flags
+
+
+def test_readme_flag_table_matches_parser():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("Flags, per subcommand:")[1].split("\n\n")[1]
+    documented = {}
+    for line in table.splitlines()[2:]:      # past the header and rule
+        command, flags = line.strip("|").split("|")
+        words = command.strip().strip("`").split()
+        documented[tuple(w for w in words if not w.isupper())] = \
+            set(re.findall(r"--[\w-]+", flags))
+    assert documented == _parser_flags(make_parser())
 
 
 def test_ksympl_quaternion(capsys):

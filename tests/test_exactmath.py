@@ -21,8 +21,7 @@ from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
                                             _guess_conjugation,
                                             apply_automorphism, field_trace)
-from hodgekit.exactmath.rootiso import (RootDisk, isolate_nonreal_roots,
-                                        root_disks)
+from hodgekit.exactmath.rootiso import isolate_nonreal_roots, root_disks
 
 F = Fraction
 
@@ -165,7 +164,6 @@ def test_certified_sign_reevaluation_invariant():
 
 
 def test_certified_sign_ramps_past_64_bits(monkeypatch):
-    nf_embeddings.cache_clear()  # an unrefined embedding
     field = nf_create([9, 0, -2, 0, 1])
     emb = nf_embeddings(field)[3]
     th = field.gen()
@@ -516,27 +514,23 @@ def test_matrix_vec_skips_zero_entries():
     assert Matrix(((F(0), F(0)),)).vec((F(1), F(2))) == (F(0),)
 
 
-def test_real_embedding_refinement_resumes(monkeypatch):
+def test_real_embedding_refinement_is_history_independent():
     # (x - 1)^4 - 2: real roots 1 -+ 2^(1/4), nonreal 1 -+ i 2^(1/4)
     field = nf_create([-1, -4, 6, -4, 1])
-    emb = nf_embeddings(field)[0]
-    assert emb.is_real
-    # a fresh embedding, not refined by earlier tests through the cache
-    emb = numberfield.ComplexEmbedding(field, 0, emb.root, True, 0)
-    calls = []
-    step = RootDisk._newton_step
-    monkeypatch.setattr(RootDisk, "_newton_step",
-                        lambda disk: calls.append(disk.scale) or step(disk))
-    width = F(1, 2**256)
-    box = emb.eval_box(field.gen(), width)
-    # each Newton step doubles the scale of the disk
-    assert 1 <= len(calls) <= 3
-    root_box = emb.refined_root(width).box
-    assert root_box[0][1] - root_box[0][0] <= width
-    assert root_box[1] == box[1] == (0, 0)
-    calls.clear()
-    assert emb.eval_box(field.gen(), width) == box
-    assert calls == []
+    cached = nf_embeddings(field)[0]
+    assert cached.is_real
+
+    def fresh():
+        return numberfield.ComplexEmbedding(field, 0, cached.root, True, 0)
+
+    gen, width = field.gen(), F(1, 2**64)
+    refined = fresh()
+    deep = refined.eval_box(gen, F(1, 2**512))
+    assert deep[0][1] - deep[0][0] <= F(1, 2**512) and deep[1] == (0, 0)
+    # an earlier, finer refinement does not change a later enclosure
+    box = refined.eval_box(gen, width)
+    assert box == fresh().eval_box(gen, width) == cached.eval_box(gen, width)
+    assert box[0][1] - box[0][0] <= width and box[1] == (0, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -563,8 +557,7 @@ def test_real_embeddings_match_sturm_oracle(coeffs):
 
 def test_totally_real_embeddings_of_2cos_pi_32():
     field = nf_create(ORACLE_POLYS["2cos(pi/32)"])
-    # fresh embeddings, not refined by earlier tests through the cache
-    embs = nf_embeddings.__wrapped__(field)
+    embs = nf_embeddings(field)
     assert [e.is_real for e in embs] == [True] * 16
     assert [e.conjugate_index for e in embs] == list(range(16))
     want = sorted(2 * math.cos((2 * k + 1) * math.pi / 32) for k in range(16))

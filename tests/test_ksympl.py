@@ -5,10 +5,11 @@ from fractions import Fraction
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgekit import errors
+from hodgekit.cli import cmd_ksympl
 from hodgekit.errors import (BasePointIsotropic, OddDimension, TooLarge,
                              ValidationError)
 from hodgekit.exactmath import Matrix, det
@@ -19,6 +20,7 @@ from hodgekit.ksympl import (CliffordResult, KSymplecticCandidate,
                              _quadric_root, check_torus, clifford_operators,
                              divisibility_bound, pfaffian, subvariety_bound,
                              torus_bound, verify_k_symplectic)
+from hodgekit.qforms import bilinear, congruence_diagonal
 
 F = Fraction
 
@@ -362,6 +364,89 @@ def test_clifford_relations_fail_on_imposter():
                                None)
     with pytest.raises(RelationsFail):
         clifford_operators(cand, forged, (1, 0))
+
+
+def test_clifford_frame_on_hyperbolic_quadric():
+    # Pfaffian t0^2 + t1 t2: past the base point e_0 the complement is a
+    # hyperbolic plane, spanned by two isotropic vectors
+    cand = KSymplecticCandidate((two_form({(0, 3): 1, (1, 2): 1}),
+                                 two_form({(0, 1): 1}), two_form({(2, 3): 1})))
+    rep = verify_k_symplectic(cand)
+    assert rep.ok
+    assert rep.quadric == fmat([[1, 0, 0], [0, 0, F(1, 2)], [0, F(1, 2), 0]])
+    report = cmd_ksympl(cand)
+    assert report.exit_code == 0
+    clifford = report.machine["sections"]["clifford"]
+    assert clifford["base_point"] == ["1", "0", "0"]
+    assert clifford["operator_squares"] == ["-1", "1/4"]
+
+
+FANO = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2),
+        (7, 1, 3))
+
+
+def octonion_units():
+    """Left multiplications by e_1..e_7 in the octonions, where
+    e_a e_b = e_c for each cyclic Fano triple (a, b, c)."""
+    table = {}
+    for a, b, c in FANO:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            table[x, y], table[y, x] = (1, z), (-1, z)
+    units = []
+    for a in range(1, 8):
+        m = [[0] * 8 for _ in range(8)]
+        m[a][0], m[0][a] = 1, -1
+        for b in range(1, 8):
+            if b != a:
+                s, c = table[a, b]
+                m[c][b] = s
+        units.append(fmat(m))
+    return units
+
+
+def _unitriangular(rng, n):
+    return fmat([[int(i == j) if i >= j else rng.randint(-2, 2)
+                  for j in range(n)] for i in range(n)])
+
+
+def _octonion_family(rng, k):
+    """k octonion units, mixed by a unitriangular k x k matrix and moved
+    by a unitriangular congruence of V."""
+    units = rng.sample(octonion_units(), k)
+    mixing = _unitriangular(rng, k).entries
+    p = _unitriangular(rng, 8)
+    psis = [sum((m * c for m, c in zip(units[1:], row[1:])), units[0] * row[0])
+            for row in mixing]
+    return [p.transpose() * m * p for m in psis]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["random", "octonion"]),
+       st.integers(2, 5))
+@example(1779, "random", 3)  # the kernel basis of q(base, .) is isotropic
+def test_clifford_frame_is_q_orthogonal(seed, kind, k):
+    rng = random.Random(seed)
+    if kind == "random":
+        psis = [_random_two_form(rng, 4) for _ in range(3)]
+    else:
+        psis = _octonion_family(rng, k)
+    try:
+        cand = KSymplecticCandidate(tuple(psis))
+    except ValidationError:
+        return  # a dependent random family
+    rep = verify_k_symplectic(cand)
+    if not rep.ok:
+        return
+    q = rep.quadric
+    base = congruence_diagonal(q)[1].entries[0]
+    cliff = clifford_operators(cand, rep, base)
+    frame, squares = cliff.orth_basis, cliff.squares
+    assert len(squares) == len(frame) == cand.k - 1
+    norm0 = bilinear(q, base, base)
+    for i, w in enumerate(frame):
+        assert bilinear(q, w, base) == 0
+        assert all(bilinear(q, w, v) == 0 for v in frame[:i])
+        assert squares[i] * norm0 == -bilinear(q, w, w)
 
 
 def test_divisibility_bound():
