@@ -20,14 +20,18 @@ the image g = tau(gen) is the polynomial of degree < e interpolating
 r -> conj(r) over all roots r of the defining polynomial f, and its
 coefficients are rational.  The guess is rebuilt as rationals and then
 certified exactly: f(g) = 0 in the field, and sigma(g) lies in the
-isolating box of the conjugate root.  The guess interpolates in the same
-fixed-point arithmetic and from the same root approximations
+isolating box of the conjugate root.  A wrong guess is first rejected
+modulo a prime, and the guesses with their f(g) = 0 verdicts are kept
+per field, as neither depends on the embedding.  The guess interpolates
+in the same fixed-point arithmetic and from the same root approximations
 (rootiso.approx_roots) as the embeddings.  When no guess
 of a short precision ramp passes both checks, the roots of f in the
 field are found by Trager's norm method (roots_in_field) instead.  Only that
 fallback can report that the image field is not stable under
 conjugation; period-style inputs are then rejected
-(ConjugationNotInternal).
+(ConjugationNotInternal).  Elements are conjugated by the rational
+matrix of tau on the power basis (conjugation_matrix), built once per
+embedding.
 """
 
 from dataclasses import dataclass
@@ -40,6 +44,7 @@ from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible)
 from . import unipoly as up
 from .intervals import box_disjoint, iv_sign, poly_eval_box
+from .linalg import Matrix
 from .rootiso import (ROOT_DIGITS, approx_conjugation, digits_bits,
                       isolate_nonreal_roots, isolate_real_roots, root_disks)
 
@@ -48,6 +53,8 @@ _SIGN_BITS_CAP = 4096
 # decimal working precisions of the numeric conjugation guess, sharing
 # the root approximations of the embeddings
 _GUESS_DIGITS = ROOT_DIGITS[:3]
+# the Mersenne prime of the modular rejection of a wrong guess
+_CHECK_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -359,8 +366,6 @@ def _power_table(field):
 def mult_matrix(a):
     """Matrix of multiplication by a on the power basis (columns are the
     images of the basis)."""
-    from .linalg import Matrix
-
     field = a.parent
     e = field.degree
     cols = []
@@ -481,7 +486,7 @@ def conjugation_automorphism(field, index):
     or None when the embedded field is not conjugation stable.
 
     At a nonreal embedding the image g is guessed numerically
-    (_guess_conjugation) at each precision of _GUESS_DIGITS and accepted
+    (_automorphism_guess) at each precision of _GUESS_DIGITS and accepted
     only on two exact checks: f(g) = 0 in the field, so gen -> g is an
     automorphism, and sigma(g) lies in the isolating box of the
     conjugate root, so sigma(tau(gen)) = conj(sigma(gen)).  Together
@@ -497,15 +502,55 @@ def conjugation_automorphism(field, index):
     if emb.is_real:
         return field.gen()
     for digits in _GUESS_DIGITS:
-        g = _guess_conjugation(field, digits)
-        # f(g) = 0 first: _embedded_root_is terminates only on roots of f
-        if (g is not None and up.eval_at(field.defining_poly, g).is_zero()
-                and _embedded_root_is(g, emb, emb.conjugate_index)):
+        g = _automorphism_guess(field, digits)
+        # g is a root of f: _embedded_root_is terminates only on those
+        if g is not None and _embedded_root_is(g, emb, emb.conjugate_index):
             return g
     for cand in roots_in_field(field):
         if _embedded_root_is(cand, emb, emb.conjugate_index):
             return cand
     return None
+
+
+@lru_cache(maxsize=None)
+def _automorphism_guess(field, digits):
+    """The guess of tau(gen) at the given precision when f(g) = 0 holds
+    exactly, else None.  Neither depends on the embedding, so each field
+    guesses and checks once per precision.  When the prime p divides no
+    denominator of f or g, a wrong guess is rejected modulo p first:
+    f(g) = 0 in the field implies f(g) = 0 in F_p[x]/(f mod p), as f is
+    monic."""
+    g = _guess_conjugation(field, digits)
+    if g is None:
+        return None
+    f, p = field.defining_poly, _CHECK_PRIME
+    if (all(c.denominator % p for c in f + g.coords)
+            and not _is_root_mod(f, g.coords, p)):
+        return None
+    return g if up.eval_at(f, g).is_zero() else None
+
+
+def _is_root_mod(f, g, p):
+    """Whether f(g) = 0 in F_p[x]/(f mod p), for a monic f and g of
+    degree below deg f whose coefficients are all p-integral."""
+    e = len(f) - 1
+    fp = [c.numerator * pow(c.denominator, -1, p) % p for c in f]
+    gp = [c.numerator * pow(c.denominator, -1, p) % p for c in g]
+    acc = [0] * e
+    for c in reversed(fp):               # Horner: acc = acc * g + c
+        prod = [0] * (2 * e - 1)
+        for i, a in enumerate(acc):
+            if a:
+                for j, b in enumerate(gp):
+                    prod[i + j] += a * b
+        for k in range(2 * e - 2, e - 1, -1):
+            q = prod[k] % p
+            if q:
+                for i in range(e):
+                    prod[k - e + i] -= q * fp[i]
+        acc = [x % p for x in prod[:e]]
+        acc[0] = (acc[0] + c) % p
+    return not any(acc)
 
 
 def _guess_conjugation(field, digits):
@@ -538,26 +583,31 @@ def _embedded_root_is(cand, emb, root_index):
         width /= 2**8
 
 
-def apply_automorphism(tau_gen, v):
-    """Apply the automorphism gen -> tau_gen to a field element."""
-    field = v.parent
-    acc = field.zero()
-    for c in reversed(v.coords):
-        acc = acc * tau_gen + c
-    return acc
+@lru_cache(maxsize=None)
+def conjugation_matrix(field, index):
+    """Rational matrix of the conjugation automorphism tau of the
+    embedding on power-basis coordinates, column j holding tau(gen**j),
+    or None when conjugation_automorphism is None."""
+    g = conjugation_automorphism(field, index)
+    if g is None:
+        return None
+    powers = [field.one()]
+    for _ in range(1, field.degree):
+        powers.append(powers[-1] * g)
+    return Matrix(tuple(zip(*(p.coords for p in powers))))
 
 
 def conjugate_element(v, emb):
-    """The element representing conj(sigma(v)) inside the field, via the
-    conjugation automorphism of the embedding."""
+    """The element representing conj(sigma(v)) inside the field: the
+    matrix of the conjugation automorphism applied to its coordinates."""
     from ..errors import ConjugationNotInternal
 
-    tau = conjugation_automorphism(v.parent, emb.index)
+    tau = conjugation_matrix(v.parent, emb.index)
     if tau is None:
         raise ConjugationNotInternal(
             "complex conjugation does not stabilize the embedded field; "
             "re-present the data over a conjugation-closed field")
-    return apply_automorphism(tau, v)
+    return FieldElement(v.parent, tau.vec(v.coords))
 
 
 def certified_sign(v, emb):
@@ -571,8 +621,8 @@ def certified_sign(v, emb):
     if v.is_zero():
         return 0
     if not emb.is_real:
-        tau = conjugation_automorphism(v.parent, emb.index)
-        if tau is None or apply_automorphism(tau, v) != v:
+        tau = conjugation_matrix(v.parent, emb.index)
+        if tau is None or tau.vec(v.coords) != v.coords:
             raise NotRealValued(
                 "value is not certifiably real at this embedding")
     bits = 64

@@ -27,7 +27,7 @@ import random
 from .errors import (InternalError, IsotropyFails, PositivityFails,
                      ValidationError, WrongSignature)
 from .exactmath import (Matrix, NumberField, certified_sign,
-                        conjugate_element, kernel, mult_matrix, rref)
+                        conjugate_element, kernel, rref)
 from .exactmath import unipoly as up
 from .exactmath.linalg import coords_in, inverse, row_space
 from .qforms import QuadraticSpace, orth_complement, signature
@@ -136,8 +136,8 @@ def transcendental_lattice(period):
 
 
 def _restrict_gram(space, basis):
-    rows = basis.entries
-    return Matrix(tuple(tuple(space.form(u, v) for v in rows) for u in rows))
+    """Gram matrix B G B^T of q on the row span of the basis B."""
+    return basis * space.gram * basis.transpose()
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,8 @@ def _character_basis(h):
     Omega phi^T = M_lambda Omega, solvable iff N M_lambda Omega = 0 for
     N = ker(Omega^T): a linear system in the e_F coordinates of lambda,
     empty when t = e_F, whose solutions form the field L.  Each phi_lambda
-    is solved from t independent rows of Omega and certified on all.
+    is solved from t independent rows of Omega, so it satisfies those
+    exactly, and is certified on the rows not used to solve it.
 
     Hodge condition: phi in L also keeps T^{1,1} = {omega, conj omega}^perp
     iff phi* omega lies in span(omega, conj omega).  Pairing with omega
@@ -240,11 +241,13 @@ def _character_basis(h):
     every delta is 0 (a form compatible with L), E = L."""
     field = h.period.field
     t, e_f = h.dim_t, field.degree
-    omega = Matrix(tuple(zip(*(v.coords for v in h.omega_t))))
-    m_x = mult_matrix(field.gen())
-    shifted = [omega]                      # M_{x^i} Omega
+    gen = field.gen()
+    multiples = [h.omega_t]                # x^i omega_k
     for _ in range(1, e_f):
-        shifted.append(m_x * shifted[-1])
+        multiples.append(tuple(v * gen for v in multiples[-1]))
+    shifted = [Matrix(tuple(zip(*(v.coords for v in c))))
+               for c in multiples]         # M_{x^i} Omega
+    omega = shifted[0]
     left = kernel(omega.transpose())
     if left.rows:
         cols = tuple(_flatten(left * s) for s in shifted)
@@ -252,13 +255,15 @@ def _character_basis(h):
     else:
         lams = Matrix.identity(e_f)
     _, rows = rref(omega.transpose())
+    rest = tuple(i for i in range(e_f) if i not in rows)
     pick_inv = inverse(Matrix(tuple(omega.entries[i] for i in rows)))
+    omega_rest = Matrix(tuple(omega.entries[i] for i in rest), cols=t)
     lowered = h.gram.vec(h.omega_t)        # G_T omega
     aug = []
     for lam in lams.entries:
         image = _combine(shifted, lam)     # M_lambda Omega
         phi_t = pick_inv * Matrix(tuple(image.entries[i] for i in rows))
-        if omega * phi_t != image:
+        if omega_rest * phi_t != Matrix(tuple(image.entries[i] for i in rest)):
             raise InternalError("eigenvalue is not realized by a rational matrix")
         tau = conjugate_element(field.element(lam), h.period.embedding)
         delta = tuple(c for a, b in zip(phi_t.vec(lowered), lowered)
@@ -283,11 +288,14 @@ def _unflatten(v, t):
 
 
 def _combine(basis, lam):
+    """sum c * b over the nonzero coefficients; a coefficient of 1 adds b
+    itself."""
     acc = None
     for c, b in zip(lam, basis):
-        term = b * c
-        acc = term if acc is None else acc + term
-    return acc
+        if c != 0:
+            term = b if c == 1 else b * c
+            acc = term if acc is None else acc + term
+    return basis[0] * 0 if acc is None else acc
 
 
 def _minpoly(lam):

@@ -7,11 +7,11 @@ number field (FieldElement entries); the signature is only defined for
 rational Gram matrices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Degenerate, NotSymmetric
-from .exactmath import Matrix, det, inverse, kernel
+from .exactmath import Matrix, inverse, kernel
 
 
 def bilinear(gram, u, v):
@@ -30,9 +30,13 @@ def bilinear(gram, u, v):
 
 @dataclass(frozen=True)
 class QuadraticSpace:
-    """Vector space with a nondegenerate symmetric Gram matrix."""
+    """Vector space with a nondegenerate symmetric Gram matrix.  The
+    Gram matrix is diagonalized once, at construction: the elimination
+    certifies nondegeneracy, and `diagonal` keeps its entries for the
+    signature."""
 
     gram: Matrix
+    diagonal: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -40,8 +44,11 @@ class QuadraticSpace:
             raise NotSymmetric("Gram matrix must be square")
         if not g.is_symmetric():
             raise NotSymmetric("Gram matrix must be symmetric")
-        if det(g) == 0:
-            raise Degenerate("Gram matrix must be nondegenerate")
+        try:
+            diag, _ = congruence_diagonal(g)
+        except Degenerate:
+            raise Degenerate("Gram matrix must be nondegenerate") from None
+        object.__setattr__(self, "diagonal", tuple(diag))
 
     @property
     def dim(self):
@@ -74,7 +81,8 @@ class Signature:
 def congruence_diagonal(gram):
     """Exact symmetric (congruence) diagonalization: returns (diagonal
     entries, basis matrix U) with U * gram * U^T diagonal.  Rows of U are
-    the diagonalizing basis."""
+    the diagonalizing basis.  Every diagonal entry is nonzero; a
+    degenerate gram raises Degenerate."""
     n = gram.rows
     g = [list(r) for r in gram.entries]
     zero = gram.entries[0][0] * 0 if n else Fraction(0)
@@ -120,25 +128,25 @@ def congruence_diagonal(gram):
                         row[step], row[r] = row[r], row[step]
         d = g[step][step]
         diag.append(d)
+        # only the trailing block is reduced: the row operations leave
+        # there the Schur complement, which is symmetric, so the matching
+        # column operations would only clear row `step`, never read again
         for r in range(step + 1, n):
             if g[r][step] != 0:
                 f = g[r][step] / d
-                for j in range(n):
-                    g[r][j] = g[r][j] - f * g[step][j]
-                for j in range(n):
-                    u[r][j] = u[r][j] - f * u[step][j]
-                for i in range(n):
-                    g[i][r] = g[i][r] - f * g[i][step]
+                for j in range(step + 1, n):
+                    if g[step][j] != 0:
+                        g[r][j] = g[r][j] - f * g[step][j]
+                u[r] = [a - f * b if b != 0 else a for a, b in zip(u[r], u[step])]
     return diag, Matrix(u)
 
 
 def signature(space):
-    """Signature by exact congruence diagonalization (rational Gram
+    """Signature read off the space's congruence diagonal (rational Gram
     matrices only)."""
     if space.dim and not isinstance(space.gram.entries[0][0], Fraction):
         raise TypeError("signature requires a rational Gram matrix")
-    diag, _ = congruence_diagonal(space.gram)
-    pos = sum(1 for d in diag if d > 0)
+    pos = sum(1 for d in space.diagonal if d > 0)
     return Signature(pos, space.dim - pos)
 
 

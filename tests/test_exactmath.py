@@ -1,10 +1,13 @@
 """Tests for exact rationals, number fields, embeddings and linear algebra."""
 
 import cmath
+import json
 import math
+import random
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +15,28 @@ from hypothesis import strategies as st
 
 from hodgekit.errors import (ConjugationNotInternal, DegreeTooLarge, NotMonic,
                              NotRealValued, Reducible)
-from hodgekit.exactmath import (ComplexEmbedding, Matrix, certified_sign,
-                                conjugate_element, conjugation_automorphism,
-                                det, inverse, kernel, nf_create, nf_embeddings,
-                                rank, roots_in_field, solve_linear)
+from hodgekit.exactmath import (ComplexEmbedding, FieldElement, Matrix,
+                                certified_sign, conjugate_element,
+                                conjugation_automorphism, det, inverse, kernel,
+                                nf_create, nf_embeddings, rank, roots_in_field,
+                                solve_linear)
 from hodgekit.exactmath import numberfield
 from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
-                                            _guess_conjugation,
-                                            apply_automorphism, field_trace)
+                                            _guess_conjugation, field_trace)
 from hodgekit.exactmath.rootiso import isolate_nonreal_roots, root_disks
 
 F = Fraction
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def apply_automorphism(tau_gen, v):
+    """Oracle: the automorphism gen -> tau_gen applied to v by Horner's
+    rule in the field."""
+    acc = v.parent.zero()
+    for c in reversed(v.coords):
+        acc = acc * tau_gen + c
+    return acc
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -439,6 +452,66 @@ def test_root_disks_and_conjugation_match_mpmath_oracle(coeffs, monkeypatch):
     tau = conjugation_automorphism.__wrapped__(field, 0)
     assert tau != field.gen()
     assert apply_automorphism(tau, tau) == field.gen()
+
+
+def test_conjugation_guess_is_checked_once_per_field(monkeypatch):
+    # the 30- and 60-digit guesses are not automorphisms of this field;
+    # they are rejected modulo a prime, and the verdicts are shared by
+    # the embeddings, so only the certifying 120-digit guess is
+    # evaluated exactly, and only once
+    field = nf_create(MINPOLY_2COS17_PLUS_I)
+    numberfield._automorphism_guess.cache_clear()
+    exact = []
+    eval_at = up.eval_at
+
+    def counted(p, x):
+        if isinstance(x, FieldElement):
+            exact.append(x)
+        return eval_at(p, x)
+
+    monkeypatch.setattr(up, "eval_at", counted)
+    embs = nf_embeddings(field)
+    for index in (0, 5):
+        tau = conjugation_automorphism.__wrapped__(field, index)
+        assert apply_automorphism(tau, tau) == field.gen()
+        assert _embedded_root_is(tau, embs[index], embs[index].conjugate_index)
+    assert len(exact) <= 1
+
+
+def _corpus_fields():
+    fields = set()
+    for path in CORPUS.glob("*.json"):
+        doc = json.loads(path.read_text())
+        if doc.get("kind") == "k3period":
+            fields.add(tuple(F(c) for c in doc["field"]))
+    return sorted(fields)
+
+
+@pytest.mark.parametrize("coeffs", _corpus_fields() + [
+    [1] + [0] * (d - 1) + [1] for d in (2, 4, 8, 16)])
+def test_conjugation_matrix_matches_automorphism_oracle(coeffs):
+    field = nf_create(coeffs)
+    e = field.degree
+    rng = random.Random(e)
+    elements = [field.gen()**j for j in range(e)] + [
+        field.element([F(rng.randint(-9, 9), rng.randint(1, 9))
+                       for _ in range(e)]) for _ in range(4)]
+    nonreal = [emb for emb in nf_embeddings(field) if not emb.is_real]
+    assert nonreal
+    for emb in nonreal:
+        tau = conjugation_automorphism(field, emb.index)
+        matrix = numberfield.conjugation_matrix(field, emb.index)
+        assert matrix.rows == matrix.cols == e
+        for v in elements:
+            conj = conjugate_element(v, emb)
+            assert conj == apply_automorphism(tau, v)
+            assert FieldElement(field, matrix.vec(v.coords)) == conj
+        # the realness test of certified_sign reads the same matrix
+        real = elements[-1] + conjugate_element(elements[-1], emb)
+        imaginary = field.gen() - conjugate_element(field.gen(), emb)
+        assert certified_sign(real, emb) in (-1, 1)
+        with pytest.raises(NotRealValued):
+            certified_sign(real + imaginary, emb)
 
 
 def _oracle_least_factor(coeffs):

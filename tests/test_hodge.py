@@ -1,18 +1,24 @@
 """Tests for period validation, transcendental lattices, endomorphism
 fields and Hodge tensor classes."""
 
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hodgekit import hodge
-from hodgekit.errors import IsotropyFails, PositivityFails, WrongSignature
-from hodgekit.exactmath import (Matrix, certified_sign, conjugate_element,
-                                field_trace, inverse, kernel, nf_create,
-                                nf_embeddings, solve_linear)
+from hodgekit import hodge, qforms
+from hodgekit.cli import build_period, load_problem_file, main
+from hodgekit.errors import (Degenerate, InternalError, IsotropyFails,
+                             PositivityFails, WrongSignature)
+from hodgekit.exactmath import (FieldElement, Matrix, certified_sign,
+                                conjugate_element, field_trace, inverse,
+                                kernel, nf_create, nf_embeddings, solve_linear)
+from hodgekit.exactmath import linalg, numberfield
 from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.intervals import box_disjoint
 from hodgekit.exactmath.linalg import row_space
@@ -22,6 +28,7 @@ from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
 from hodgekit.qforms import QuadraticSpace
 
 F = Fraction
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def qspace(rows):
@@ -276,6 +283,114 @@ def test_character_basis_computed_once(monkeypatch):
     hodge_classes_tensor_square(h)
     endomorphism_field(h)
     assert len(calls) == 1
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_restrict_gram_is_the_pairwise_form(data):
+    m = data.draw(st.integers(1, 5))
+    gram = [[F(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = data.draw(rationals)
+    try:
+        space = QuadraticSpace(Matrix(gram))
+    except Degenerate:
+        assume(False)
+    t = data.draw(st.integers(1, m + 1))
+    basis = Matrix(tuple(tuple(data.draw(rationals) for _ in range(m))
+                         for _ in range(t)))
+    rows = basis.entries
+    assert hodge._restrict_gram(space, basis) == Matrix(
+        tuple(tuple(space.form(u, v) for v in rows) for u in rows))
+
+
+def test_character_certification_uses_the_unsolved_rows(monkeypatch):
+    # t = 3 < e_F = 4: each phi_lambda is solved from three rows of Omega
+    # and certified on the fourth.  Skipping the line stabilizer L makes
+    # every lambda in F a candidate, and phi_lambda for a lambda outside L
+    # fails on the unsolved row.
+    h = transcendental_lattice(build_period(
+        load_problem_file(CORPUS / "sqrt2i_period.json")[1]))
+    assert (h.dim_t, h.period.field.degree) == (3, 4)
+    monkeypatch.setattr(hodge, "kernel", lambda m: Matrix.zeros(0, m.cols))
+    with pytest.raises(InternalError, match="not realized"):
+        hodge._character_basis(h)
+
+
+def _period_document(period):
+    return {"version": "1", "kind": "k3period",
+            "gram": [[str(c) for c in r] for r in period.space.gram.entries],
+            "field": [str(c) for c in period.field.defining_poly],
+            "embedding": period.embedding.index,
+            "omega": [[str(c) for c in v.coords] for v in period.omega]}
+
+
+def _route(monkeypatch, fn, wrapper):
+    """Replace every binding of fn in the loaded hodgekit modules."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hodgekit"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_classify_does_each_exact_step_once(monkeypatch, tmp_path, capsys):
+    # one classify of the rank-22, d = 8 CM period: each Gram matrix is
+    # diagonalized once, when its space is built (V, then T), no
+    # determinant is taken, and conjugation is a rational matrix product
+    period = cm_rank22_period(8, F(-3, 2))   # builds the conjugation matrix
+    path = tmp_path / "d8.json"
+    path.write_text(json.dumps(_period_document(period)))
+    building, diagonalized, dets, muls, conjugating = [], [], [], [], []
+
+    post_init = QuadraticSpace.__post_init__
+
+    def build(space):
+        building.append(space)
+        try:
+            post_init(space)
+        finally:
+            building.pop()
+
+    def diagonalize(gram, real=qforms.congruence_diagonal):
+        diagonalized.append((gram, bool(building)))
+        return real(gram)
+
+    def det(m, real=linalg.det):
+        dets.append(m)
+        return real(m)
+
+    def mul(a, b, real=FieldElement.__mul__):
+        if conjugating:
+            muls.append((a, b))
+        return real(a, b)
+
+    def conjugate(v, emb, real=numberfield.conjugate_element):
+        conjugating.append(v)
+        try:
+            return real(v, emb)
+        finally:
+            conjugating.pop()
+
+    monkeypatch.setattr(QuadraticSpace, "__post_init__", build)
+    _route(monkeypatch, qforms.congruence_diagonal, diagonalize)
+    _route(monkeypatch, linalg.det, det)
+    _route(monkeypatch, numberfield.conjugate_element, conjugate)
+    monkeypatch.setattr(FieldElement, "__mul__", mul)
+    monkeypatch.setattr(FieldElement, "__rmul__", mul)
+    assert main(["classify", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    t = report["sections"]["transcendental_lattice"]["basis"]
+    trans = Matrix(tuple(tuple(F(c) for c in row) for row in t))
+    assert [g for g, _ in diagonalized] == [
+        period.space.gram, hodge._restrict_gram(period.space, trans)]
+    assert all(inside for _, inside in diagonalized)
+    assert dets == []
+    assert muls == []
 
 
 def test_hodge_classes_dimension_is_e():

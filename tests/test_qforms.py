@@ -48,6 +48,30 @@ def test_congruence_diagonal_is_a_congruence():
         assert all(x != 0 for x in diag)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_construction_diagonal_certifies_nondegeneracy(rows):
+    # the diagonal kept at construction is a congruence diagonal, and the
+    # elimination rejects exactly the singular Gram matrices
+    n = len(rows)
+    gram = Matrix([[F(rows[min(i, j)][max(i, j)]) for j in range(n)]
+                   for i in range(n)])
+    if det(gram) == 0:
+        with pytest.raises(Degenerate, match="must be nondegenerate"):
+            QuadraticSpace(gram)
+        return
+    sp = QuadraticSpace(gram)
+    diag, u = congruence_diagonal(gram)
+    assert sp.diagonal == tuple(diag)
+    d = u * gram * u.transpose()
+    assert d == Matrix([[diag[i] if i == j else F(0) for j in range(n)]
+                        for i in range(n)])
+    pos = sum(1 for x in diag if x > 0)
+    assert signature(sp).as_pair() == (pos, n - pos)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                 min_size=3, max_size=3))
