@@ -31,6 +31,9 @@ from .symalg import build_tha
 
 FORMAT_VERSION = "1"
 KINDS = ("k3period", "ksymplectic", "path")
+# the largest --d and --e of bounds: its numbers, up to 2**500, stay far
+# below Python's 4300-digit limit on printing an int
+BOUNDS_CAP = 1000
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -398,8 +401,12 @@ def _check_arguments(args):
     if args.command == "bounds":
         if args.d < 0:
             raise ValidationError("--d must be nonnegative")
+        if args.d > BOUNDS_CAP:
+            raise ValidationError(f"--d must be at most {BOUNDS_CAP}")
         if args.e is not None and args.e < 1:
             raise ValidationError("--e must be at least 1")
+        if args.e is not None and args.e > BOUNDS_CAP:
+            raise ValidationError(f"--e must be at most {BOUNDS_CAP}")
         if args.dim_h1 is not None and args.dim_h1 < 0:
             raise ValidationError("--dim-h1 must be nonnegative")
 

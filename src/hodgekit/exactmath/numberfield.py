@@ -9,8 +9,11 @@ sets of at most e/2 roots are tried on the certified root disks of
 rootiso, dropped by integrality of their coefficient enclosures, and
 decided by exact trial division (_root_subset_factors).  Each of the e
 embeddings into C is certified by the inclusion disk of the generator's
-image, real or not; sign questions are settled by interval evaluation
-at doubling precision, with exact zero decided algebraically.
+image, real or not.  An element is evaluated on that disk refined by
+Newton steps, in integers: the exact value at the disk's centre and a
+majorant bound on the error (ComplexEmbedding.eval_box).  Sign questions
+are settled on such disks at doubling precision, once zero and realness
+have been decided exactly.
 
 Conjugation is handled through the conjugation automorphism of the
 chosen embedding: the field element tau with sigma(tau(v)) equal to the
@@ -20,7 +23,7 @@ the image g = tau(gen) is the polynomial of degree < e interpolating
 r -> conj(r) over all roots r of the defining polynomial f, and its
 coefficients are rational.  The guess is rebuilt as rationals and then
 certified exactly: f(g) = 0 in the field, and sigma(g) lies in the
-isolating box of the conjugate root.  A wrong guess is first rejected
+isolating disk of the conjugate root.  A wrong guess is first rejected
 modulo a prime, and the guesses with their f(g) = 0 verdicts are kept
 per field, as neither depends on the embedding.  The guess interpolates
 in the same fixed-point arithmetic and from the same root approximations
@@ -43,13 +46,12 @@ from math import lcm
 from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible)
 from . import unipoly as up
-from .intervals import box_disjoint, iv_sign, poly_eval_box
 from .linalg import Matrix
-from .rootiso import (ROOT_DIGITS, approx_conjugation, digits_bits,
-                      isolate_nonreal_roots, isolate_real_roots, root_disks)
+from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, approx_conjugation,
+                      digits_bits, isolate_nonreal_roots, isolate_real_roots,
+                      root_disks)
 
 MAX_DEGREE = 16
-_SIGN_BITS_CAP = 4096
 # decimal working precisions of the numeric conjugation guess, sharing
 # the root approximations of the embeddings
 _GUESS_DIGITS = ROOT_DIGITS[:3]
@@ -393,25 +395,32 @@ class ComplexEmbedding:
     is_real: bool
     conjugate_index: int
 
-    @property
-    def root_box(self):
-        return self.root.box
-
-    def refined_root(self, width):
-        """The root disk refined below width by Newton steps from the
-        isolating disk: a function of the width alone."""
-        return self.root.refined_below(width)
-
     def eval_box(self, element, width):
-        """Enclosure of element evaluated at this embedding, with the
-        generator box refined below the given width."""
+        """Integers (X, Y, R, D) with |sigma(element) - (X + iY)/D| <= R/D,
+        a function of the width alone.  The generator's isolating disk
+        D(c, r) is refined below the width by Newton steps; (X + iY)/D is
+        the exact value p(c) of the element p, and R/D bounds
+        |p(z) - p(c)| <= P(|c| + r) - P(|c|) on the disk, for P with the
+        absolute values of the coefficients of p and |c| rounded up.  At
+        a real embedding Y = 0."""
         if element.parent != self.parent:
             raise ValueError("element of a different field")
-        return poly_eval_box(element.coords, self.refined_root(width).box)
+        disk = self.root.refined_below(width)
+        coords = up.normalize(element.coords) or (Fraction(0),)
+        den = lcm(*(c.denominator for c in coords))
+        a = [c.numerator * (den // c.denominator) for c in coords]
+        s = disk.scale
+        x, y = _horner(a, disk.x, disk.y, s)
+        m = _ceil_sqrt(disk.x * disk.x + disk.y * disk.y, 1)
+        b = [abs(c) for c in a]
+        r = _horner(b, m + disk.r, 0, s)[0] - _horner(b, m, 0, s)[0]
+        return x, y, r, den << (s * (len(a) - 1))
 
     def __repr__(self):
         kind = "real" if self.is_real else "complex"
-        return f"ComplexEmbedding(#{self.index}, {kind}, box={self.root_box})"
+        d = self.root
+        return (f"ComplexEmbedding(#{self.index}, {kind}, "
+                f"disk=({d.x}, {d.y}, {d.r}, 2**{d.scale}))")
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +497,7 @@ def conjugation_automorphism(field, index):
     At a nonreal embedding the image g is guessed numerically
     (_automorphism_guess) at each precision of _GUESS_DIGITS and accepted
     only on two exact checks: f(g) = 0 in the field, so gen -> g is an
-    automorphism, and sigma(g) lies in the isolating box of the
+    automorphism, and sigma(g) lies in the isolating disk of the
     conjugate root, so sigma(tau(gen)) = conj(sigma(gen)).  Together
     they give sigma o tau = conj o sigma on the whole field, hence
     tau o tau = id; no float decides the result.  When no guess
@@ -571,13 +580,21 @@ def _guess_conjugation(field, digits):
 
 def _embedded_root_is(cand, emb, root_index):
     """Certified test: does sigma(cand), a root of the defining poly,
-    coincide with the root isolated by embedding root_index?"""
+    coincide with the root isolated by embedding root_index?  The root
+    sigma(cand) lies in exactly one of the disjoint closed isolating
+    disks, so the disk of its value meets that one always and, once
+    narrow enough, no other."""
     embs = nf_embeddings(emb.parent)
     width = Fraction(1, 2**16)
     while True:
-        val = emb.eval_box(cand, width)
-        boxes = [other.refined_root(width).box for other in embs]
-        hits = [i for i, b in enumerate(boxes) if not box_disjoint(val, b)]
+        x, y, r, d = emb.eval_box(cand, width)
+        hits = []
+        for other in embs:
+            k = other.root
+            e = 1 << k.scale
+            dx, dy = x * e - k.x * d, y * e - k.y * d
+            if dx * dx + dy * dy <= (r * e + k.r * d)**2:
+                hits.append(other.index)
         if len(hits) == 1:
             return hits[0] == root_index
         width /= 2**8
@@ -612,8 +629,9 @@ def conjugate_element(v, emb):
 
 def certified_sign(v, emb):
     """Sign (-1, 0, +1) of a field element real-valued at the embedding.
-    Zero is decided exactly; a nonzero sign is certified by interval
-    evaluation at doubling precision from 64 bits.
+    Zero is decided exactly; a nonzero sign is the sign of X in the disk
+    (X, Y, R, D) of eval_box once |X| > R, at doubling precision from 64
+    bits.  The value is real and nonzero, so the ramp ends.
 
     Realness must be certifiable: a real embedding, or v fixed by the
     conjugation automorphism.
@@ -626,15 +644,11 @@ def certified_sign(v, emb):
             raise NotRealValued(
                 "value is not certifiably real at this embedding")
     bits = 64
-    while bits <= _SIGN_BITS_CAP:
-        val = emb.eval_box(v, Fraction(1, 2**bits))
-        s = iv_sign(val[0])
-        if s is not None and s != 0:
-            return s
+    while True:
+        x, _, r, _ = emb.eval_box(v, Fraction(1, 2**bits))
+        if abs(x) > r:
+            return 1 if x > 0 else -1
         bits *= 2
-    raise NotRealValued(
-        "sign could not be certified; the asserted real value appears to vanish "
-        "or not be real")
 
 
 def _make_rationals():

@@ -25,14 +25,14 @@ only cross-checks this.
 A disk refines by Newton steps in Q(i), each certified by the
 single-root bound |z - alpha| <= n |f(z) / f'(z)|: when that disk lies
 inside the isolating disk, it holds the isolated root.  From a real
-centre the step is real, so a real disk stays on the axis and its box
-has the exact imaginary interval (0, 0).
+centre the step is real, so a real disk stays on the axis.
 
 Real roots are sorted by centre, nonreal ones by (real part, imaginary
 part).  Conjugates share their real part; other real parts are compared
-by refinement, and a tie that survives _TIE_BITS bits is decided exactly
-from the real roots of Res_y(f(y), f(t - y)), whose roots are the sums
-of two roots of f.  That resultant is the only use of sympy here.
+in integers on refined disks, and a tie that survives _TIE_BITS bits is
+decided exactly from the real roots of Res_y(f(y), f(t - y)), whose
+roots are the sums of two roots of f.  That resultant is the only use
+of sympy here.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,6 @@ from functools import cmp_to_key, lru_cache
 from math import isqrt, lcm
 
 from ..errors import InternalError
-from .intervals import iv_disjoint
 
 # decimal precisions of the root approximations, tried in turn
 ROOT_DIGITS = (30, 60, 120, 240, 480, 960)
@@ -92,16 +91,6 @@ class RootDisk:
     y: int
     r: int
     scale: int
-
-    @property
-    def box(self):
-        """Bounding square; a disk on the real axis holds a real root, so
-        its imaginary interval is exactly (0, 0)."""
-        d = 2**self.scale
-        re = (Fraction(self.x - self.r, d), Fraction(self.x + self.r, d))
-        if self.y == 0:
-            return re, (Fraction(0), Fraction(0))
-        return re, (Fraction(self.y - self.r, d), Fraction(self.y + self.r, d))
 
     def refined_below(self, width):
         """A disk of diameter at most width around the same root."""
@@ -344,51 +333,68 @@ class _Ranking:
 
     def _refine(self, i, bits):
         self.disks[i] = self.disks[i].refined_below(Fraction(1, 2**bits))
-        return self.disks[i].box
+        return self.disks[i]
 
     def _separate(self, i, j, part, max_bits=None):
         """Sign of (part of root i) - (part of root j), refining until the
-        enclosures are disjoint; 0 when they still meet at max_bits."""
+        disks' projections are disjoint; 0 when they still meet at
+        max_bits."""
         bits = 64
         while True:
-            a, b = self._refine(i, bits)[part], self._refine(j, bits)[part]
-            if a[1] < b[0]:
-                return -1
-            if b[1] < a[0]:
-                return 1
-            if max_bits is not None and bits >= max_bits:
-                return 0
+            c = _projection_order(self._refine(i, bits), self._refine(j, bits),
+                                  part)
+            if c or (max_bits is not None and bits >= max_bits):
+                return c
             bits *= 2
 
     def _equal_real_parts(self, i, j):
         """Exact: 2 Re is a real root of S(t) = Res_y(f(y), f(t - y)).  Once
-        both enclosures of 2 Re lie in one gap between the isolating
-        intervals of S around a single root, the real parts are equal."""
+        the enclosure [lo, hi] of 2 Re of both roots lies in one gap
+        between the isolating ranges of S around a single root, the real
+        parts are equal."""
         if self._sums is None:
-            self._sums = _sum_root_intervals(self.f)
+            self._sums = _sum_root_ranges(self.f)
         ivs = self._sums
         bits = _TIE_BITS
         while True:
-            a, b = (tuple(2 * c for c in self._refine(k, bits)[0]) for k in (i, j))
-            if iv_disjoint(a, b):
+            disks = self._refine(i, bits), self._refine(j, bits)
+            if _projection_order(*disks, 0):
                 return False
+            lo = min(Fraction(2 * (d.x - d.r), 2**d.scale) for d in disks)
+            hi = max(Fraction(2 * (d.x + d.r), 2**d.scale) for d in disks)
             for k in range(len(ivs)):
-                lo = ivs[k - 1][1] if k else None
-                hi = ivs[k + 1][0] if k + 1 < len(ivs) else None
-                if all((lo is None or lo < e[0]) and (hi is None or e[1] < hi)
-                       for e in (a, b)):
+                left = ivs[k - 1][1] if k else None
+                right = ivs[k + 1][0] if k + 1 < len(ivs) else None
+                if ((left is None or left < lo)
+                        and (right is None or hi < right)):
                     return True
             bits *= 2
 
 
-def _sum_root_intervals(f):
-    """Sorted disjoint isolating intervals of the real roots of
+def _projection_order(p, q, part):
+    """-1 or 1 when the projections of the disks p and q on the real
+    (part 0) or imaginary (part 1) axis are disjoint, by their order;
+    else 0.  Compared in integers at the finer of the two scales."""
+    s = max(p.scale, q.scale)
+    a, ra = (p.x, p.y)[part] << (s - p.scale), p.r << (s - p.scale)
+    b, rb = (q.x, q.y)[part] << (s - q.scale), q.r << (s - q.scale)
+    if a + ra < b - rb:
+        return -1
+    if b + rb < a - ra:
+        return 1
+    return 0
+
+
+def _sum_root_ranges(f):
+    """Sorted disjoint isolating ranges (lo, hi) of the real roots of
     Res_y(f(y), f(t - y)), whose roots are the sums of two roots of f."""
     import sympy
+    from sympy.polys.rootisolation import dup_isolate_real_roots
 
     t, y = sympy.symbols("t y")
     fy = sympy.Poly(sum(sympy.Rational(c) * y**k for k, c in enumerate(f)), y)
     ft = sympy.Poly(sum(sympy.Rational(c) * (t - y)**k for k, c in enumerate(f)), y)
     res = sympy.Poly(fy.resultant(ft), t)
-    return [(Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q)))
-            for (lo, hi), _ in res.intervals()]
+    roots = dup_isolate_real_roots(res.rep.to_list(), res.get_domain())
+    return [(Fraction(lo.numerator, lo.denominator),
+             Fraction(hi.numerator, hi.denominator)) for (lo, hi), _ in roots]

@@ -30,7 +30,7 @@ from .exactmath import (Matrix, NumberField, certified_sign,
                         conjugate_element, kernel, rref)
 from .exactmath import unipoly as up
 from .exactmath.linalg import coords_in, inverse, row_space
-from .qforms import QuadraticSpace, orth_complement, signature
+from .qforms import QuadraticSpace, signature
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
@@ -121,7 +121,10 @@ def transcendental_lattice(period):
         if any(c != 0 for c in v):
             vecs.append(v)
     t = row_space(Matrix(vecs))
-    gram_t = _restrict_gram(period.space, t)
+    # B G serves both the Gram matrix (B G) B^T of q on T and T^perp,
+    # its kernel
+    bg = t * period.space.gram
+    gram_t = bg * t.transpose()
     tsig = signature(QuadraticSpace(gram_t)).as_pair()
     if tsig != (2, t.rows - 2):
         raise WrongSignature(
@@ -129,14 +132,16 @@ def transcendental_lattice(period):
     omega_t = coords_in(t, period.omega)
     if omega_t is None:
         raise InternalError("period does not lie in the computed lattice")
-    tperp = orth_complement(period.space, t)
+    tperp = kernel(bg)
     if t.rows + tperp.rows != m:
         raise InternalError("T and its complement do not decompose V")
     return K3Hodge(period, t, tperp, gram_t, omega_t)
 
 
 def _restrict_gram(space, basis):
-    """Gram matrix B G B^T of q on the row span of the basis B."""
+    """Gram matrix B G B^T of q on the row span of the basis B: the
+    reference for the Gram matrix of T that transcendental_lattice forms
+    from its product B G."""
     return basis * space.gram * basis.transpose()
 
 

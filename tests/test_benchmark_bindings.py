@@ -5,11 +5,15 @@ or `--trace 1` and the algebra workload break only when they run."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _tracer_bindings():
@@ -48,3 +52,17 @@ BINDINGS = list(dict.fromkeys(_tracer_bindings() + _child_bindings()))
 def test_benchmark_binding_exists(module, attr):
     mod = importlib.import_module(module)
     assert attr is None or hasattr(mod, attr), f"{module}.{attr} is gone"
+
+
+def test_tracer_install_patches_what_the_child_imports():
+    # install() also patches class attributes (Matrix.__mul__,
+    # FieldElement.__mul__, ComplexEmbedding.eval_box) that the
+    # (module, attribute) pairs above do not name
+    modules = sorted({module for module, _ in _child_bindings()})
+    code = "".join(f"import {m}\n" for m in modules)
+    code += "from tracer import Tracer\nTracer().install()\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(PERFBENCH)]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -24,10 +24,23 @@ from hodgekit.exactmath import numberfield
 from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
                                             _guess_conjugation, field_trace)
-from hodgekit.exactmath.rootiso import isolate_nonreal_roots, root_disks
+from hodgekit.exactmath.rootiso import RootDisk, isolate_nonreal_roots, root_disks
 
 F = Fraction
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def box(disk):
+    """Bounding square ((re lo, re hi), (im lo, im hi)) of the disk
+    |w - (X + iY)/D| <= R/D, given as (X, Y, R, D) or as a RootDisk."""
+    if isinstance(disk, RootDisk):
+        disk = disk.x, disk.y, disk.r, 2**disk.scale
+    x, y, r, d = disk
+    return (F(x - r, d), F(x + r, d)), (F(y - r, d), F(y + r, d))
+
+
+def boxes_disjoint(a, b):
+    return any(p[1] < q[0] or q[1] < p[0] for p, q in zip(a, b))
 
 
 def apply_automorphism(tau_gen, v):
@@ -91,7 +104,7 @@ def test_embeddings_sqrt2():
     assert [e.is_real for e in embs] == [True, True]
     assert [e.conjugate_index for e in embs] == [0, 1]
     # ordered increasingly: first box is negative, second positive
-    assert embs[0].root_box[0][1] < 0 < embs[1].root_box[0][0]
+    assert box(embs[0].root)[0][1] < 0 < box(embs[1].root)[0][0]
 
 
 def test_embeddings_cubic():
@@ -129,11 +142,10 @@ def test_embedding_count_invariant(coeffs):
         assert embs[e.conjugate_index].conjugate_index == e.index
         assert (e.conjugate_index == e.index) == e.is_real
     # boxes of distinct embeddings are disjoint
-    from hodgekit.exactmath.intervals import box_disjoint
     for a in embs:
         for b in embs:
             if a.index != b.index:
-                assert box_disjoint(a.root_box, b.root_box)
+                assert boxes_disjoint(box(a.root), box(b.root))
 
 
 def test_field_arithmetic():
@@ -199,6 +211,24 @@ def test_certified_sign_ramps_past_64_bits(monkeypatch):
     assert ramp == [Fraction(1, 2**bits) for bits in (64, 128, 256)]
     assert certified_sign(r - sqrt2, emb) == -1
     assert certified_sign(sqrt2 * sqrt2 - 2, emb) == 0
+
+
+@pytest.mark.parametrize("bits", [5000, 20000])
+@pytest.mark.parametrize("step", [0, 1])
+def test_certified_sign_of_pell_difference(bits, step):
+    # p + q sqrt2 is a power of the unit 1 + sqrt2, so p - q sqrt2 =
+    # (p^2 - 2q^2) / (p + q sqrt2) is about 2**-bits in size, with the
+    # sign of the norm p^2 - 2q^2 = +-1; consecutive powers alternate it
+    field = nf_create([-2, 0, 1])
+    plus = nf_embeddings(field)[1]
+    p, q = 1, 1
+    while q.bit_length() < bits:
+        p, q = p + 2 * q, p + q
+    for _ in range(step):
+        p, q = p + 2 * q, p + q
+    want = 1 if p * p - 2 * q * q > 0 else -1
+    assert certified_sign(field.element([p, -q]), plus) == want
+    assert certified_sign(field.element([-p, q]), plus) == -want
 
 
 def test_conjugation_automorphism_quartic():
@@ -358,7 +388,7 @@ def test_field_matrix_linear_algebra():
 # ---- certified embeddings and the irreducibility certificate ------------
 
 def _gen_box(emb, bits=40):
-    return emb.eval_box(emb.parent.gen(), F(1, 2**bits))
+    return box(emb.eval_box(emb.parent.gen(), F(1, 2**bits)))
 
 
 def _shifted(coeffs, c):
@@ -390,9 +420,9 @@ def test_nonreal_order_with_real_parts_closer_than_tie_bits():
     f = up.mul((F(1), F(0), F(1)), (eps * eps + 4, -2 * eps, F(1)))
     ranked = isolate_nonreal_roots(f, 4)
     assert [conj for _, conj in ranked] == [1, 0, 3, 2]
-    re_parts = [disk.refined_below(F(1, 2**700)).box[0] for disk, _ in ranked]
+    re_parts = [box(disk.refined_below(F(1, 2**700)))[0] for disk, _ in ranked]
     assert re_parts[1][1] < re_parts[2][0] <= eps <= re_parts[2][1]
-    ims = [disk.box[1] for disk, _ in ranked]
+    ims = [box(disk)[1] for disk, _ in ranked]
     assert ims[0][1] < 0 < ims[1][0] and ims[2][1] < -1 < 1 < ims[3][0]
 
 
@@ -421,8 +451,8 @@ def test_embeddings_of_dense_degree_16(coeffs, roots):
         assert abs(float(re[0]) - want.real) < 1e-9
         assert abs(float(im[0]) - want.imag) < 1e-9
     # Newton refinement stays inside the isolating disk
-    fine = embs[5].root.refined_below(F(1, 2**600)).box
-    coarse = embs[5].root_box
+    fine = box(embs[5].root.refined_below(F(1, 2**600)))
+    coarse = box(embs[5].root)
     for part in (0, 1):
         assert coarse[part][0] <= fine[part][0] <= fine[part][1] <= coarse[part][1]
         assert fine[part][1] - fine[part][0] <= F(1, 2**600)
@@ -550,6 +580,45 @@ ORACLE_POLYS = {
 }
 
 
+ENCLOSURE_POLYS = {name: ORACLE_POLYS[name] for name in (
+    "x^4-10x^2+1", "2cos(pi/32)", "x^2+1", "x^4+1", "x^8+1")}
+ENCLOSURE_POLYS.update({"x^16+1": [1] + [0] * 15 + [1],
+                        "2cos(2pi/17)+i": MINPOLY_2COS17_PLUS_I})
+
+
+@pytest.mark.parametrize("name", sorted(ENCLOSURE_POLYS))
+def test_eval_box_encloses_mpmath_value(name):
+    import mpmath
+
+    field = nf_create(ENCLOSURE_POLYS[name])
+    e = field.degree
+    rng = random.Random(e)
+    elements = [field.gen()] + [
+        field.element([F(rng.randint(-99, 99), rng.randint(1, 99))
+                       for _ in range(e)]) for _ in range(3)]
+    with mpmath.workdps(100):
+        tol = mpmath.mpf(10)**-90
+        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(field.defining_poly)],
+                                 maxsteps=200, extraprec=400)
+        for emb in nf_embeddings(field):
+            d = emb.root
+            centre = mpmath.mpc(d.x, d.y) / 2**d.scale
+            (z,) = [z for z in roots
+                    if abs(z - centre) <= mpmath.mpf(d.r) / 2**d.scale]
+            for v in elements:
+                value = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
+                                        for c in reversed(v.coords)], z)
+                for bits in (16, 64, 128, 256):
+                    width = F(1, 2**bits)
+                    x, y, r, den = emb.eval_box(v, width)
+                    error = abs(value - mpmath.mpc(x, y) / den)
+                    assert error <= r / mpmath.mpf(den) + tol
+                    assert y == 0 or not emb.is_real
+                    if v == field.gen():
+                        assert F(r, den) <= width / 2
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_POLYS))
 def test_nf_create_matches_factorization_oracle(name):
     coeffs = ORACLE_POLYS[name]
@@ -598,12 +667,13 @@ def test_real_embedding_refinement_is_history_independent():
 
     gen, width = field.gen(), F(1, 2**64)
     refined = fresh()
-    deep = refined.eval_box(gen, F(1, 2**512))
-    assert deep[0][1] - deep[0][0] <= F(1, 2**512) and deep[1] == (0, 0)
+    _, y, r, d = refined.eval_box(gen, F(1, 2**512))
+    assert F(2 * r, d) <= F(1, 2**512) and y == 0
     # an earlier, finer refinement does not change a later enclosure
-    box = refined.eval_box(gen, width)
-    assert box == fresh().eval_box(gen, width) == cached.eval_box(gen, width)
-    assert box[0][1] - box[0][0] <= width and box[1] == (0, 0)
+    disk = refined.eval_box(gen, width)
+    assert disk == fresh().eval_box(gen, width) == cached.eval_box(gen, width)
+    _, y, r, d = disk
+    assert F(2 * r, d) <= width and y == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -619,11 +689,12 @@ def test_real_embeddings_match_sturm_oracle(coeffs):
     reals = [emb for emb in nf_embeddings(field) if emb.is_real]
     assert len(reals) == up.sturm_count(chain, -bound, bound)
     # the certified disks, and the same disks after Newton refinement
-    for boxes in ([emb.root_box for emb in reals],
-                  [emb.refined_root(F(1, 2**100)).box for emb in reals]):
+    for disks in ([emb.root for emb in reals],
+                  [emb.root.refined_below(F(1, 2**100)) for emb in reals]):
+        assert all(d.y == 0 for d in disks)
+        boxes = [box(d) for d in disks]
         assert all(a[0][1] < b[0][0] for a, b in zip(boxes, boxes[1:]))
-        for (lo, hi), im in boxes:
-            assert im == (0, 0)
+        for (lo, hi), _ in boxes:
             assert up.sturm_count(chain, lo, hi) == 1
             assert up.eval_at(f, lo) * up.eval_at(f, hi) < 0
 
@@ -636,10 +707,10 @@ def test_totally_real_embeddings_of_2cos_pi_32():
     want = sorted(2 * math.cos((2 * k + 1) * math.pi / 32) for k in range(16))
     width = F(1, 2**1024)
     start = time.monotonic()
-    boxes = [emb.eval_box(field.gen(), width) for emb in embs]
+    disks = [emb.eval_box(field.gen(), width) for emb in embs]
     elapsed = time.monotonic() - start
     assert elapsed < 3
-    for (re, im), root in zip(boxes, want):
-        assert im == (0, 0)
-        assert re[1] - re[0] <= width
-        assert abs(float(re[0]) - root) < 1e-12
+    for (x, y, r, d), root in zip(disks, want):
+        assert y == 0
+        assert F(2 * r, d) <= width
+        assert abs(float(F(x - r, d)) - root) < 1e-12

@@ -50,7 +50,8 @@ def _cases():
     cases += [["bounds", *args.split()] for args in (
         "--d 20 --e 1", "--d 20 --e 1 --dim-h1 2048", "--d 3 --dim-h1 4",
         "--d 3 --dim-h1 5", "--d 0", "--d -1", "--d 20 --e 0",
-        "--d 20 --dim-h1 -1")]
+        "--d 20 --dim-h1 -1", "--d 1000", "--d 1001", "--d 20 --e 1000",
+        "--d 20 --e 1001")]
     for name, command in BAD.items():
         path = f"corpus/bad/{name}"
         cases.append(_file_command(command, path))
