@@ -5,10 +5,19 @@ FieldElements (anything with field arithmetic dunders); no floating
 point is used anywhere.  Reduced row-echelon forms have leading
 coefficient 1, and kernel bases are re-echelonized, so every output is
 canonical and byte-reproducible.
+
+Rational matrices are eliminated on Python integers: each row is scaled
+to a primitive integer row, Gauss-Jordan steps cross-multiply and remove
+the row content again, and each pivot row is divided by its pivot once,
+at the end.  The reduced row-echelon form is unique, so this gives the
+same entries and pivots as elimination over the Fractions.  det runs
+Bareiss's fraction-free elimination on the same integer rows.  Matrices
+with number-field entries take the generic elimination.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class Matrix:
@@ -116,8 +125,26 @@ def _dot(r, c):
     return acc
 
 
+def _is_rational(m):
+    return all(isinstance(x, (int, Fraction)) for r in m.entries for x in r)
+
+
+def _primitive(row):
+    """The integer row divided by its content."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_row(row):
+    """The rational row times the lcm of its denominators: (integers, lcm)."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def rref(m):
     """Reduced row-echelon form; returns (Matrix, pivot column tuple)."""
+    if _is_rational(m):
+        return _rational_rref(m)
     a = [list(r) for r in m.entries]
     rows, cols = m.rows, m.cols
     pivots = []
@@ -142,6 +169,34 @@ def rref(m):
         if pr == rows:
             break
     return Matrix(a), tuple(pivots)
+
+
+def _rational_rref(m):
+    """rref of a rational matrix on primitive integer rows."""
+    a = [_primitive(_integer_row(r)[0]) for r in m.entries]
+    rows = m.rows
+    pivots = []
+    pr = 0
+    for pc in range(m.cols):
+        pivot = next((r for r in range(pr, rows) if a[r][pc]), None)
+        if pivot is None:
+            continue
+        a[pr], a[pivot] = a[pivot], a[pr]
+        p = a[pr]
+        for r in range(rows):
+            f = a[r][pc]
+            if r != pr and f:
+                g = gcd(p[pc], f)
+                u, v = p[pc] // g, f // g
+                a[r] = _primitive([u * x - v * y for x, y in zip(a[r], p)])
+        pivots.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    out = [tuple(Fraction(x, a[i][pc]) for x in a[i])
+           for i, pc in enumerate(pivots)]
+    out += [(Fraction(0),) * m.cols] * (rows - pr)
+    return Matrix(out), tuple(pivots)
 
 
 def row_space(m):
@@ -178,7 +233,7 @@ def kernel(m):
 
 
 def _zero_like(m):
-    return m.entries[0][0] * 0 if m.rows else Fraction(0)
+    return m.entries[0][0] * 0 if m.rows and m.cols else Fraction(0)
 
 
 def _kernel_from_rref(r, pivots, cols, zero):
@@ -233,12 +288,15 @@ def solve_linear(a, b):
 
 
 def det(m):
-    """Determinant by ordinary elimination over the scalar field."""
+    """Determinant: Bareiss elimination on integer rows for a rational
+    matrix, ordinary elimination over the scalar field otherwise."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return Fraction(1)
+    if _is_rational(m):
+        return _rational_det(m)
     a = [list(r) for r in m.entries]
     zero = a[0][0] * 0
     result = None
@@ -261,6 +319,31 @@ def det(m):
                 f = a[r][c] / lead
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return result if sign > 0 else -result
+
+
+def _rational_det(m):
+    """Bareiss: after step k every entry below row k is a (k+1)-minor, so
+    the division by the previous pivot is exact."""
+    a, sign, den = [], 1, 1
+    for r in m.entries:
+        row, d = _integer_row(r)
+        a.append(row)
+        den *= d
+    n = m.rows
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p = a[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(p[k] * x - f * y) // prev for x, y in zip(a[i], p)]
+        prev = p[k]
+    return Fraction(sign * prev, den)
 
 
 def inverse(m):

@@ -2,7 +2,10 @@
 embeddings.
 
 A NumberField carries a monic irreducible defining polynomial; elements
-are coordinate vectors in the power basis 1, x, ..., x**(e-1).
+are coordinate vectors of Fractions in the power basis 1, x, ...,
+x**(e-1).  Two elements are multiplied on integer numerators: their
+convolution is reduced by the powers x**e, ..., x**(2e-2) scaled to one
+common denominator, and each coordinate becomes a Fraction once.
 nf_create certifies irreducibility without factoring: monic factors
 over Q correspond to sets of roots closed under conjugation, and the
 sets of at most e/2 roots are tried on the certified root disks of
@@ -46,7 +49,7 @@ from math import lcm
 from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible)
 from . import unipoly as up
-from .linalg import Matrix
+from .linalg import Matrix, _integer_row
 from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, approx_conjugation,
                       digits_bits, isolate_nonreal_roots, isolate_real_roots,
                       root_disks)
@@ -266,8 +269,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        prod = up.mul(self.coords, o.coords)
-        return FieldElement(self.parent, _reduce(self.parent, prod))
+        return FieldElement(self.parent,
+                            _mul_coords(self.parent, self.coords, o.coords))
 
     __rmul__ = __mul__
 
@@ -344,6 +347,38 @@ def _reduce(field, coeffs):
     return tuple(out)
 
 
+def _mul_coords(field, a, b):
+    """Coordinates of the product of two elements, in integers: the
+    convolution of the numerators of a and b, reduced by the integer
+    power table, over the product of the three denominators."""
+    na, da = _integer_row(a)
+    nb, db = _integer_row(b)
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(na):
+        if x:
+            for j, y in enumerate(nb, i):
+                conv[j] += x * y
+    table, dt = _integer_power_table(field)
+    e = field.degree
+    out = [c * dt for c in conv[:e]]
+    for c, row in zip(conv[e:], table):
+        if c:
+            for i, p in row:
+                out[i] += c * p
+    den = da * db * dt
+    return tuple(Fraction(x, den) for x in out)
+
+
+@lru_cache(maxsize=None)
+def _integer_power_table(field):
+    """_power_table over one common denominator: (rows, den), each row
+    the nonzero (index, numerator) pairs."""
+    rows = _power_table(field)
+    den = lcm(*(c.denominator for r in rows for c in r))
+    return tuple(tuple((i, c.numerator * (den // c.denominator))
+                       for i, c in enumerate(r) if c) for r in rows), den
+
+
 @lru_cache(maxsize=None)
 def _power_table(field):
     """Coordinates of gen**e, ..., gen**(2e-2) in the power basis."""
@@ -407,8 +442,7 @@ class ComplexEmbedding:
             raise ValueError("element of a different field")
         disk = self.root.refined_below(width)
         coords = up.normalize(element.coords) or (Fraction(0),)
-        den = lcm(*(c.denominator for c in coords))
-        a = [c.numerator * (den // c.denominator) for c in coords]
+        a, den = _integer_row(coords)
         s = disk.scale
         x, y = _horner(a, disk.x, disk.y, s)
         m = _ceil_sqrt(disk.x * disk.x + disk.y * disk.y, 1)

@@ -37,7 +37,7 @@ of sympy here.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from math import isqrt, lcm
 
 from ..errors import InternalError
@@ -93,11 +93,18 @@ class RootDisk:
     scale: int
 
     def refined_below(self, width):
-        """A disk of diameter at most width around the same root."""
+        """A disk of diameter at most width around the same root: the
+        first one narrow enough on the chain of Newton successors."""
         disk = self
         while Fraction(2 * disk.r, 2**disk.scale) > width:
-            disk = disk._newton_step()
+            disk = disk._successor
         return disk
+
+    @cached_property
+    def _successor(self):
+        """The disk's Newton successor.  A disk is immutable, so it is
+        computed once and later refinements walk the same chain."""
+        return self._newton_step()
 
     def _newton_step(self):
         """z - f(z)/f'(z) from the centre, rounded at twice the scale, with

@@ -1,13 +1,16 @@
 """Tests for exact rationals, number fields, embeddings and linear algebra."""
 
 import cmath
+import dataclasses
 import json
 import math
 import random
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,8 @@ from hodgekit.exactmath import (ComplexEmbedding, FieldElement, Matrix,
                                 certified_sign, conjugate_element,
                                 conjugation_automorphism, det, inverse, kernel,
                                 nf_create, nf_embeddings, rank, roots_in_field,
-                                solve_linear)
-from hodgekit.exactmath import numberfield
+                                rref, solve_linear)
+from hodgekit.exactmath import linalg, numberfield
 from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
                                             _guess_conjugation, field_trace)
@@ -231,6 +234,38 @@ def test_certified_sign_of_pell_difference(bits, step):
     assert certified_sign(field.element([-p, q]), plus) == -want
 
 
+def test_sign_ramp_walks_one_newton_chain(monkeypatch):
+    # the doubling ramp of certified_sign on a value about 2**-20000 costs
+    # no more Newton steps than one refinement to its last width
+    field = nf_create([-2, 0, 1])
+    emb = nf_embeddings(field)[1]
+    p, q = 1, 1
+    while q.bit_length() < 20000:
+        p, q = p + 2 * q, p + q
+    want = 1 if p * p - 2 * q * q > 0 else -1
+    steps, widths = [], []
+    newton, eval_box = RootDisk._newton_step, ComplexEmbedding.eval_box
+
+    def spy_step(self):
+        steps.append(self.scale)
+        return newton(self)
+
+    def spy_box(self, element, width):
+        widths.append(width)
+        return eval_box(self, element, width)
+
+    monkeypatch.setattr(RootDisk, "_newton_step", spy_step)
+    monkeypatch.setattr(ComplexEmbedding, "eval_box", spy_box)
+    # fresh disks, without a chain computed by earlier tests
+    fresh = dataclasses.replace(emb, root=dataclasses.replace(emb.root))
+    assert certified_sign(field.element([p, -q]), fresh) == want
+    assert len(widths) > 1
+    ramp = len(steps)
+    steps.clear()
+    dataclasses.replace(emb.root).refined_below(widths[-1])
+    assert 0 < ramp <= len(steps)
+
+
 def test_conjugation_automorphism_quartic():
     field = nf_create([9, 0, -2, 0, 1])
     th = field.gen()
@@ -363,6 +398,69 @@ def test_solve_linear_kernel_is_kernel(rows, cols, data):
     assert solve_linear(a, b).kernel == kernel(a)
 
 
+big_rationals = st.one_of(
+    st.just(F(0)), st.integers(-3, 3).map(F),
+    st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**12))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices up to 5 x 6 with zero rows and columns, rank
+    deficiency and denominators up to 10**12; 0 x n shapes included."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if square else draw(st.integers(0, 6))
+    m = [[draw(big_rationals) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and draw(st.booleans()):
+        c = draw(big_rationals)
+        m[-1] = [a + c * b for a, b in zip(m[0], m[1])]
+    if rows and draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [F(0)] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for r in m:
+            r[j] = F(0)
+    return Matrix(m, cols=cols)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _generic(fn, *args):
+    """Oracle: the outcome of fn with every matrix taking the generic
+    Fraction elimination instead of the integer one."""
+    with mock.patch.object(linalg, "_is_rational", lambda m: False):
+        return _outcome(fn, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_integer_rref_and_kernel_match_fraction_elimination(m):
+    assert rref(m) == _generic(rref, m)
+    assert kernel(m) == _generic(kernel, m)
+    assert all(isinstance(c, Fraction) for r in rref(m)[0].entries for c in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(square=True))
+def test_integer_det_and_inverse_match_fraction_elimination(m):
+    assert det(m) == _generic(det, m)
+    assert _outcome(inverse, m) == _generic(inverse, m)
+
+
+def test_integer_rref_negative_pivots_and_deficient_rank():
+    m = Matrix([[F(-2, 3), F(4), F(0)], [F(1, 10**12), F(-6, 10**12), F(0)],
+                [F(0), F(0), F(0)]])
+    assert rref(m) == _generic(rref, m)
+    red, pivots = rref(m)
+    assert pivots == (0,) and red.entries[0] == (F(1), F(-6), F(0))
+    assert det(m) == 0 and rank(m) == 1
+
+
 def test_det_inverse_kernel():
     a = Matrix([[F(2), F(1)], [F(1), F(1)]])
     assert det(a) == 1
@@ -429,6 +527,36 @@ def test_nonreal_order_with_real_parts_closer_than_tie_bits():
 # 2cos(2 pi/17) + i, whose conjugates are 2cos(2 pi k/17) +- i
 MINPOLY_2COS17_PLUS_I = (1597, 632, 1435, 614, 790, 102, 231, 328, 189,
                          -118, -37, 68, 32, -12, -5, 2, 1)
+
+
+# defining polynomials of the field-multiplication oracle test
+MUL_FIELDS = {
+    "QQ": (0, 1),
+    "x^16+1": (1,) + (0,) * 15 + (1,),
+    "(x-1/3)^16+1": _shifted((1,) + (0,) * 15 + (1,), F(1, 3)),
+    "2cos(2pi/17)+i": MINPOLY_2COS17_PLUS_I,
+}
+
+
+@lru_cache(maxsize=None)
+def _mul_field(name):
+    return nf_create(MUL_FIELDS[name])
+
+
+@pytest.mark.parametrize("name", sorted(MUL_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_field_mul_matches_polynomial_oracle(name, data):
+    field = _mul_field(name)
+    coords = st.lists(big_rationals, min_size=field.degree,
+                      max_size=field.degree)
+    a = field.element(data.draw(coords))
+    b = field.element(data.draw(coords))
+    want = numberfield._reduce(field, up.mul(a.coords, b.coords))
+    got = a * b
+    assert got.coords == want
+    assert all(type(c) is Fraction for c in got.coords)
+    assert (b * a).coords == want
 
 
 @pytest.mark.parametrize("coeffs, roots", [

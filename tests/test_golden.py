@@ -19,7 +19,8 @@ from hodgekit.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 
-PERIODS = ("qi_period.json", "sqrt2i_period.json")
+PERIODS = ("qi_period.json", "sqrt2i_period.json",
+           "quartic_incompatible_period.json", "cm_d8_basis_period.json")
 BAD = {
     "unknown_version.json": "classify", "unknown_kind.json": "classify",
     "float_number.json": "perdom", "nonsymmetric_gram.json": "classify",
@@ -99,8 +100,7 @@ def test_golden_cli_output(argv, monkeypatch):
 def test_golden_covers_every_corpus_file():
     named = {arg for argv in _cases() for arg in argv}
     files = {str(p.relative_to(ROOT)) for p in (ROOT / "corpus").rglob("*.json")}
-    # the one period the parent could not classify has its own test
-    assert files - named == {"corpus/quartic_incompatible_period.json"}
+    assert files - named == set()
 
 
 if __name__ == "__main__":
