@@ -32,7 +32,8 @@ from .symalg import build_tha
 FORMAT_VERSION = "1"
 KINDS = ("k3period", "ksymplectic", "path")
 # the largest --d and --e of bounds: its numbers, up to 2**500, stay far
-# below Python's 4300-digit limit on printing an int
+# below Python's 4300-digit limit on printing an int; also the largest
+# --n of tha, whose report grows with n
 BOUNDS_CAP = 1000
 
 
@@ -398,6 +399,8 @@ def _check_arguments(args):
     """Range checks on the numeric options, made before any file is read."""
     if args.command == "tha" and args.n < 1:
         raise ValidationError("--n must be at least 1")
+    if args.command == "tha" and args.n > BOUNDS_CAP:
+        raise ValidationError(f"--n must be at most {BOUNDS_CAP}")
     if args.command == "bounds":
         if args.d < 0:
             raise ValidationError("--d must be nonnegative")

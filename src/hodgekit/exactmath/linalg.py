@@ -17,6 +17,7 @@ with number-field entries take the generic elimination.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -81,7 +82,8 @@ class Matrix:
         return Matrix(tuple(tuple(scalar * a for a in r) for r in self.entries))
 
     def transpose(self):
-        return Matrix(tuple(zip(*self.entries))) if self.rows else Matrix(())
+        return Matrix(tuple(zip(*self.entries)) if self.rows
+                      else ((),) * self.cols, cols=self.rows)
 
     def row(self, i):
         return self.entries[i]
@@ -346,15 +348,32 @@ def _rational_det(m):
     return Fraction(sign * prev, den)
 
 
+def solve_blocks(a, blocks):
+    """The X_k with a X_k = B_k for every block B_k, a of full column
+    rank, by one elimination on [a | B_1 | ... | B_e]: its RREF is
+    [I | X_1 | ... | X_e] over zero rows exactly when every pivot lies
+    in a's columns.  None otherwise, that is when a has a lower rank or
+    some a X = B_k has no solution."""
+    if any(b.rows != a.rows for b in blocks):
+        raise ValueError("shape mismatch")
+    aug = Matrix(tuple(ra + tuple(chain.from_iterable(rb)) for ra, *rb in
+                       zip(a.entries, *(b.entries for b in blocks))))
+    r, pivots = rref(aug)
+    if pivots != tuple(range(a.cols)):
+        return None
+    top, out, start = r.entries[:a.cols], [], a.cols
+    for b in blocks:
+        out.append(Matrix(tuple(row[start:start + b.cols] for row in top),
+                          cols=b.cols))
+        start += b.cols
+    return tuple(out)
+
+
 def inverse(m):
+    """m^-1 as the solution of m X = I."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    one = _one_like(m)
-    zero = one * 0
-    aug = Matrix(tuple(
-        tuple(r) + tuple(one if i == j else zero for j in range(m.cols))
-        for i, r in enumerate(m.entries)))
-    r, pivots = rref(aug)
-    if len(pivots) < m.rows or any(p >= m.cols for p in pivots):
+    x = solve_blocks(m, (Matrix.identity(m.rows, _one_like(m)),))
+    if x is None:
         raise ValueError("matrix is singular")
-    return Matrix(tuple(row[m.cols:] for row in r.entries))
+    return x[0]

@@ -30,9 +30,12 @@ isolating disk of the conjugate root.  A wrong guess is first rejected
 modulo a prime, and the guesses with their f(g) = 0 verdicts are kept
 per field, as neither depends on the embedding.  The guess interpolates
 in the same fixed-point arithmetic and from the same root approximations
-(rootiso.approx_roots) as the embeddings.  When no guess
-of a short precision ramp passes both checks, the roots of f in the
-field are found by Trager's norm method (roots_in_field) instead.  Only that
+(rootiso.approx_roots) as the embeddings.  When no guess of a short
+precision ramp passes both checks, g is guessed from the chosen
+embedding alone, as the integer relation between conj(sigma(gen)) and
+the powers of sigma(gen) found by LLL reduction, under the same checks.
+When that fails too, the roots of f in the field are found by Trager's
+norm method (roots_in_field) instead.  Only that
 fallback can report that the image field is not stable under
 conjugation; period-style inputs are then rejected
 (ConjugationNotInternal).  Elements are conjugated by the rational
@@ -534,11 +537,12 @@ def conjugation_automorphism(field, index):
     automorphism, and sigma(g) lies in the isolating disk of the
     conjugate root, so sigma(tau(gen)) = conj(sigma(gen)).  Together
     they give sigma o tau = conj o sigma on the whole field, hence
-    tau o tau = id; no float decides the result.  When no guess
-    certifies (conjugation does not commute with every embedding, or
-    the precision ramp runs out) the roots of f in the field are
-    searched by Trager's norm method instead, and only that search
-    returns None.
+    tau o tau = id; no float decides the result.  When conjugation does
+    not commute with every embedding that guess is wrong, and g is
+    guessed from the chosen embedding alone (relations.relation_guess)
+    at the same precisions, under the same two checks.  When neither
+    certifies the roots of f in the field are searched by Trager's norm
+    method instead, and only that search returns None.
     """
     embs = nf_embeddings(field)
     emb = embs[index]
@@ -548,6 +552,15 @@ def conjugation_automorphism(field, index):
         g = _automorphism_guess(field, digits)
         # g is a root of f: _embedded_root_is terminates only on those
         if g is not None and _embedded_root_is(g, emb, emb.conjugate_index):
+            return g
+    # imported here: only fields on which conjugation does not commute
+    # with every embedding get this far
+    from .relations import relation_guess
+
+    for digits in _GUESS_DIGITS:
+        g = relation_guess(emb, digits)
+        if (g is not None and _is_root(field, g)
+                and _embedded_root_is(g, emb, emb.conjugate_index)):
             return g
     for cand in roots_in_field(field):
         if _embedded_root_is(cand, emb, emb.conjugate_index):
@@ -559,18 +572,21 @@ def conjugation_automorphism(field, index):
 def _automorphism_guess(field, digits):
     """The guess of tau(gen) at the given precision when f(g) = 0 holds
     exactly, else None.  Neither depends on the embedding, so each field
-    guesses and checks once per precision.  When the prime p divides no
-    denominator of f or g, a wrong guess is rejected modulo p first:
+    guesses and checks once per precision."""
+    g = _guess_conjugation(field, digits)
+    return g if g is not None and _is_root(field, g) else None
+
+
+def _is_root(field, g):
+    """Whether f(g) = 0 in the field.  When the prime p divides no
+    denominator of f or g, a wrong g is rejected modulo p first:
     f(g) = 0 in the field implies f(g) = 0 in F_p[x]/(f mod p), as f is
     monic."""
-    g = _guess_conjugation(field, digits)
-    if g is None:
-        return None
     f, p = field.defining_poly, _CHECK_PRIME
     if (all(c.denominator % p for c in f + g.coords)
             and not _is_root_mod(f, g.coords, p)):
-        return None
-    return g if up.eval_at(f, g).is_zero() else None
+        return False
+    return up.eval_at(f, g).is_zero()
 
 
 def _is_root_mod(f, g, p):

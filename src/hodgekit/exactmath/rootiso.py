@@ -29,10 +29,11 @@ centre the step is real, so a real disk stays on the axis.
 
 Real roots are sorted by centre, nonreal ones by (real part, imaginary
 part).  Conjugates share their real part; other real parts are compared
-in integers on refined disks, and a tie that survives _TIE_BITS bits is
-decided exactly from the real roots of Res_y(f(y), f(t - y)), whose
-roots are the sums of two roots of f.  That resultant is the only use
-of sympy here.
+in integers on refined disks.  Twice a real part is a sum of two
+distinct roots of f, hence a root of an integer polynomial of degree
+e(e-1)/2 whose roots are those sums, and Mahler's separation bound on
+it gives the refinement past which real parts that still overlap are
+equal.
 """
 
 from dataclasses import dataclass
@@ -46,8 +47,6 @@ from ..errors import InternalError
 ROOT_DIGITS = (30, 60, 120, 240, 480, 960)
 # sweeps of the Durand-Kerner iteration before approx_roots gives up
 _MAX_STEPS = 200
-# refinement, in bits, after which overlapping real parts count as a tie
-_TIE_BITS = 256
 
 
 @lru_cache(maxsize=None)
@@ -327,16 +326,38 @@ class _Ranking:
         self.f = f
         self.disks = list(disks)
         self.mirror = mirror
-        self._sums = None
 
     def compare(self, i, j):
         if self.mirror[i] == j:
             # conjugates: same real part, and neither disk meets the axis
             return -1 if self.disks[i].y < 0 else 1
-        c = self._separate(i, j, 0, _TIE_BITS)
-        if c == 0 and not self._equal_real_parts(i, j):
-            c = self._separate(i, j, 0)
-        return c or self._separate(i, j, 1)
+        return (self._separate(i, j, 0, self._tie_bits)
+                or self._separate(i, j, 1))
+
+    @cached_property
+    def _tie_bits(self):
+        """Refinement, in bits, at which real parts that still overlap are
+        equal.  For a = l f with integer coefficients, 2 Re r = r + conj(r)
+        is a root of S(t) = l**(e-1) prod_{p<q} (t - r_p - r_q), whose
+        coefficients are l**(e-1) times symmetric integer polynomials of
+        degree at most e - 1 in each root, so integers.  The squarefree
+        part of S divides S in Z[t]: its degree is at most n = e(e-1)/2
+        and its Mahler measure at most M(S), so two distinct roots of S
+        differ by more than sqrt(3) n**(-(n+2)/2) M(S)**(1-n) (Mahler
+        1964).  Disks of diameter below 2**-bits whose real projections
+        meet put twice the real parts within 2**(2-bits)."""
+        a, _ = _integer_poly(self.f)
+        e = len(a) - 1
+        n = e * (e - 1) // 2
+        # 16 |r_p| rounded up, from each disk's centre and radius
+        rho = [-(-16 * (_ceil_sqrt(d.x * d.x + d.y * d.y, 1) + d.r) >> d.scale)
+               for d in self.disks]
+        measure = a[-1]**(e - 1)
+        for k, p in enumerate(rho):
+            for q in rho[k + 1:]:
+                measure *= max(16, p + q)
+        log_m = measure.bit_length() - 4 * n
+        return (n + 2) * n.bit_length() // 2 + (n - 1) * log_m + 3
 
     def _refine(self, i, bits):
         self.disks[i] = self.disks[i].refined_below(Fraction(1, 2**bits))
@@ -354,29 +375,6 @@ class _Ranking:
                 return c
             bits *= 2
 
-    def _equal_real_parts(self, i, j):
-        """Exact: 2 Re is a real root of S(t) = Res_y(f(y), f(t - y)).  Once
-        the enclosure [lo, hi] of 2 Re of both roots lies in one gap
-        between the isolating ranges of S around a single root, the real
-        parts are equal."""
-        if self._sums is None:
-            self._sums = _sum_root_ranges(self.f)
-        ivs = self._sums
-        bits = _TIE_BITS
-        while True:
-            disks = self._refine(i, bits), self._refine(j, bits)
-            if _projection_order(*disks, 0):
-                return False
-            lo = min(Fraction(2 * (d.x - d.r), 2**d.scale) for d in disks)
-            hi = max(Fraction(2 * (d.x + d.r), 2**d.scale) for d in disks)
-            for k in range(len(ivs)):
-                left = ivs[k - 1][1] if k else None
-                right = ivs[k + 1][0] if k + 1 < len(ivs) else None
-                if ((left is None or left < lo)
-                        and (right is None or hi < right)):
-                    return True
-            bits *= 2
-
 
 def _projection_order(p, q, part):
     """-1 or 1 when the projections of the disks p and q on the real
@@ -390,18 +388,3 @@ def _projection_order(p, q, part):
     if b + rb < a - ra:
         return 1
     return 0
-
-
-def _sum_root_ranges(f):
-    """Sorted disjoint isolating ranges (lo, hi) of the real roots of
-    Res_y(f(y), f(t - y)), whose roots are the sums of two roots of f."""
-    import sympy
-    from sympy.polys.rootisolation import dup_isolate_real_roots
-
-    t, y = sympy.symbols("t y")
-    fy = sympy.Poly(sum(sympy.Rational(c) * y**k for k, c in enumerate(f)), y)
-    ft = sympy.Poly(sum(sympy.Rational(c) * (t - y)**k for k, c in enumerate(f)), y)
-    res = sympy.Poly(fy.resultant(ft), t)
-    roots = dup_isolate_real_roots(res.rep.to_list(), res.get_domain())
-    return [(Fraction(lo.numerator, lo.denominator),
-             Fraction(hi.numerator, hi.denominator)) for (lo, hi), _ in roots]

@@ -16,7 +16,9 @@ closed under the polarization adjoint a -> q^-1 a^T q, which acts on
 eigenvalues as the conjugation tau of the embedding.  tau fixing E means
 totally real (Mumford-Tate SO_E), otherwise E is CM over the fixed
 subfield E_0 (Mumford-Tate U_E).  The rational (2,2)-classes of T (x) T
-are phi G_T^-1 for phi in E, where G_T is the Gram matrix of q on T.
+are the c with c G_T = phi in E, where G_T is the Gram matrix of q on T.
+Both phi and c are solved by one elimination each; no matrix is
+inverted.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .errors import (InternalError, IsotropyFails, PositivityFails,
 from .exactmath import (Matrix, NumberField, certified_sign,
                         conjugate_element, kernel, rref)
 from .exactmath import unipoly as up
-from .exactmath.linalg import coords_in, inverse, row_space
+from .exactmath.linalg import coords_in, row_space, solve_blocks
 from .qforms import QuadraticSpace, signature
 
 TOTALLY_REAL = "TotallyReal"
@@ -121,10 +123,7 @@ def transcendental_lattice(period):
         if any(c != 0 for c in v):
             vecs.append(v)
     t = row_space(Matrix(vecs))
-    # B G serves both the Gram matrix (B G) B^T of q on T and T^perp,
-    # its kernel
-    bg = t * period.space.gram
-    gram_t = bg * t.transpose()
+    bg, gram_t = _lowered(period.space.gram, t)
     tsig = signature(QuadraticSpace(gram_t)).as_pair()
     if tsig != (2, t.rows - 2):
         raise WrongSignature(
@@ -138,11 +137,13 @@ def transcendental_lattice(period):
     return K3Hodge(period, t, tperp, gram_t, omega_t)
 
 
-def _restrict_gram(space, basis):
-    """Gram matrix B G B^T of q on the row span of the basis B: the
-    reference for the Gram matrix of T that transcendental_lattice forms
-    from its product B G."""
-    return basis * space.gram * basis.transpose()
+def _lowered(gram, basis):
+    """B G, whose kernel is the orthogonal complement of the basis B, and
+    the Gram matrix B G B^T of q on its span.  G is symmetric, so row i
+    of B G is G b_i, and the Gram matrix is symmetric, so its row j is
+    (B G) b_j: matrix-vector products, which skip zero entries."""
+    bg = Matrix(tuple(gram.vec(b) for b in basis.entries), cols=gram.cols)
+    return bg, Matrix(tuple(bg.vec(b) for b in basis.entries), cols=basis.rows)
 
 
 @dataclass(frozen=True)
@@ -229,9 +230,10 @@ def _character_basis(h):
     coefficients of omega_T; it has rank t.  phi keeps the line iff
     Omega phi^T = M_lambda Omega, solvable iff N M_lambda Omega = 0 for
     N = ker(Omega^T): a linear system in the e_F coordinates of lambda,
-    empty when t = e_F, whose solutions form the field L.  Each phi_lambda
-    is solved from t independent rows of Omega, so it satisfies those
-    exactly, and is certified on the rows not used to solve it.
+    empty when t = e_F, whose solutions form the field L.  The phi^T of
+    a basis of L come from one RREF of [Omega | M_lambda Omega | ...]:
+    Omega reduces to [I; 0], and every lambda is realized iff no pivot
+    lies past the Omega block.
 
     Hodge condition: phi in L also keeps T^{1,1} = {omega, conj omega}^perp
     iff phi* omega lies in span(omega, conj omega).  Pairing with omega
@@ -259,17 +261,13 @@ def _character_basis(h):
         lams = kernel(Matrix(tuple(zip(*cols))))
     else:
         lams = Matrix.identity(e_f)
-    _, rows = rref(omega.transpose())
-    rest = tuple(i for i in range(e_f) if i not in rows)
-    pick_inv = inverse(Matrix(tuple(omega.entries[i] for i in rows)))
-    omega_rest = Matrix(tuple(omega.entries[i] for i in rest), cols=t)
+    images = tuple(_combine(shifted, lam) for lam in lams.entries)
+    phis = solve_blocks(omega, images)         # Omega phi^T = M_lambda Omega
+    if phis is None:
+        raise InternalError("eigenvalue is not realized by a rational matrix")
     lowered = h.gram.vec(h.omega_t)        # G_T omega
     aug = []
-    for lam in lams.entries:
-        image = _combine(shifted, lam)     # M_lambda Omega
-        phi_t = pick_inv * Matrix(tuple(image.entries[i] for i in rows))
-        if omega_rest * phi_t != Matrix(tuple(image.entries[i] for i in rest)):
-            raise InternalError("eigenvalue is not realized by a rational matrix")
+    for lam, phi_t in zip(lams.entries, phis):
         tau = conjugate_element(field.element(lam), h.period.embedding)
         delta = tuple(c for a, b in zip(phi_t.vec(lowered), lowered)
                       for c in (a - tau * b).coords)
@@ -344,7 +342,9 @@ def hodge_classes_tensor_square(h):
     that is, A is a Hodge endomorphism.  E, read from `h.endomorphisms`,
     is exactly the field of those, so c is (2,2) iff c G_T is in E."""
     t = h.dim_t
-    g_inv = inverse(h.gram)
-    rows = tuple(_flatten(_unflatten(v, t) * g_inv)
-                 for v in h.endomorphisms[0].entries)
+    # c G_T = phi iff G_T c^T = phi^T, as G_T is symmetric.  The c^T =
+    # phi* G_T^-1 span the same space as the c, as E is closed under *
+    cts = solve_blocks(h.gram, tuple(_unflatten(v, t).transpose()
+                                     for v in h.endomorphisms[0].entries))
+    rows = tuple(_flatten(ct) for ct in cts)
     return tuple(_unflatten(v, t) for v in row_space(Matrix(rows)).entries)

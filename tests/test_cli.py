@@ -296,7 +296,7 @@ def test_classify_tha_and_ksympl_do_not_import_sympy():
     # decided by the closed-form quadric root, without loading sympy or
     # mpmath
     periods = sorted(p for p in CORPUS.glob("*_period.json"))
-    assert len(periods) == 4
+    assert len(periods) == 5
     families = [CORPUS / "quaternion3.json",
                 CORPUS / "quaternion3_doubled.json",
                 CORPUS / "bad" / "k1_symplectic.json"]
@@ -316,4 +316,4 @@ def test_classify_tha_and_ksympl_do_not_import_sympy():
         [sys.executable, "-c", script, *map(str, periods + families)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == f"{[0] * 8 + [0, 0, 2]} False False"
+    assert proc.stderr.strip() == f"{[0] * 10 + [0, 0, 2]} False False"

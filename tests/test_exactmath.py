@@ -23,7 +23,7 @@ from hodgekit.exactmath import (ComplexEmbedding, FieldElement, Matrix,
                                 conjugation_automorphism, det, inverse, kernel,
                                 nf_create, nf_embeddings, rank, roots_in_field,
                                 rref, solve_linear)
-from hodgekit.exactmath import linalg, numberfield
+from hodgekit.exactmath import linalg, numberfield, relations, rootiso
 from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
                                             _guess_conjugation, field_trace)
@@ -302,7 +302,9 @@ def _no_trager(field):
 
 def test_conjugation_fallback_when_guess_cannot_certify(monkeypatch):
     # x^4 - 2: conjugation fixes the real embeddings but not the two
-    # complex ones, so no single interpolant g(r) = conj(r) is rational
+    # complex ones, so no single interpolant g(r) = conj(r) is rational;
+    # with the one-embedding relation guess switched off as well, tau
+    # comes from Trager's search
     field = nf_create([-2, 0, 0, 0, 1])
     embs = nf_embeddings(field)
     for digits in _GUESS_DIGITS:
@@ -315,6 +317,7 @@ def test_conjugation_fallback_when_guess_cannot_certify(monkeypatch):
         return roots_in_field(f)
 
     monkeypatch.setattr(numberfield, "roots_in_field", counted)
+    monkeypatch.setattr(relations, "relation_guess", lambda emb, digits: None)
     for emb in embs:
         tau = conjugation_automorphism.__wrapped__(field, emb.index)
         if emb.is_real:
@@ -323,6 +326,78 @@ def test_conjugation_fallback_when_guess_cannot_certify(monkeypatch):
             assert tau == -field.gen()
             assert tau == _trager_conjugation(field, emb)
     assert len(calls) == sum(1 for emb in embs if not emb.is_real)
+
+
+# Q(r + i) with r^2 = -3 sqrt 2, the splitting field of x^4 - 18 (its
+# Galois group is dihedral of order 8).  tau(gen) as Trager's search
+# finds it: -gen where sigma(r) is imaginary (embeddings 2 to 5), and
+# (1899 x - 235 x^3 + 3 x^5 + 5 x^7) / 748 where sigma(r) is real
+TOTALLY_REAL_SQRT2_FIELD = (289, 0, 220, 0, -30, 0, 4, 0, 1)
+TAU_WHERE_R_IS_REAL = (0, F(1899, 748), 0, F(-235, 748), 0, F(3, 748), 0,
+                       F(5, 748))
+
+
+def test_relation_guess_certifies_where_conjugation_does_not_commute(
+        monkeypatch):
+    # conjugation is a reflection of the dihedral group, not central, so
+    # the interpolant of r -> conj(r) is no automorphism, and tau comes
+    # from the integer relation at the chosen embedding, never Trager
+    monkeypatch.setattr(numberfield, "roots_in_field", _no_trager)
+    field = nf_create(TOTALLY_REAL_SQRT2_FIELD)
+    gen = field.gen()
+    for digits in _GUESS_DIGITS:
+        assert numberfield._automorphism_guess(field, digits) is None
+    for emb in nf_embeddings(field):
+        tau = conjugation_automorphism.__wrapped__(field, emb.index)
+        want = (-gen if emb.index in (2, 3, 4, 5)
+                else field.element(TAU_WHERE_R_IS_REAL))
+        assert tau == want
+        assert apply_automorphism(tau, tau) == gen
+    quartic = nf_create([-2, 0, 0, 0, 1])
+    for emb in nf_embeddings(quartic)[2:]:
+        assert (conjugation_automorphism.__wrapped__(quartic, emb.index)
+                == -quartic.gen())
+
+
+def _gram_schmidt(rows):
+    """Oracle: the squared norms of the Gram-Schmidt vectors and the
+    coefficients mu[k][j], in Fractions."""
+    star, norms, mu = [], [], []
+    for k, row in enumerate(rows):
+        v = [F(c) for c in row]
+        mu.append([])
+        for j in range(k):
+            m = sum(F(a) * b for a, b in zip(row, star[j])) / norms[j]
+            mu[k].append(m)
+            v = [a - m * b for a, b in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(c * c for c in v))
+    return norms, mu
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lll_reduce_is_a_reduced_basis_of_the_same_lattice(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    cols = n + rng.randint(0, 2)
+    while True:
+        rows = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(n)]
+        # a near-dependent pair forces swaps
+        rows[-1] = [a * 7 + rng.randint(-1, 1) for a in rows[0]]
+        if rank(Matrix(tuple(tuple(F(c) for c in r) for r in rows))) == n:
+            break
+    reduced = relations.lll_reduce(rows)
+    norms, mu = _gram_schmidt(reduced)
+    assert all(abs(m) <= F(1, 2) for ms in mu for m in ms)
+    for k in range(1, n):
+        assert norms[k] >= (F(3, 4) - mu[k][k - 1]**2) * norms[k - 1]
+    # the same lattice: each basis is an integer combination of the other
+    mine = Matrix(tuple(tuple(F(c) for c in r) for r in rows))
+    theirs = Matrix(tuple(tuple(F(c) for c in r) for r in reduced))
+    for a, b in ((mine, theirs), (theirs, mine)):
+        sol = linalg.solve_blocks(b.transpose(), (a.transpose(),))
+        assert sol is not None
+        assert all(c.denominator == 1 for row in sol[0].entries for c in row)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -473,6 +548,28 @@ def test_det_inverse_kernel():
     assert all(c == 0 for c in singular.vec(ker.entries[0]))
 
 
+def test_transpose_keeps_empty_shapes():
+    assert (Matrix(((), (), ())).transpose().rows,
+            Matrix(((), (), ())).transpose().cols) == (0, 3)
+    assert (Matrix.zeros(0, 4).transpose().rows,
+            Matrix.zeros(0, 4).transpose().cols) == (4, 0)
+
+
+def test_solve_blocks():
+    # a 3 x 2 matrix of rank 2: consistent blocks are solved, a block off
+    # the column space and a matrix of lower rank give None
+    a = Matrix([[F(1), F(2)], [F(0), F(1)], [F(1), F(3)]])
+    x1 = Matrix([[F(1), F(0), F(-1)], [F(2, 3), F(1), F(0)]])
+    x2 = Matrix([[F(5)], [F(-1, 2)]])
+    assert linalg.solve_blocks(a, (a * x1, a * x2)) == (x1, x2)
+    off = Matrix([[F(0)], [F(0)], [F(1)]])
+    assert linalg.solve_blocks(a, (a * x1, off)) is None
+    low = Matrix([[F(1), F(2)], [F(2), F(4)], [F(0), F(0)]])
+    assert linalg.solve_blocks(low, (low * x2,)) is None
+    with pytest.raises(ValueError, match="shape"):
+        linalg.solve_blocks(a, (x2,))
+
+
 def test_field_matrix_linear_algebra():
     field = nf_create([1, 0, 1])
     i_el = field.gen()
@@ -511,9 +608,9 @@ def test_embeddings_of_purely_imaginary_roots(shift):
 
 
 def test_nonreal_order_with_real_parts_closer_than_tie_bits():
-    # roots +-i and eps +- 2i with eps = 2**-600: the real parts still
-    # overlap after the refinement that flags a tie, and only the exact
-    # tie test puts both roots of real part 0 first
+    # roots +-i and eps +- 2i with eps = 2**-600: the real parts overlap
+    # until the disks are refined past 600 bits, short of the tie bound,
+    # and only then do both roots of real part 0 come first
     eps = F(1, 2**600)
     f = up.mul((F(1), F(0), F(1)), (eps * eps + 4, -2 * eps, F(1)))
     ranked = isolate_nonreal_roots(f, 4)
@@ -522,6 +619,18 @@ def test_nonreal_order_with_real_parts_closer_than_tie_bits():
     assert re_parts[1][1] < re_parts[2][0] <= eps <= re_parts[2][1]
     ims = [box(disk)[1] for disk, _ in ranked]
     assert ims[0][1] < 0 < ims[1][0] and ims[2][1] < -1 < 1 < ims[3][0]
+
+
+@pytest.mark.parametrize("k", [600, 5000])
+def test_tie_bits_pass_a_known_real_part_gap(k):
+    # roots +-i and 2**-k +- 2i: real parts that still overlap count as
+    # equal only past _tie_bits, so the bound must exceed the gap, and
+    # the order puts the roots of real part 0 first
+    eps = F(1, 2**k)
+    f = up.mul((F(1), F(0), F(1)), (eps * eps + 4, -2 * eps, F(1)))
+    disks, mirror = root_disks(f)
+    assert rootiso._Ranking(f, disks, mirror)._tie_bits > k + 2
+    assert [conj for _, conj in isolate_nonreal_roots(f, 4)] == [1, 0, 3, 2]
 
 
 # 2cos(2 pi/17) + i, whose conjugates are 2cos(2 pi k/17) +- i

@@ -20,7 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 
 PERIODS = ("qi_period.json", "sqrt2i_period.json",
-           "quartic_incompatible_period.json", "cm_d8_basis_period.json")
+           "quartic_incompatible_period.json", "cm_d8_basis_period.json",
+           "totally_real_sqrt2_period.json")
 BAD = {
     "unknown_version.json": "classify", "unknown_kind.json": "classify",
     "float_number.json": "perdom", "nonsymmetric_gram.json": "classify",
@@ -62,6 +63,8 @@ def _cases():
     cases += [["classify", "corpus/quaternion3.json"],
               ["tha", "corpus/circle_path.json", "--n", "1"],
               ["tha", "corpus/bad/unknown_kind.json", "--n", "0"],
+              ["tha", "corpus/qi_period.json", "--n", "1000"],
+              ["tha", "corpus/qi_period.json", "--n", "1001"],
               ["ksympl", "corpus/qi_period.json"],
               ["perdom", "check-path", "corpus/qi_period.json"],
               ["classify", "corpus/missing.json"],

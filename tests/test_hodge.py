@@ -287,6 +287,13 @@ def test_character_basis_computed_once(monkeypatch):
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
+def _restrict_gram(space, basis):
+    """Gram matrix B G B^T of q on the row span of the basis B, by matrix
+    products: the reference for the Gram matrix of T that
+    transcendental_lattice forms from matrix-vector products."""
+    return basis * space.gram * basis.transpose()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_restrict_gram_is_the_pairwise_form(data):
@@ -303,21 +310,42 @@ def test_restrict_gram_is_the_pairwise_form(data):
     basis = Matrix(tuple(tuple(data.draw(rationals) for _ in range(m))
                          for _ in range(t)))
     rows = basis.entries
-    assert hodge._restrict_gram(space, basis) == Matrix(
+    bg, gram_t = hodge._lowered(space.gram, basis)
+    assert bg == basis * space.gram
+    assert gram_t == _restrict_gram(space, basis) == Matrix(
         tuple(tuple(space.form(u, v) for v in rows) for u in rows))
 
 
 def test_character_certification_uses_the_unsolved_rows(monkeypatch):
-    # t = 3 < e_F = 4: each phi_lambda is solved from three rows of Omega
-    # and certified on the fourth.  Skipping the line stabilizer L makes
-    # every lambda in F a candidate, and phi_lambda for a lambda outside L
-    # fails on the unsolved row.
+    # t = 3 < e_F = 4: Omega reduces to [I; 0] in the one elimination of
+    # [Omega | M_lambda Omega | ...].  Skipping the line stabilizer L makes
+    # every lambda in F a candidate, and a lambda outside L puts a pivot
+    # past the Omega block, on the row Omega leaves at zero.
     h = transcendental_lattice(build_period(
         load_problem_file(CORPUS / "sqrt2i_period.json")[1]))
     assert (h.dim_t, h.period.field.degree) == (3, 4)
     monkeypatch.setattr(hodge, "kernel", lambda m: Matrix.zeros(0, m.cols))
     with pytest.raises(InternalError, match="not realized"):
         hodge._character_basis(h)
+
+
+def test_totally_real_sqrt2_period_at_every_embedding():
+    # E = Q(sqrt 2) on T = E^3 with h = diag(sqrt2, sqrt2, -1): the four
+    # embeddings with sigma(sqrt 2) = +sqrt 2 give the totally real
+    # answer, the four others fail positivity
+    doc = load_problem_file(CORPUS / "totally_real_sqrt2_period.json")[1]
+    for index in range(8):
+        doc["embedding"] = index
+        if index in (0, 1, 6, 7):
+            with pytest.raises(PositivityFails):
+                build_period(doc)
+            continue
+        h = transcendental_lattice(build_period(doc))
+        ef = endomorphism_field(h)
+        assert (h.dim_t, ef.e, ef.classification) == (6, 2, TOTALLY_REAL)
+        assert (ef.mt.family, ef.mt.rank) == (SO_E, 3)
+        assert ef.primitive_minpoly == (F(-1, 2), 0, 1)
+        assert len(hodge_classes_tensor_square(h)) == 2
 
 
 def _period_document(period):
@@ -386,7 +414,7 @@ def test_classify_does_each_exact_step_once(monkeypatch, tmp_path, capsys):
     t = report["sections"]["transcendental_lattice"]["basis"]
     trans = Matrix(tuple(tuple(F(c) for c in row) for row in t))
     assert [g for g, _ in diagonalized] == [
-        period.space.gram, hodge._restrict_gram(period.space, trans)]
+        period.space.gram, _restrict_gram(period.space, trans)]
     assert all(inside for _, inside in diagonalized)
     assert dets == []
     assert muls == []

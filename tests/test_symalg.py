@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgekit.errors import DegreeTooHigh, HarmonicDimTooSmall
-from hodgekit.exactmath import Matrix, nf_create, nf_embeddings, rank
-from hodgekit.exactmath.mpoly import mp_mul
+from hodgekit.exactmath import Matrix, inverse, nf_create, nf_embeddings, rank
+from hodgekit.exactmath.mpoly import (mp_add, mp_const, mp_from_vector,
+                                     mp_mul, mp_pow)
 from hodgekit.exactmath.numberfield import field_trace
 from hodgekit.hodge import endomorphism_field, transcendental_lattice, validate_period
 from hodgekit.qforms import QuadraticSpace, dual_bivector
@@ -163,6 +164,48 @@ def test_power_top_euclidean():
     p = power_top(alg, (F(1), F(0), F(0)))
     assert p == SymElement.from_dict(3, 2, {
         (2, 0, 0): F(2, 3), (0, 2, 0): F(-1, 3), (0, 0, 2): F(-1, 3)})
+
+
+def _substituted(p, a):
+    """p(A X): each variable x_i becomes the linear form of row i of A."""
+    rows = [mp_from_vector(r) for r in a.entries]
+    out = {}
+    for mon, c in p.as_dict().items():
+        term = mp_const(a.cols, c)
+        for row, k in zip(rows, mon):
+            if k:
+                term = mp_mul(term, mp_pow(row, k))
+        out = mp_add(out, term)
+    return out
+
+
+# nondegenerate, non-diagonal Gram matrices with non-unimodular changes
+# of basis A (determinants 5 and -4)
+CHANGES_OF_BASIS = {
+    3: ([[1, 2, 0], [2, -1, 1], [0, 1, 3]],
+        [[2, 1, 0], [0, 1, -1], [1, 0, 3]], (1, -2, 3)),
+    4: ([[0, 1, 0, 2], [1, 2, 0, 0], [0, 0, -1, 1], [2, 0, 1, 0]],
+        [[1, 2, 0, 0], [0, 1, 0, 3], [1, 0, 2, 0], [0, 0, 1, 1]],
+        (1, 0, -1, 2)),
+}
+
+
+@pytest.mark.parametrize("dim,top", [(3, 4), (4, 4)])
+def test_power_top_commutes_with_a_change_of_basis(dim, top):
+    # the harmonic top power over A^-1 G A^-T at A^T v is the one over G
+    # at v with X -> A X substituted: L and the dual bivector both
+    # transform by the same substitution
+    gram, change, v = CHANGES_OF_BASIS[dim]
+    g = Matrix([[F(c) for c in r] for r in gram])
+    a = Matrix([[F(c) for c in r] for r in change])
+    a_inv = inverse(a)
+    moved = QuadraticSpace(a_inv * g * a_inv.transpose())
+    assert any(moved.gram[i, j] != 0 for i in range(dim) for j in range(i))
+    v = tuple(F(c) for c in v)
+    base = power_top(SymAlgebra(QuadraticSpace(g), HARMONIC, top), v)
+    image = power_top(SymAlgebra(moved, HARMONIC, top),
+                      a.transpose().vec(v))
+    assert image.as_dict() == _substituted(base, a)
 
 
 # helpers shared with the hodge tests
