@@ -30,7 +30,12 @@ from .qforms import QuadraticSpace, congruence_diagonal
 from .symalg import build_tha
 
 FORMAT_VERSION = "1"
-KINDS = ("k3period", "ksymplectic", "path")
+# problem file kind -> its keys besides "version" and "kind", all required
+KINDS = {
+    "k3period": ("gram", "field", "embedding", "omega"),
+    "ksymplectic": ("psis",),
+    "path": ("gram", "coords"),
+}
 # the largest --d and --e of bounds: its numbers, up to 2**500, stay far
 # below Python's 4300-digit limit on printing an int; also the largest
 # --n of tha, whose report grows with n
@@ -44,7 +49,11 @@ def _fraction(value, where):
     if not isinstance(value, str) or not _RATIONAL_RE.match(value):
         raise FileFormatError(
             f"{where}: numbers must be strings like \"p/q\", got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError:      # past the interpreter's int conversion limit
+        raise FileFormatError(f"{where}: a number has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _fraction_list(values, where):
@@ -69,7 +78,7 @@ def load_problem_file(path):
             doc = json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an int past the conversion limit
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be an object")
@@ -79,13 +88,9 @@ def load_problem_file(path):
             f"unknown format version {version!r}; expected {FORMAT_VERSION!r}")
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise FileFormatError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    allowed = {
-        "k3period": {"version", "kind", "gram", "field", "embedding", "omega"},
-        "ksymplectic": {"version", "kind", "psis"},
-        "path": {"version", "kind", "gram", "coords"},
-    }[kind]
-    extra = set(doc) - allowed
+        raise FileFormatError(
+            f"unknown kind {kind!r}; expected one of {tuple(KINDS)}")
+    extra = set(doc) - {"version", "kind", *KINDS[kind]}
     if extra:
         raise FileFormatError(f"unknown keys for kind {kind}: {sorted(extra)}")
     return kind, doc
@@ -93,9 +98,6 @@ def load_problem_file(path):
 
 def build_period(doc):
     """K3 period from a parsed k3period document."""
-    for key in ("gram", "field", "embedding", "omega"):
-        if key not in doc:
-            raise FileFormatError(f"k3period file is missing {key!r}")
     gram = _matrix(doc["gram"], "gram")
     space = QuadraticSpace(gram)
     field = nf_create(_fraction_list(doc["field"], "field"))
@@ -108,13 +110,15 @@ def build_period(doc):
     omega_rows = doc["omega"]
     if not isinstance(omega_rows, list) or len(omega_rows) != space.dim:
         raise FileFormatError("omega must list one field element per dimension")
-    omega = tuple(field.element(_fraction_list(r, "omega")) for r in omega_rows)
+    coords = [_fraction_list(r, "omega") for r in omega_rows]
+    if any(len(c) != field.degree for c in coords):
+        raise FileFormatError(
+            f"omega: each field element needs {field.degree} coordinates")
+    omega = tuple(field.element(c) for c in coords)
     return validate_period(space, field, embs[idx], omega)
 
 
 def build_candidate(doc):
-    if "psis" not in doc:
-        raise FileFormatError("ksymplectic file is missing 'psis'")
     psis = doc["psis"]
     if not isinstance(psis, list) or not psis:
         raise FileFormatError("psis must be a nonempty array of matrices")
@@ -122,9 +126,6 @@ def build_candidate(doc):
 
 
 def build_path(doc):
-    for key in ("gram", "coords"):
-        if key not in doc:
-            raise FileFormatError(f"path file is missing {key!r}")
     space = QuadraticSpace(_matrix(doc["gram"], "gram"))
     coords = doc["coords"]
     if not isinstance(coords, list):
@@ -450,6 +451,9 @@ def main(argv=None):
             if got != kind:
                 raise FileFormatError(f"{name.split('.')[-1]} needs a {kind} "
                                       f"file, got {got}")
+            missing = [key for key in KINDS[kind] if key not in doc]
+            if missing:
+                raise FileFormatError(f"{kind} file is missing {missing[0]!r}")
         return run(doc, args)
 
     return _run_command(name, worker, args)

@@ -66,9 +66,6 @@ class Matrix:
         return Matrix(tuple(tuple(a - b for a, b in zip(ra, rb))
                             for ra, rb in zip(self.entries, other.entries)))
 
-    def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in r) for r in self.entries))
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
@@ -78,18 +75,9 @@ class Matrix:
                 tuple(_dot(r, c) for c in cols) for r in self.entries))
         return Matrix(tuple(tuple(a * other for a in r) for r in self.entries))
 
-    def __rmul__(self, scalar):
-        return Matrix(tuple(tuple(scalar * a for a in r) for r in self.entries))
-
     def transpose(self):
         return Matrix(tuple(zip(*self.entries)) if self.rows
                       else ((),) * self.cols, cols=self.rows)
-
-    def row(self, i):
-        return self.entries[i]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.entries)
 
     def vec(self, v):
         """Matrix-vector product.  Zero matrix entries are skipped; a row

@@ -283,9 +283,6 @@ class FieldElement:
             return o
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)

@@ -174,8 +174,9 @@ def endomorphism_field(h):
     """Classify E, read from `h.endomorphisms`, by the conjugation tau.
     lambda -> phi_lambda (phi omega = lambda omega) is a ring isomorphism
     onto a subfield of F, as a rational matrix killing omega kills the
-    minimal space T; so 1 in E and closure under products are checked on
-    eigenvalues, and E is commutative.  By the Hodge condition (see
+    minimal space T; so E is commutative, and it is a field iff the span
+    of the eigenvalues is Q(p) for a primitive element p (see
+    `_primitive_element`).  By the Hodge condition (see
     `_character_basis`) phi_lambda* = G_T^-1 phi^T G_T = phi_{tau lambda}
     is in E, so * is an involution as tau is; it is re-checked on the
     primitive element p as p^T G_T omega = tau(p) G_T omega.  E is
@@ -186,13 +187,6 @@ def endomorphism_field(h):
     flat, lams, conj = h.endomorphisms
     basis = tuple(_unflatten(v, t) for v in flat.entries)
     e = len(basis)
-    span = row_space(Matrix(tuple(lam.coords for lam in lams)))
-    if coords_in(span, h.period.field.one().coords) is None:
-        raise InternalError("identity is missing from the endomorphism algebra")
-    if any(coords_in(span, (a * b).coords) is None
-           for i, a in enumerate(lams) for b in lams[i:]):
-        raise InternalError("endomorphism algebra is not closed under product")
-
     coeffs, minpoly = _primitive_element(lams)
     prim = _combine(basis, coeffs)
     tau_p = _combine(conj, coeffs)
@@ -303,27 +297,33 @@ def _combine(basis, lam):
 
 def _minpoly(lam):
     """Monic minimal polynomial of a field element, by the first linear
-    dependence among its powers."""
+    dependence among its powers, and the powers below its degree."""
     powers = [lam.parent.one()]
     while True:
         ker = kernel(Matrix(tuple(zip(*(p.coords for p in powers)))))
         if ker.rows > 0:
             dep = ker.entries[0]
-            return tuple(c / dep[-1] for c in dep)
+            return tuple(c / dep[-1] for c in dep), powers[:-1]
         powers.append(powers[-1] * lam)
 
 
 def _primitive_element(lams):
-    """Coefficients over the basis of a generator of L, with its minimal
-    polynomial: each basis element in turn, then small integer
-    combinations in a fixed pseudorandom order."""
+    """Coefficients over the basis of a generator p of span(lams), with
+    its minimal polynomial: each basis element in turn, then small integer
+    combinations in a fixed pseudorandom order, until p has degree
+    e = len(lams).  Then 1, p, ..., p^(e-1) are independent, and the span
+    is the field Q(p) iff each of them lies in it."""
     e = len(lams)
     units = (tuple(int(i == j) for j in range(e)) for i in range(e))
     rng = random.Random(0)
     draws = ([rng.randint(-3, 3) for _ in lams] for _ in range(1000))
     for coeffs in chain(units, draws):
-        p = _minpoly(_combine(lams, coeffs))
+        p, powers = _minpoly(_combine(lams, coeffs))
         if len(p) - 1 == e:
+            span = row_space(Matrix(tuple(lam.coords for lam in lams)))
+            if any(coords_in(span, q.coords) is None for q in powers):
+                raise InternalError(
+                    "endomorphism algebra is not closed under product")
             return coeffs, p
     raise InternalError("no primitive element found")
 

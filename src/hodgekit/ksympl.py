@@ -27,8 +27,8 @@ from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
                      NotGenericallySymplectic, NotQuadricPower, OddDimension,
                      RelationsFail, TooLarge, ValidationError,
                      WrongRankOnQuadric)
-from .exactmath import Matrix, det, inverse, kernel, nf_create, rank
-from .exactmath.linalg import rref
+from .exactmath import Matrix, det, kernel, nf_create, rank
+from .exactmath.linalg import rref, solve_blocks
 from .exactmath.mpoly import (mp_add, mp_diff, mp_eval, mp_items_grlex, mp_mul,
                               mp_neg, mp_pow, mp_scale)
 from .qforms import bilinear, congruence_diagonal
@@ -157,10 +157,6 @@ class KSymplecticReport:
     witness_point: tuple | None
     witness_field_poly: tuple | None
     failure_reason: str | None
-
-    @property
-    def n(self):
-        return None if self.quadric is None else self.rank_on_quadric // 2
 
 
 def _fail(cls):
@@ -317,13 +313,11 @@ def clifford_operators(cand, report, omega0):
     comp = kernel(Matrix((q.vec(omega0),)))
     _, u = congruence_diagonal(comp * q * comp.transpose())
     obasis = (u * comp).entries
-    m0 = _combination(cand, omega0)
-    if det(m0) == 0:
+    # every Psi(w0)^-1 Psi(w_i) from one elimination
+    ops = solve_blocks(_combination(cand, omega0),
+                       tuple(_combination(cand, w) for w in obasis))
+    if ops is None:
         raise InternalError("Psi(base point) is singular despite anisotropy")
-    m0_inv = inverse(m0)
-    ops = []
-    for w in obasis:
-        ops.append(m0_inv * _combination(cand, w))
     v_dim = cand.v_dim
     ident = Matrix.identity(v_dim)
     squares = []

@@ -22,8 +22,8 @@ from math import comb
 from .errors import (DegreeTooHigh, HarmonicDimTooSmall, InternalError,
                      ValidationError)
 from .exactmath import Matrix, inverse, kernel
-from .exactmath.mpoly import (mp_add, mp_from_vector, mp_items_grlex, mp_mul,
-                              mp_pow, mp_scale, mp_sub)
+from .exactmath.mpoly import (mp_from_vector, mp_items_grlex, mp_mul, mp_pow,
+                              mp_sub)
 from .qforms import QuadraticSpace, bilinear, dual_bivector
 
 FULL = "full"
@@ -97,22 +97,6 @@ class SymElement:
         d = {mon: c for mon, c in zip(monomials(nvars, degree), vec) if c != 0}
         return cls.from_dict(nvars, degree, d)
 
-    def __add__(self, other):
-        if (self.nvars, self.degree) != (other.nvars, other.degree):
-            raise ValidationError("degree mismatch")
-        return SymElement.from_dict(self.nvars, self.degree,
-                                    mp_add(self.as_dict(), other.as_dict()))
-
-    def __sub__(self, other):
-        if (self.nvars, self.degree) != (other.nvars, other.degree):
-            raise ValidationError("degree mismatch")
-        return SymElement.from_dict(self.nvars, self.degree,
-                                    mp_sub(self.as_dict(), other.as_dict()))
-
-    def scaled(self, c):
-        return SymElement.from_dict(self.nvars, self.degree,
-                                    mp_scale(self.as_dict(), c))
-
 
 def linear_element(nvars, vec):
     return SymElement.from_dict(nvars, 1, mp_from_vector(vec))
@@ -144,14 +128,10 @@ class SymAlgebra:
         return self.space.gram.entries[0][0] * 0
 
 
+@lru_cache(maxsize=None)
 def contraction_matrix(space, i):
     """Matrix of L = sum q_ab d_a d_b from Sym^i to Sym^(i-2) on the
     grlex monomial bases."""
-    return _contraction_matrix_cached(space, i)
-
-
-@lru_cache(maxsize=None)
-def _contraction_matrix_cached(space, i):
     m = space.dim
     zero = space.gram.entries[0][0] * 0
     src = monomials(m, i)
@@ -210,7 +190,7 @@ def _splitting_inverse(space, i):
     """Inverse of L compose (multiply by b) on Sym^(i-2); the key fact
     making the projection canonical is that this composition is
     invertible whenever q is nondegenerate."""
-    lam = _contraction_matrix_cached(space, i)
+    lam = contraction_matrix(space, i)
     bmul = _bivector_mult_matrix(space, i)
     prod = lam * bmul
     try:
@@ -329,7 +309,7 @@ def trace_transfer_form(h, ef, es):
     """The E-valued symmetric pairing q_E on the E-structure whose trace
     form recovers q: Tr(a * q_E(x, y)) = q(a x, y) for all a in E.
     Exists (symmetric) exactly in the totally real case."""
-    from .exactmath import solve_linear
+    from .exactmath.linalg import solve_blocks
     from .exactmath.numberfield import mult_matrix
 
     field = es.field
@@ -340,23 +320,22 @@ def trace_transfer_form(h, ef, es):
     for _ in range(2 * e - 2):
         powers.append(powers[-1] * comp)
     tr = [[powers[k + l].trace() for l in range(e)] for k in range(e)]
-    trmat = Matrix(tr)
     n = es.rank
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rhs = []
-            xi = es.basis[i]
-            xj = es.basis[j]
-            acted = xi
-            for k in range(e):
-                rhs.append(bilinear(h.gram, acted, xj))
-                acted = es.primitive_matrix.vec(acted)
-            sol = solve_linear(trmat, tuple(rhs))
-            if sol.particular is None:
-                raise InternalError("trace form is degenerate")
-            entries[i][j] = field.element(sol.particular)
-    g = Matrix(entries)
+    # column (i, j) of the right-hand side is q(alpha^k x_i, x_j), k < e
+    orbits = []
+    for x in es.basis:
+        orbits.append([x])
+        for _ in range(e - 1):
+            orbits[-1].append(es.primitive_matrix.vec(orbits[-1][-1]))
+    rhs = Matrix(tuple(tuple(bilinear(h.gram, orbit[k], xj)
+                             for orbit in orbits for xj in es.basis)
+                       for k in range(e)))
+    sol = solve_blocks(Matrix(tr), (rhs,))
+    if sol is None:
+        raise InternalError("trace form is degenerate")
+    cols = sol[0].transpose().entries
+    g = Matrix(tuple(tuple(field.element(c) for c in cols[i * n:(i + 1) * n])
+                     for i in range(n)))
     if not g.is_symmetric():
         raise InternalError("trace-transfer pairing is not symmetric; "
                             "the endomorphism field is not acting totally real")

@@ -198,6 +198,8 @@ BAD_CASES = [
     ("dependent_psis.json", "ksympl", "ValidationError"),
     ("nonantisymmetric_psi.json", "ksympl", "ValidationError"),
     ("nonisotropic_path.json", "perdom", "NotIsotropicPath"),
+    ("omega_wrong_length.json", "classify", "FileFormatError"),
+    ("huge_number.json", "classify", "FileFormatError"),
 ]
 
 
@@ -224,6 +226,47 @@ def test_embedding_index_must_be_an_integer(index, tmp_path, capsys):
     error = json.loads(out)["sections"]["error"]
     assert error["class"] == "FileFormatError"
     assert "embedding index" in error["message"]
+
+
+def _error_of(doc, command, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    args = [command, str(path), "--json"] if command != "perdom" else \
+        ["perdom", "check-path", str(path), "--json"]
+    code, out = run_inproc(args, capsys)
+    assert code == 2
+    return json.loads(out)["sections"]["error"]
+
+
+FILE_KINDS = [("qi_period.json", "classify", ["gram", "field", "embedding",
+                                              "omega"]),
+              ("quaternion3.json", "ksympl", ["psis"]),
+              ("circle_path.json", "perdom", ["gram", "coords"])]
+
+
+@pytest.mark.parametrize("name,command,keys", FILE_KINDS)
+def test_each_missing_key_is_named(name, command, keys, tmp_path, capsys):
+    doc = json.loads((CORPUS / name).read_text())
+    for i, key in enumerate(keys):
+        # the first missing key in schema order is the one reported
+        partial = {k: v for k, v in doc.items() if k not in keys[i:]}
+        error = _error_of(partial, command, tmp_path, capsys)
+        assert error == {"class": "FileFormatError",
+                         "message": f"{doc['kind']} file is missing {key!r}"}
+
+
+def test_wrong_kind_is_reported_before_missing_keys(tmp_path, capsys):
+    doc = {"version": "1", "kind": "ksymplectic"}
+    error = _error_of(doc, "classify", tmp_path, capsys)
+    assert error["message"] == "classify needs a k3period file, got ksymplectic"
+
+
+def test_integer_past_the_digit_limit_is_a_file_error(tmp_path, capsys):
+    text = (CORPUS / "qi_period.json").read_text().replace(
+        '"embedding": 1', '"embedding": 1' + "0" * 5000)
+    error = _error_of(text, "classify", tmp_path, capsys)
+    assert error["class"] == "FileFormatError"
+    assert "invalid JSON" in error["message"]
 
 
 def test_k1_rejected_at_runtime(capsys):

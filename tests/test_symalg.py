@@ -1,6 +1,7 @@
 """Tests for symmetric algebras, the harmonic quotient and the
 transcendental Hodge algebra builder."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from hodgekit.errors import DegreeTooHigh, HarmonicDimTooSmall
 from hodgekit.exactmath import Matrix, inverse, nf_create, nf_embeddings, rank
-from hodgekit.exactmath.mpoly import (mp_add, mp_const, mp_from_vector,
-                                     mp_mul, mp_pow)
+from hodgekit.exactmath.mpoly import (mp_add, mp_const, mp_diff,
+                                     mp_from_vector, mp_mul, mp_pow, mp_scale)
 from hodgekit.exactmath.numberfield import field_trace
 from hodgekit.hodge import endomorphism_field, transcendental_lattice, validate_period
 from hodgekit.qforms import QuadraticSpace, dual_bivector
@@ -206,6 +207,56 @@ def test_power_top_commutes_with_a_change_of_basis(dim, top):
     image = power_top(SymAlgebra(moved, HARMONIC, top),
                       a.transpose().vec(v))
     assert image.as_dict() == _substituted(base, a)
+
+
+def _fischer_projection(space, p, n):
+    """Harmonic part of p in Sym^n by the Fischer decomposition:
+    h = sum_j c_j b^j L^j p with c_0 = 1 and
+    c_j = -c_(j-1) / (2j (2n + m - 2 - 2j)), from [L, b] = 4E + 2m for
+    L = sum g_ab d_a d_b and b the dual bivector."""
+    m, g = space.dim, space.gram
+    b = dual_bivector(space)
+
+    def laplacian(q):
+        out = {}
+        for a in range(m):
+            for e in range(m):
+                if g[a, e]:
+                    out = mp_add(out, mp_scale(mp_diff(mp_diff(q, a), e),
+                                               g[a, e]))
+        return out
+
+    h, c, lp, bj = {}, F(1), p, mp_const(m, F(1))
+    for j in range(n // 2 + 1):
+        if j:
+            c = -c / (2 * j * (2 * n + m - 2 - 2 * j))
+            lp, bj = laplacian(lp), mp_mul(bj, b)
+        h = mp_add(h, mp_scale(mp_mul(bj, lp), c))
+    return h
+
+
+# indefinite, non-diagonal and nondegenerate: signatures (2, 1), (2, 2)
+# and (3, 2)
+FISCHER_GRAMS = {
+    3: [[1, 2, 0], [2, -1, 1], [0, 1, 3]],
+    4: [[0, 1, 0, 2], [1, 2, 0, 0], [0, 0, -1, 1], [2, 0, 1, 0]],
+    5: [[0, 1, 0, 0, 2], [1, 2, 0, 1, 0], [0, 0, -1, 1, 0], [0, 1, 1, 0, 1],
+        [2, 0, 0, 1, -3]],
+}
+
+
+@pytest.mark.parametrize("dim,deg", [(3, 2), (3, 4), (4, 4), (5, 4), (4, 5)])
+def test_harmonic_project_matches_the_fischer_formula(dim, deg):
+    space = qspace(FISCHER_GRAMS[dim])
+    alg = SymAlgebra(space, HARMONIC, deg)
+    rng = random.Random(dim * 10 + deg)
+    for _ in range(3):
+        p = {mon: F(rng.randint(-5, 5), rng.randint(1, 3))
+             for mon in monomials(dim, deg)}
+        p = {mon: c for mon, c in p.items() if c}
+        x = SymElement.from_dict(dim, deg, p)
+        assert harmonic_project(alg, x).as_dict() == \
+            _fischer_projection(space, p, deg)
 
 
 # helpers shared with the hodge tests
