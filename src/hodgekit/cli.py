@@ -14,11 +14,11 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import FileFormatError, HodgekitError, InternalError, ValidationError
+from .errors import (FileFormatError, HodgekitError, InternalError, TooLarge,
+                     ValidationError)
 from .exactmath import Matrix, nf_create, nf_embeddings
 from .hodge import (endomorphism_field, hodge_classes_tensor_square,
                     transcendental_lattice, validate_period)
@@ -42,11 +42,11 @@ KINDS = {
 BOUNDS_CAP = 1000
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _fraction(value, where):
-    if not isinstance(value, str) or not _RATIONAL_RE.match(value):
+    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
         raise FileFormatError(
             f"{where}: numbers must be strings like \"p/q\", got {value!r}")
     try:
@@ -136,11 +136,13 @@ def build_path(doc):
     return PeriodPath(space, polys)
 
 
-@dataclass(frozen=True)
 class Report:
-    command: str
-    status: str
-    sections: tuple  # ((title, ((key, value), ...)), ...)
+    __slots__ = ("command", "status", "sections")
+
+    def __init__(self, command, status, sections):
+        self.command = command
+        self.status = status
+        self.sections = sections  # ((title, ((key, value), ...)), ...)
 
     @property
     def machine(self):
@@ -168,7 +170,11 @@ class Report:
 
 
 def _fmt_fraction(x):
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError:      # past the interpreter's int conversion limit
+        raise TooLarge(f"a result has more than "
+                       f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _fmt_vector(v):

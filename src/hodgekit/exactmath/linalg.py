@@ -15,7 +15,6 @@ Bareiss's fraction-free elimination on the same integer rows.  Matrices
 with number-field entries take the generic elimination.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -251,13 +250,15 @@ def _one_like(m):
     return Fraction(1)
 
 
-@dataclass(frozen=True)
 class SolveResult:
     """Full solution set of A x = b: one particular solution (None when
     the system is inconsistent) and the canonical kernel basis."""
 
-    particular: tuple | None
-    kernel: Matrix
+    __slots__ = ("particular", "kernel")
+
+    def __init__(self, particular, kernel):
+        self.particular = particular
+        self.kernel = kernel
 
 
 def solve_linear(a, b):

@@ -43,7 +43,6 @@ matrix of tau on the power basis (conjugation_matrix), built once per
 embedding.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -65,11 +64,22 @@ _GUESS_DIGITS = ROOT_DIGITS[:3]
 _CHECK_PRIME = 2**61 - 1
 
 
-@dataclass(frozen=True)
 class NumberField:
-    """Q[x]/(defining_poly), defining_poly monic irreducible."""
+    """Q[x]/(defining_poly), defining_poly monic irreducible.  Fields are
+    equal when their defining polynomials are."""
 
-    defining_poly: tuple
+    __slots__ = ("defining_poly",)
+
+    def __init__(self, defining_poly):
+        self.defining_poly = defining_poly
+
+    def __eq__(self, other):
+        if other.__class__ is not NumberField:
+            return NotImplemented
+        return self.defining_poly == other.defining_poly
+
+    def __hash__(self):
+        return hash(self.defining_poly)
 
     @property
     def degree(self):
@@ -419,16 +429,18 @@ def field_trace(a):
     return mult_matrix(a).trace()
 
 
-@dataclass(frozen=True)
 class ComplexEmbedding:
     """One embedding of a number field into C, certified by the isolating
     disk (RootDisk) of the image of the generator."""
 
-    parent: NumberField
-    index: int
-    root: object
-    is_real: bool
-    conjugate_index: int
+    __slots__ = ("parent", "index", "root", "is_real", "conjugate_index")
+
+    def __init__(self, parent, index, root, is_real, conjugate_index):
+        self.parent = parent
+        self.index = index
+        self.root = root
+        self.is_real = is_real
+        self.conjugate_index = conjugate_index
 
     def eval_box(self, element, width):
         """Integers (X, Y, R, D) with |sigma(element) - (X + iY)/D| <= R/D,

@@ -36,7 +36,6 @@ it gives the refinement past which real parts that still overlap are
 equal.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from math import isqrt, lcm
@@ -80,16 +79,17 @@ def _round_div(num, den):
     return (2 * num + den) // (2 * den)
 
 
-@dataclass(frozen=True)
 class RootDisk:
     """Closed disk |z - (x + iy) / 2**scale| <= r / 2**scale holding
-    exactly one root of the monic squarefree polynomial poly."""
+    exactly one root of the monic squarefree polynomial poly.  It has no
+    __slots__: `_successor` is cached in the instance dict."""
 
-    poly: tuple
-    x: int
-    y: int
-    r: int
-    scale: int
+    def __init__(self, poly, x, y, r, scale):
+        self.poly = poly
+        self.x = x
+        self.y = y
+        self.r = r
+        self.scale = scale
 
     def refined_below(self, width):
         """A disk of diameter at most width around the same root: the

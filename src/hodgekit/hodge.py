@@ -21,7 +21,6 @@ Both phi and c are solved by one elimination each; no matrix is
 inverted.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 import random
@@ -40,15 +39,17 @@ SO_E = "SO_E"
 U_E = "U_E"
 
 
-@dataclass(frozen=True)
 class K3Period:
     """Validated period datum: space (V, q), field F with a chosen
     embedding, and the period vector over F."""
 
-    space: QuadraticSpace
-    field: object
-    embedding: object
-    omega: tuple
+    __slots__ = ("space", "field", "embedding", "omega")
+
+    def __init__(self, space, field, embedding, omega):
+        self.space = space
+        self.field = field
+        self.embedding = embedding
+        self.omega = omega
 
     @property
     def dim(self):
@@ -64,7 +65,7 @@ def validate_period(space, field, embedding, omega):
         raise ValidationError("period length does not match the space")
     if all(v.is_zero() for v in omega):
         raise ValidationError("period vector must be nonzero")
-    sig = signature(space).as_pair()
+    sig = signature(space)
     if sig != (2, m - 2):
         raise WrongSignature(f"signature {sig} is not (2, {m - 2})")
     check_period_line(space, embedding, omega)
@@ -85,17 +86,18 @@ def check_period_line(space, embedding, vec):
                               witness=s)
 
 
-@dataclass(frozen=True)
 class K3Hodge:
     """Period plus derived transcendental lattice T, its orthogonal
     complement (the algebraic part), the Gram matrix G_T of q on T and
-    the coordinates omega_T of the period over the basis of T."""
+    the coordinates omega_T of the period over the basis of T.  It has
+    no __slots__: `endomorphisms` is cached in the instance dict."""
 
-    period: K3Period
-    trans: Matrix      # rows: canonical basis of T
-    alg: Matrix        # rows: canonical basis of T-perp
-    gram: Matrix       # G_T in the basis `trans`
-    omega_t: tuple     # omega = sum omega_t[k] * trans[k], over F
+    def __init__(self, period, trans, alg, gram, omega_t):
+        self.period = period
+        self.trans = trans      # rows: canonical basis of T
+        self.alg = alg          # rows: canonical basis of T-perp
+        self.gram = gram        # G_T in the basis `trans`
+        self.omega_t = omega_t  # omega = sum omega_t[k] * trans[k], over F
 
     @property
     def space(self):
@@ -107,7 +109,7 @@ class K3Hodge:
 
     @cached_property
     def endomorphisms(self):
-        """E as `_character_basis` returns it, computed once per value."""
+        """E as `_character_basis` returns it, computed once per object."""
         return _character_basis(self)
 
 
@@ -124,7 +126,7 @@ def transcendental_lattice(period):
             vecs.append(v)
     t = row_space(Matrix(vecs))
     bg, gram_t = _lowered(period.space.gram, t)
-    tsig = signature(QuadraticSpace(gram_t)).as_pair()
+    tsig = signature(QuadraticSpace(gram_t))
     if tsig != (2, t.rows - 2):
         raise WrongSignature(
             f"q restricted to the transcendental lattice has signature {tsig}")
@@ -146,28 +148,35 @@ def _lowered(gram, basis):
     return bg, Matrix(tuple(bg.vec(b) for b in basis.entries), cols=basis.rows)
 
 
-@dataclass(frozen=True)
 class MTDescriptor:
     """Mumford-Tate shape: the group family and the rank of the lattice
     over the endomorphism field."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family, rank):
+        self.family = family
+        self.rank = rank
 
 
-@dataclass(frozen=True)
 class EndFieldResult:
     """The Hodge endomorphism field E of the transcendental lattice with
     its classification data."""
 
-    basis: tuple              # rational matrices on T spanning E
-    e: int
-    primitive_matrix: Matrix
-    primitive_minpoly: tuple
-    field: object             # NumberField defined by the minimal polynomial
-    classification: str
-    fixed_subalgebra: tuple   # basis of E_0 (empty in the totally real case)
-    mt: MTDescriptor
+    __slots__ = ("basis", "e", "primitive_matrix", "primitive_minpoly",
+                 "field", "classification", "fixed_subalgebra", "mt")
+
+    def __init__(self, basis, e, primitive_matrix, primitive_minpoly, field,
+                 classification, fixed_subalgebra, mt):
+        self.basis = basis    # rational matrices on T spanning E
+        self.e = e
+        self.primitive_matrix = primitive_matrix
+        self.primitive_minpoly = primitive_minpoly
+        self.field = field    # NumberField defined by the minimal polynomial
+        self.classification = classification
+        # basis of E_0 (empty in the totally real case)
+        self.fixed_subalgebra = fixed_subalgebra
+        self.mt = mt
 
 
 def endomorphism_field(h):

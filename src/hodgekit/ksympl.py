@@ -18,7 +18,6 @@ most 1, or it is 2 and -m is a rational square for a nonzero principal
 2x2 minor m of its matrix.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 import random
@@ -37,15 +36,13 @@ MAX_VDIM = 8
 MAX_K = 5
 
 
-@dataclass(frozen=True)
 class KSymplecticCandidate:
     """Independent family of antisymmetric matrices, the image of a basis
     of W under a linear map W -> Lambda^2(V)."""
 
-    psis: tuple
+    __slots__ = ("psis",)
 
-    def __post_init__(self):
-        psis = self.psis
+    def __init__(self, psis):
         if not psis:
             raise ValidationError("empty family")
         v_dim = psis[0].rows
@@ -64,6 +61,7 @@ class KSymplecticCandidate:
                             for m in psis))
         if len(rref(flat)[1]) != len(psis):
             raise ValidationError("family matrices must be linearly independent")
+        self.psis = psis
 
     @property
     def v_dim(self):
@@ -74,12 +72,14 @@ class KSymplecticCandidate:
         return len(self.psis)
 
 
-@dataclass(frozen=True)
 class PfaffianForm:
     """Homogeneous Pfaffian polynomial of the generic combination."""
 
-    k: int
-    poly: tuple  # grlex-sorted ((exponents, Fraction), ...)
+    __slots__ = ("k", "poly")
+
+    def __init__(self, k, poly):
+        self.k = k
+        self.poly = poly  # grlex-sorted ((exponents, Fraction), ...)
 
     def as_dict(self):
         return dict(self.poly)
@@ -145,18 +145,23 @@ def _pfaffian_self_check(entries, pf_poly, seed):
             raise InternalError("Pfaffian self-check failed: Pf^2 != det")
 
 
-@dataclass(frozen=True)
 class KSymplecticReport:
     """Outcome of verification: the degeneracy quadric and scalar on
-    success, a failure reason otherwise."""
+    success, a failure reason otherwise; the fields a run did not reach
+    are None."""
 
-    ok: bool
-    quadric: Matrix | None
-    scalar: Fraction | None
-    rank_on_quadric: int | None
-    witness_point: tuple | None
-    witness_field_poly: tuple | None
-    failure_reason: str | None
+    __slots__ = ("ok", "quadric", "scalar", "rank_on_quadric", "witness_point",
+                 "witness_field_poly", "failure_reason")
+
+    def __init__(self, ok, quadric, scalar, rank_on_quadric, witness_point,
+                 witness_field_poly, failure_reason):
+        self.ok = ok
+        self.quadric = quadric
+        self.scalar = scalar
+        self.rank_on_quadric = rank_on_quadric
+        self.witness_point = witness_point
+        self.witness_field_poly = witness_field_poly
+        self.failure_reason = failure_reason
 
 
 def _fail(cls):
@@ -287,16 +292,18 @@ def _combination(cand, point):
     return acc
 
 
-@dataclass(frozen=True)
 class CliffordResult:
     """Operators A_i = Psi(w0)^-1 Psi(w_i) on an orthogonal basis of the
     complement of the base point: pairwise anticommuting with scalar
     squares, i.e. a Clifford module structure on V."""
 
-    operators: tuple
-    squares: tuple
-    base_point: tuple
-    orth_basis: tuple
+    __slots__ = ("operators", "squares", "base_point", "orth_basis")
+
+    def __init__(self, operators, squares, base_point, orth_basis):
+        self.operators = operators
+        self.squares = squares
+        self.base_point = base_point
+        self.orth_basis = orth_basis
 
 
 def clifford_operators(cand, report, omega0):

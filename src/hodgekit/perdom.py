@@ -3,26 +3,23 @@ q(l(t), l'(t)) = 0 that holds on every isotropic path.  The conditions
 on a single period line are `hodge.check_period_line`.
 """
 
-from dataclasses import dataclass
-
 from .errors import InternalError, NotIsotropicPath, ValidationError
 from .exactmath import unipoly as up
-from .qforms import QuadraticSpace
 
 
-@dataclass(frozen=True)
 class PeriodPath:
     """Polynomial curve in a quadratic space: one Fraction polynomial per
     coordinate, constant term first."""
 
-    space: QuadraticSpace
-    coords: tuple
+    __slots__ = ("space", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.space.dim:
+    def __init__(self, space, coords):
+        if len(coords) != space.dim:
             raise ValidationError("path has wrong number of coordinates")
-        if all(not c for c in self.coords):
+        if all(not c for c in coords):
             raise ValidationError("path is identically zero")
+        self.space = space
+        self.coords = coords
 
 
 def griffiths_check(path):

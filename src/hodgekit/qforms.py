@@ -7,7 +7,6 @@ number field (FieldElement entries); the signature is only defined for
 rational Gram matrices.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Degenerate, NotSymmetric
@@ -28,27 +27,33 @@ def bilinear(gram, u, v):
     return acc
 
 
-@dataclass(frozen=True)
 class QuadraticSpace:
     """Vector space with a nondegenerate symmetric Gram matrix.  The
     Gram matrix is diagonalized once, at construction: the elimination
     certifies nondegeneracy, and `diagonal` keeps its entries for the
-    signature."""
+    signature.  Spaces are equal when their Gram matrices are."""
 
-    gram: Matrix
-    diagonal: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("gram", "diagonal")
 
-    def __post_init__(self):
-        g = self.gram
-        if g.rows != g.cols:
+    def __init__(self, gram):
+        if gram.rows != gram.cols:
             raise NotSymmetric("Gram matrix must be square")
-        if not g.is_symmetric():
+        if not gram.is_symmetric():
             raise NotSymmetric("Gram matrix must be symmetric")
         try:
-            diag, _ = congruence_diagonal(g)
+            diag, _ = congruence_diagonal(gram)
         except Degenerate:
             raise Degenerate("Gram matrix must be nondegenerate") from None
-        object.__setattr__(self, "diagonal", tuple(diag))
+        self.gram = gram
+        self.diagonal = tuple(diag)
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadraticSpace:
+            return NotImplemented
+        return self.gram == other.gram
+
+    def __hash__(self):
+        return hash(self.gram)
 
     @property
     def dim(self):
@@ -67,15 +72,6 @@ class QuadraticSpace:
                 if a != 0:
                     return a / a
         raise Degenerate("zero Gram matrix")
-
-
-@dataclass(frozen=True)
-class Signature:
-    positives: int
-    negatives: int
-
-    def as_pair(self):
-        return (self.positives, self.negatives)
 
 
 def congruence_diagonal(gram):
@@ -142,12 +138,12 @@ def congruence_diagonal(gram):
 
 
 def signature(space):
-    """Signature read off the space's congruence diagonal (rational Gram
-    matrices only)."""
+    """Signature (positives, negatives) read off the space's congruence
+    diagonal (rational Gram matrices only)."""
     if space.dim and not isinstance(space.gram.entries[0][0], Fraction):
         raise TypeError("signature requires a rational Gram matrix")
     pos = sum(1 for d in space.diagonal if d > 0)
-    return Signature(pos, space.dim - pos)
+    return pos, space.dim - pos
 
 
 def orth_complement(space, w):

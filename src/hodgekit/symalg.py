@@ -14,7 +14,6 @@ projection subtracts b * (L as composed with multiplication by b)^-1 L x,
 so projecting is exact linear algebra at each degree.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -65,13 +64,25 @@ def monomials(m, d):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class SymElement:
-    """Homogeneous element of Sym(V) as a polynomial coefficient map."""
+    """Homogeneous element of Sym(V) as a polynomial coefficient map;
+    elements are equal when their coefficient maps are."""
 
-    nvars: int
-    degree: int
-    coeffs: tuple  # ((exponent tuple, coefficient), ...) in grlex order
+    __slots__ = ("nvars", "degree", "coeffs")
+
+    def __init__(self, nvars, degree, coeffs):
+        self.nvars = nvars
+        self.degree = degree
+        self.coeffs = coeffs  # ((exponents, coefficient), ...) in grlex order
+
+    def __eq__(self, other):
+        if other.__class__ is not SymElement:
+            return NotImplemented
+        return (self.nvars, self.degree, self.coeffs) == (
+            other.nvars, other.degree, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.nvars, self.degree, self.coeffs))
 
     @classmethod
     def from_dict(cls, nvars, degree, d):
@@ -102,23 +113,23 @@ def linear_element(nvars, vec):
     return SymElement.from_dict(nvars, 1, mp_from_vector(vec))
 
 
-@dataclass(frozen=True)
 class SymAlgebra:
     """Truncated symmetric algebra of a quadratic space, either full or
     modded out by the ideal of the dual bivector (harmonic mode)."""
 
-    space: QuadraticSpace
-    mode: str
-    top: int
+    __slots__ = ("space", "mode", "top")
 
-    def __post_init__(self):
-        if self.mode not in (FULL, HARMONIC):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.top < 1:
+    def __init__(self, space, mode, top):
+        if mode not in (FULL, HARMONIC):
+            raise ValidationError(f"unknown mode {mode!r}")
+        if top < 1:
             raise ValidationError("top degree must be at least 1")
-        if self.mode == HARMONIC and self.space.dim < 3:
+        if mode == HARMONIC and space.dim < 3:
             raise HarmonicDimTooSmall(
                 "harmonic quotient requires a space of dimension >= 3")
+        self.space = space
+        self.mode = mode
+        self.top = top
 
     @property
     def dim(self):
@@ -262,14 +273,16 @@ def power_top(alg, x):
 
 # Transcendental Hodge algebra over the endomorphism field.
 
-@dataclass(frozen=True)
 class EStructure:
     """Presentation of the transcendental lattice as a vector space over
     its endomorphism field."""
 
-    field: object            # NumberField generated by the primitive element
-    primitive_matrix: Matrix  # scalar action of the generator on T
-    basis: tuple             # n_E generating vectors, T-coordinates over Q
+    __slots__ = ("field", "primitive_matrix", "basis")
+
+    def __init__(self, field, primitive_matrix, basis):
+        self.field = field  # NumberField generated by the primitive element
+        self.primitive_matrix = primitive_matrix  # the generator's action on T
+        self.basis = basis  # n_E generating vectors, T-coordinates over Q
 
     @property
     def rank(self):
@@ -346,17 +359,21 @@ FULL_E = "full_e"
 HARMONIC_E = "harmonic_e"
 
 
-@dataclass(frozen=True)
 class THAResult:
     """Graded shape of the transcendental Hodge algebra up to degree n."""
 
-    mode: str
-    n: int
-    e: int
-    graded_dims_e: tuple
-    graded_dims_q: tuple
-    algebra: SymAlgebra
-    estructure: EStructure
+    __slots__ = ("mode", "n", "e", "graded_dims_e", "graded_dims_q", "algebra",
+                 "estructure")
+
+    def __init__(self, mode, n, e, graded_dims_e, graded_dims_q, algebra,
+                 estructure):
+        self.mode = mode
+        self.n = n
+        self.e = e
+        self.graded_dims_e = graded_dims_e
+        self.graded_dims_q = graded_dims_q
+        self.algebra = algebra
+        self.estructure = estructure
 
 
 def build_tha(h, ef, n):

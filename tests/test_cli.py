@@ -7,11 +7,12 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hodgekit.cli import main, make_parser
+from hodgekit.cli import _fraction, main, make_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -269,6 +270,33 @@ def test_integer_past_the_digit_limit_is_a_file_error(tmp_path, capsys):
     assert "invalid JSON" in error["message"]
 
 
+@pytest.mark.parametrize("value", ["5\n", "\u0665", "\uff15", "5/-3", "0x5"])
+def test_numbers_are_ascii_p_over_q(value, tmp_path, capsys):
+    doc = json.loads((CORPUS / "qi_period.json").read_text())
+    doc["gram"][0][0] = value
+    error = _error_of(doc, "classify", tmp_path, capsys)
+    assert error == {"class": "FileFormatError", "message":
+                     f"gram: numbers must be strings like \"p/q\", got {value!r}"}
+
+
+def test_signed_numbers_are_accepted():
+    assert _fraction("+5", "gram") == 5
+    assert _fraction("-3/4", "gram") == Fraction(-3, 4)
+
+
+def test_printed_number_past_the_digit_limit_is_too_large(tmp_path, capsys):
+    # each input entry has 2201 digits, under the limit; the Pfaffian
+    # scalar of the report has about 4400
+    doc = json.loads((CORPUS / "quaternion3.json").read_text())
+    big = "1" + "0" * 2200
+    doc["psis"] = [[[c if c == "0" else c.replace("1", big) for c in row]
+                    for row in m] for m in doc["psis"]]
+    error = _error_of(doc, "ksympl", tmp_path, capsys)
+    assert error == {"class": "TooLarge", "message":
+                     f"a result has more than {sys.get_int_max_str_digits()} "
+                     "digits"}
+
+
 def test_k1_rejected_at_runtime(capsys):
     code, out = run_inproc(["ksympl", str(CORPUS / "bad" / "k1_symplectic.json"),
                             "--json"], capsys)
@@ -360,3 +388,22 @@ def test_classify_tha_and_ksympl_do_not_import_sympy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == f"{[0] * 10 + [0, 0, 2]} False False"
+
+
+@pytest.mark.parametrize("modules", [["hodgekit.cli"],
+                                     ["hodgekit.ksympl", "hodgekit.symalg"]])
+def test_imports_load_neither_dataclasses_nor_inspect(modules):
+    # hodgekit's records are plain classes: stdlib dataclasses, with the
+    # inspect, ast, dis and tokenize it loads, would cost each process
+    # about 25 ms of start-up
+    script = (
+        "import importlib, sys\n"
+        "before = set(sys.modules)\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)),\n"
+        "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *modules],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"

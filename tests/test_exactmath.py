@@ -1,7 +1,6 @@
 """Tests for exact rationals, number fields, embeddings and linear algebra."""
 
 import cmath
-import dataclasses
 import json
 import math
 import random
@@ -165,6 +164,17 @@ def test_field_arithmetic():
     assert field_trace(field.from_rational(Fraction(5, 2))) == 10
 
 
+def test_fields_from_one_polynomial_are_one_field():
+    # fields are values: the caches key on them and arithmetic checks
+    # that both operands have one parent
+    a, b = nf_create([2, 0, 1]), nf_create([2, 0, 1])
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != nf_create([3, 0, 1])
+    assert a.gen() + b.gen() == a.element([0, 2])
+    assert (a.gen() * b.gen()).parent == b
+
+
 def test_certified_sign_examples():
     field = nf_create([-2, 0, 1])
     embs = nf_embeddings(field)
@@ -257,12 +267,15 @@ def test_sign_ramp_walks_one_newton_chain(monkeypatch):
     monkeypatch.setattr(RootDisk, "_newton_step", spy_step)
     monkeypatch.setattr(ComplexEmbedding, "eval_box", spy_box)
     # fresh disks, without a chain computed by earlier tests
-    fresh = dataclasses.replace(emb, root=dataclasses.replace(emb.root))
+    d = emb.root
+    fresh = ComplexEmbedding(emb.parent, emb.index,
+                             RootDisk(d.poly, d.x, d.y, d.r, d.scale),
+                             emb.is_real, emb.conjugate_index)
     assert certified_sign(field.element([p, -q]), fresh) == want
     assert len(widths) > 1
     ramp = len(steps)
     steps.clear()
-    dataclasses.replace(emb.root).refined_below(widths[-1])
+    RootDisk(d.poly, d.x, d.y, d.r, d.scale).refined_below(widths[-1])
     assert 0 < ramp <= len(steps)
 
 

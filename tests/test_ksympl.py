@@ -120,6 +120,15 @@ def test_candidate_construction_rejections():
         KSymplecticCandidate((Matrix.zeros(12, 12),))
     with pytest.raises(ValidationError):
         KSymplecticCandidate((Matrix.zeros(4, 4),))  # dependent (zero)
+    with pytest.raises(ValidationError, match="empty family"):
+        KSymplecticCandidate(())
+    with pytest.raises(ValidationError, match="divisible by 4"):
+        KSymplecticCandidate((Matrix.zeros(6, 6),))
+    with pytest.raises(TooLarge, match="k = 6 exceeds the cap 5"):
+        KSymplecticCandidate((I_L,) * 6)
+    with pytest.raises(ValidationError, match="share one shape"):
+        KSymplecticCandidate((I_L, Matrix.zeros(8, 8)))
+    assert KSymplecticCandidate((I_L, J_L)).k == 2
 
 
 def test_verify_quaternion():

@@ -130,7 +130,7 @@ def test_make_isotropic_path_requires_isotropic_base():
 
 
 def test_period_path_rejects_zero():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="identically zero"):
         PeriodPath(LORENTZ3, ((), (), ()))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="wrong number of coordinates"):
         PeriodPath(LORENTZ3, ((F(1),), (F(0),)))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgekit.errors import DegreeTooHigh, HarmonicDimTooSmall
+from hodgekit.errors import (DegreeTooHigh, HarmonicDimTooSmall,
+                             ValidationError)
 from hodgekit.exactmath import Matrix, inverse, nf_create, nf_embeddings, rank
 from hodgekit.exactmath.mpoly import (mp_add, mp_const, mp_diff,
                                      mp_from_vector, mp_mul, mp_pow, mp_scale)
@@ -100,8 +101,24 @@ def test_harmonic_project_degree_cap():
 
 
 def test_harmonic_mode_needs_dim_three():
-    with pytest.raises(HarmonicDimTooSmall):
+    with pytest.raises(HarmonicDimTooSmall, match="dimension >= 3"):
         SymAlgebra(qspace([[1, 0], [0, 1]]), HARMONIC, 2)
+
+
+def test_algebra_construction_rejections():
+    with pytest.raises(ValidationError, match="unknown mode 'graded'"):
+        SymAlgebra(EUCLID3, "graded", 2)
+    with pytest.raises(ValidationError, match="at least 1"):
+        SymAlgebra(EUCLID3, FULL, 0)
+    assert SymAlgebra(qspace([[1, 0], [0, 1]]), FULL, 2).dim == 2
+
+
+def test_elements_are_equal_by_coefficients():
+    a = SymElement.from_dict(3, 2, {(2, 0, 0): F(1), (0, 1, 1): F(-2)})
+    b = SymElement.from_vector(3, 2, a.vector())
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != SymElement.from_dict(3, 2, {(2, 0, 0): F(1)})
 
 
 @settings(max_examples=20, deadline=None)
