@@ -117,6 +117,35 @@ def test_usage_error_is_a_report(flag, capsys):
     assert code == 2 and out.startswith("hodgekit tha: error\n")
 
 
+def test_version_exits_zero():
+    code, out = run_cli(["--version"])
+    assert code == 0 and out == b"hodgekit 0.1.0\n"
+
+
+# command path -> the flags its help names
+HELP_FLAGS = {
+    (): {"--help", "--version"},
+    ("classify",): {"--help", "--check", "--json"},
+    ("tha",): {"--help", "--n", "--json"},
+    ("ksympl",): {"--help", "--json"},
+    ("bounds",): {"--help", "--d", "--e", "--dim-h1", "--json"},
+    ("perdom",): {"--help"},
+    ("perdom", "check-path"): {"--help", "--json"},
+}
+
+
+@pytest.mark.parametrize("path", HELP_FLAGS, ids=lambda p: " ".join(p) or "top")
+def test_help_names_every_flag(path, capsys):
+    try:
+        code = main([*path, "--help"])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith(" ".join(("usage: hodgekit", *path)))
+    assert set(re.findall(r"--[\w-]+", out)) >= HELP_FLAGS[path]
+
+
 def _parser_flags(parser, path=()):
     """{subcommand path: option strings} over the leaf subparsers,
     without -h and --help."""

@@ -76,6 +76,12 @@ def _cases():
     cases += [["classify"], ["bounds", "--d", "x"],
               ["bounds", "--d", "3", "--seed", "1"],
               ["classify", "corpus/qi_period.json", "--precision-start", "64"]]
+    # argparse's contract: --opt=value, the last of a repeated option, a
+    # missing value, a missing or unknown command, a surplus positional
+    cases += [["bounds", "--d=3"],
+              ["tha", "corpus/qi_period.json", "--n", "2", "--n", "3"],
+              ["bounds", "--d", "3", "--e"], ["perdom"], [], ["bogus"],
+              ["classify", "corpus/qi_period.json", "extra"]]
     return [argv + ["--json"] for argv in cases]
 
 
