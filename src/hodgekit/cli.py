@@ -10,11 +10,11 @@ sorted keys and round-trips byte-identically.
 Exit codes: 0 success, 2 validation or input error, 3 internal error.
 """
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (FileFormatError, HodgekitError, InternalError, TooLarge,
@@ -344,62 +344,181 @@ def _run_command(command, worker, args):
     return report.exit_code
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValidationError, so they are reported and exit
-    like any other input error; the usage line still goes to stderr."""
+# command path -> (help, positional names, options).  A level whose
+# positionals are None takes the next word of a longer path.  Each option
+# maps to (type, required, metavar, help): int or str takes one value,
+# None is a flag.  Every level also takes --help (or -h) and --json.
+SYNTAX = {
+    "": ("exact K3-type Hodge structure and k-symplectic toolkit", None, {
+        "--version": (None, False, None, "show the version and exit")}),
+    "classify": ("transcendental lattice and endomorphism field", ("file",), {
+        "--check": (str, False, "MACHINE_JSON",
+                    "re-run and diff against recorded machine output")}),
+    "tha": ("transcendental Hodge algebra dimensions", ("file",), {
+        "--n": (int, True, "N", "half the complex dimension of the manifold")}),
+    "ksympl": ("verify a k-symplectic structure", ("file",), {}),
+    "bounds": ("divisibility and dimension bounds", (), {
+        "--d": (int, True, "D", "essential dimension of the deformation family"),
+        "--e": (int, False, "E", "degree of the endomorphism field"),
+        "--dim-h1": (int, False, "DIM_H1", "dim H^1 of the candidate torus")}),
+    "perdom": ("period-domain checks", None, {}),
+    "perdom check-path": ("verify the transversality identity on a path",
+                          ("file",), {}),
+}
+_HELP = (None, False, None, "show this help message and exit")
+_JSON = (None, False, None, "print canonical machine JSON only")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise ValidationError(message)
+
+def _subcommands(path):
+    return [p.rpartition(" ")[2] for p in SYNTAX
+            if p and p.rpartition(" ")[0] == path]
 
 
-def _common_flags(parser):
-    parser.add_argument("--json", action="store_true",
-                        help="print canonical machine JSON only")
+def _level(path):
+    """(positional names, options) of a level; the one positional of a
+    level with subcommands is named after the path."""
+    _, positionals, own = SYNTAX[path]
+    if positionals is None:
+        positionals = (f"{path}_command" if path else "command",)
+    return list(positionals), {"--help": _HELP, **own, "--json": _JSON}
 
 
-def make_parser():
-    parser = _Parser(
-        prog="hodgekit",
-        description="exact K3-type Hodge structure and k-symplectic toolkit")
-    parser.add_argument("--version", action="version",
-                        version=f"hodgekit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _dest(option):
+    return option[2:].replace("-", "_")
 
-    p = sub.add_parser("classify",
-                       help="transcendental lattice and endomorphism field")
-    p.add_argument("file")
-    p.add_argument("--check", metavar="MACHINE_JSON",
-                   help="re-run and diff against recorded machine output")
-    _common_flags(p)
 
-    p = sub.add_parser("tha", help="transcendental Hodge algebra dimensions")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True,
-                   help="half the complex dimension of the manifold")
-    _common_flags(p)
+def _usage(path):
+    positionals, options = _level(path)
+    words = ["usage: hodgekit", *path.split(), "[-h]"]
+    for name, (kind, required, metavar, _) in list(options.items())[1:]:
+        word = name if kind is None else f"{name} {metavar}"
+        words.append(word if required else f"[{word}]")
+    if SYNTAX[path][1] is None:
+        positionals = ["{" + ",".join(_subcommands(path)) + "}", "..."]
+    return " ".join(words + positionals)
 
-    p = sub.add_parser("ksympl", help="verify a k-symplectic structure")
-    p.add_argument("file")
-    _common_flags(p)
 
-    p = sub.add_parser("bounds", help="divisibility and dimension bounds")
-    p.add_argument("--d", type=int, required=True,
-                   help="essential dimension of the deformation family")
-    p.add_argument("--e", type=int, default=None,
-                   help="degree of the endomorphism field")
-    p.add_argument("--dim-h1", type=int, default=None,
-                   help="dim H^1 of the candidate torus")
-    _common_flags(p)
+def _help(path):
+    about, positionals, _ = SYNTAX[path]
+    lines = [_usage(path), "", about]
+    if positionals is None:
+        lines += ["", "commands:"]
+        lines += [f"  {sub:<22}{SYNTAX[f'{path} {sub}'.lstrip()][0]}"
+                  for sub in _subcommands(path)]
+    elif positionals:
+        lines += ["", "positional arguments:", *(f"  {p}" for p in positionals)]
+    lines += ["", "options:"]
+    for name, (kind, _, metavar, text) in _level(path)[1].items():
+        left = "-h, --help" if name == "--help" else \
+            name if kind is None else f"{name} {metavar}"
+        lines.append(f"  {left:<22}{text}")
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("perdom", help="period-domain checks")
-    psub = p.add_subparsers(dest="perdom_command", required=True)
-    pc = psub.add_parser("check-path",
-                         help="verify the transversality identity on a path")
-    pc.add_argument("file")
-    _common_flags(pc)
 
-    return parser
+def _read(token, options):
+    """How argparse reads one token at a level: None for a positional or
+    a value, else (the options it can name, its value after "=" or None).
+    A long option may be any prefix of one."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] != "-":
+        if token.startswith("-h"):      # -hX gives -h the value X
+            return ["--help"], token[2:] or None
+    else:
+        head, eq, value = token.partition("=")
+        hits = [head] if head in options else \
+            [name for name in options if name.startswith(head)]
+        if hits:
+            return hits, value if eq else None
+    if _NEGATIVE_NUMBER.fullmatch(token) or " " in token:
+        return None
+    return [], None
+
+
+def parse_args(argv):
+    """Read argv by SYNTAX in one walk, as argparse did.
+
+    Returns a namespace with `command` (the first word of the command
+    path), `json`, and the positionals and options of the command (absent
+    options None).  `output` is the text of --help or --version, if given
+    before any error; else `error` is the first usage error in argparse's
+    order, or None, with `usage` the usage line of the level that found
+    it.  The walk goes on past an error, so a later --json still asks for
+    a JSON report."""
+    args = SimpleNamespace(command=None, json=False, output=None,
+                           error=None, usage=None)
+
+    def fail(message, where):
+        if args.error is None:
+            args.error, args.usage = message, _usage(where)
+
+    path, extras, seen, only_positionals = "", [], set(), False
+    positionals, options = _level(path)
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and not only_positionals:
+            only_positionals = True
+            continue
+        read = None if only_positionals else _read(token, options)
+        if read is None and not positionals:
+            extras.append(token)
+        elif read is None and SYNTAX[path][1] is None:
+            dest, subs = positionals.pop(), _subcommands(path)
+            if token not in subs:
+                fail(f"argument {dest}: invalid choice: {token!r} (choose "
+                     f"from {', '.join(map(repr, subs))})", path)
+                continue
+            setattr(args, dest, token)
+            path = f"{path} {token}".lstrip()
+            positionals, options = _level(path)
+            seen = set()
+            for name in SYNTAX[path][2]:
+                setattr(args, _dest(name), None)
+        elif read is None:
+            setattr(args, positionals.pop(0), token)
+        elif len(read[0]) > 1:
+            fail(f"ambiguous option: {token} could match "
+                 f"{', '.join(read[0])}", path)
+        elif not read[0]:
+            extras.append(token)
+        else:
+            (name,), value = read
+            kind = options[name][0]
+            if kind is None and value is not None:
+                label = "-h/--help" if name == "--help" else name
+                fail(f"argument {label}: ignored explicit argument "
+                     f"{value!r}", path)
+            elif name == "--json":
+                args.json = True
+            elif kind is None:
+                if args.error is None:
+                    args.output = _help(path) if name == "--help" \
+                        else f"hodgekit {__version__}\n"
+                    return args
+            elif value is None and (i == len(argv)
+                                    or _read(argv[i], options) is not None):
+                fail(f"argument {name}: expected one argument", path)
+            else:
+                if value is None:
+                    value = argv[i]
+                    i += 1
+                try:
+                    setattr(args, _dest(name), kind(value))
+                except ValueError:
+                    fail(f"argument {name}: invalid {kind.__name__} value: "
+                         f"{value!r}", path)
+                seen.add(name)
+    missing = positionals + [name for name, spec in options.items()
+                             if spec[1] and name not in seen]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}",
+             path)
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}", "")
+    return args
 
 
 def _check_arguments(args):
@@ -437,15 +556,14 @@ COMMANDS = {
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = make_parser().parse_args(argv)
-    except ValidationError as exc:
-        name = COMMANDS[argv[0]][0] if argv and argv[0] in COMMANDS \
-            else "hodgekit"
-        # argparse accepts any unambiguous prefix of --json, such as --js
-        as_json = any(len(a) > 2 and "--json".startswith(a) for a in argv)
-        _emit(error_report(name, exc), as_json)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    if args.output is not None:         # --help or --version
+        sys.stdout.write(args.output)
+        return 0
+    if args.error is not None:
+        print(args.usage, file=sys.stderr)
+        name = COMMANDS[args.command][0] if args.command else "hodgekit"
+        _emit(error_report(name, ValidationError(args.error)), args.json)
         return 2
     name, kind, run = COMMANDS[args.command]
 

@@ -1,7 +1,6 @@
 """Tests for the command-line front end: file parsing, reports,
 deterministic machine output, and error exit codes."""
 
-import argparse
 import json
 import os
 import re
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgekit.cli import _fraction, main, make_parser
+from hodgekit.cli import SYNTAX, _fraction, _level, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -122,42 +121,20 @@ def test_version_exits_zero():
     assert code == 0 and out == b"hodgekit 0.1.0\n"
 
 
-# command path -> the flags its help names
-HELP_FLAGS = {
-    (): {"--help", "--version"},
-    ("classify",): {"--help", "--check", "--json"},
-    ("tha",): {"--help", "--n", "--json"},
-    ("ksympl",): {"--help", "--json"},
-    ("bounds",): {"--help", "--d", "--e", "--dim-h1", "--json"},
-    ("perdom",): {"--help"},
-    ("perdom", "check-path"): {"--help", "--json"},
-}
-
-
-@pytest.mark.parametrize("path", HELP_FLAGS, ids=lambda p: " ".join(p) or "top")
+@pytest.mark.parametrize("path", SYNTAX, ids=lambda p: p or "top")
 def test_help_names_every_flag(path, capsys):
-    try:
-        code = main([*path, "--help"])
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr().out
+    code, out = run_inproc([*path.split(), "--help"], capsys)
     assert code == 0
-    assert out.startswith(" ".join(("usage: hodgekit", *path)))
-    assert set(re.findall(r"--[\w-]+", out)) >= HELP_FLAGS[path]
+    assert out.startswith(" ".join(("usage: hodgekit", *path.split())))
+    assert set(re.findall(r"--[\w-]+", out)) >= set(_level(path)[1])
 
 
-def _parser_flags(parser, path=()):
-    """{subcommand path: option strings} over the leaf subparsers,
-    without -h and --help."""
-    subs = [a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        return {path: {s for a in parser._actions for s in a.option_strings}
-                - {"-h", "--help"}}
-    flags = {}
-    for name, sub in subs[0].choices.items():
-        flags.update(_parser_flags(sub, path + (name,)))
-    return flags
+def _table_flags():
+    """{command path: its flags} over the commands of the syntax table,
+    without --help."""
+    return {tuple(path.split()): set(_level(path)[1]) - {"--help"}
+            for path, (_, positionals, _) in SYNTAX.items()
+            if positionals is not None}
 
 
 def test_readme_flag_table_matches_parser():
@@ -169,7 +146,7 @@ def test_readme_flag_table_matches_parser():
         words = command.strip().strip("`").split()
         documented[tuple(w for w in words if not w.isupper())] = \
             set(re.findall(r"--[\w-]+", flags))
-    assert documented == _parser_flags(make_parser())
+    assert documented == _table_flags()
 
 
 def test_ksympl_quaternion(capsys):
@@ -424,14 +401,18 @@ def test_classify_tha_and_ksympl_do_not_import_sympy():
 def test_imports_load_neither_dataclasses_nor_inspect(modules):
     # hodgekit's records are plain classes: stdlib dataclasses, with the
     # inspect, ast, dis and tokenize it loads, would cost each process
-    # about 25 ms of start-up
+    # about 25 ms of start-up; the command line is read by cli's own
+    # syntax table, without argparse and the gettext and locale that
+    # argparse loads on first use, so main() runs once before the check
     script = (
         "import importlib, sys\n"
         "before = set(sys.modules)\n"
         "for name in sys.argv[1:]:\n"
         "    importlib.import_module(name)\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)),\n"
-        "      file=sys.stderr)\n")
+        "if 'hodgekit.cli' in sys.modules:\n"
+        "    sys.modules['hodgekit.cli'].main(['bounds', '--d', '3', '--json'])\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+        "             & (set(sys.modules) - before)), file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", script, *modules],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
