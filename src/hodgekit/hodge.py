@@ -57,9 +57,12 @@ class K3Period:
 
 
 def validate_period(space, field, embedding, omega):
-    """Certify the period conditions: signature (2, m-2), then the
-    period-line conditions of `check_period_line`."""
+    """Certify the period conditions: signature (2, m-2), which needs
+    m >= 2, then the period-line conditions of `check_period_line`."""
     m = space.dim
+    if m < 2:
+        raise WrongSignature(f"dim V = {m}, but signature (2, m - 2) "
+                             f"needs dim V >= 2")
     omega = tuple(omega)
     if len(omega) != m:
         raise ValidationError("period length does not match the space")

@@ -262,6 +262,14 @@ def test_each_missing_key_is_named(name, command, keys, tmp_path, capsys):
                          "message": f"{doc['kind']} file is missing {key!r}"}
 
 
+def test_one_dimensional_period_is_a_wrong_signature(tmp_path, capsys):
+    doc = {"version": "1", "kind": "k3period", "gram": [["1"]],
+           "field": ["1", "0", "1"], "embedding": 0, "omega": [["1", "0"]]}
+    error = _error_of(doc, "classify", tmp_path, capsys)
+    assert error == {"class": "WrongSignature", "message":
+                     "dim V = 1, but signature (2, m - 2) needs dim V >= 2"}
+
+
 def test_wrong_kind_is_reported_before_missing_keys(tmp_path, capsys):
     doc = {"version": "1", "kind": "ksymplectic"}
     error = _error_of(doc, "classify", tmp_path, capsys)

@@ -110,6 +110,16 @@ def test_validate_period_rejects_wrong_signature():
         validate_period(sp, field, emb, omega)
 
 
+def test_validate_period_rejects_dimension_one():
+    # a space of dimension 1 has no signature (2, m - 2) at all
+    field = nf_create([1, 0, 1])
+    emb = nf_embeddings(field)[1]
+    with pytest.raises(WrongSignature) as err:
+        validate_period(qspace([[1]]), field, emb, (field.one(),))
+    assert str(err.value) == ("dim V = 1, but signature (2, m - 2) "
+                              "needs dim V >= 2")
+
+
 def test_transcendental_lattice_gaussian():
     h = transcendental_lattice(gaussian_period())
     assert h.dim_t == 2
