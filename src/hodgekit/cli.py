@@ -474,7 +474,6 @@ def parse_args(argv):
             setattr(args, dest, token)
             path = f"{path} {token}".lstrip()
             positionals, options = _level(path)
-            seen = set()
             for name in SYNTAX[path][2]:
                 setattr(args, _dest(name), None)
         elif read is None:

@@ -121,12 +121,25 @@ def test_version_exits_zero():
     assert code == 0 and out == b"hodgekit 0.1.0\n"
 
 
+@pytest.mark.parametrize("flag", ["-h", "--help"])
 @pytest.mark.parametrize("path", SYNTAX, ids=lambda p: p or "top")
-def test_help_names_every_flag(path, capsys):
-    code, out = run_inproc([*path.split(), "--help"], capsys)
+def test_help_names_every_flag(path, flag, capsys):
+    code, out = run_inproc([*path.split(), flag], capsys)
     assert code == 0
     assert out.startswith(" ".join(("usage: hodgekit", *path.split())))
     assert set(re.findall(r"--[\w-]+", out)) >= set(_level(path)[1])
+
+
+def test_json_may_precede_the_command(capsys):
+    code, out = run_inproc(["--json", "bounds", "--d", "3"], capsys)
+    assert code == 0 and json.loads(out)["sections"]["torus"]["d"] == 3
+
+
+def test_double_dash_ends_the_options(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-p.json").write_text((CORPUS / "qi_period.json").read_text())
+    code, out = run_inproc(["classify", "--json", "--", "-p.json"], capsys)
+    assert code == 0 and json.loads(out)["status"] == "ok"
 
 
 def _table_flags():
