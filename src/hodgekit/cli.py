@@ -42,15 +42,17 @@ KINDS = {
 BOUNDS_CAP = 1000
 
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def _fraction(value, where):
-    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
+    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
         raise FileFormatError(
             f"{where}: numbers must be strings like \"p/q\", got {value!r}")
+    num, den = match.groups()
     try:
-        return Fraction(value)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError:      # past the interpreter's int conversion limit
         raise FileFormatError(f"{where}: a number has more than "
                               f"{sys.get_int_max_str_digits()} digits") from None

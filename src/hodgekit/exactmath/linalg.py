@@ -6,22 +6,25 @@ point is used anywhere.  Reduced row-echelon forms have leading
 coefficient 1, and kernel bases are re-echelonized, so every output is
 canonical and byte-reproducible.
 
-Rational matrices are eliminated on Python integers: each row is scaled
-to a primitive integer row, Gauss-Jordan steps cross-multiply and remove
-the row content again, and each pivot row is divided by its pivot once,
-at the end.  The reduced row-echelon form is unique, so this gives the
-same entries and pivots as elimination over the Fractions.  det runs
-Bareiss's fraction-free elimination on the same integer rows.  Matrices
-with number-field entries take the generic elimination.
+One integer row form per rational matrix, built on first use, serves
+rref, det and vec: each row as numerators over the lcm of its
+denominators.  rref makes the rows primitive, Gauss-Jordan steps
+cross-multiply and remove the row content again, and each pivot row is
+divided by its pivot once, at the end; the reduced row-echelon form is
+unique, so this gives the same result as elimination over the Fractions.
+det runs Bareiss's fraction-free elimination, and vec one integer dot
+product per output coordinate.  Matrices with number-field entries take
+the generic elimination and product.
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 
 class Matrix:
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("entries", "rows", "cols", "_int_rows")
 
     def __init__(self, entries, cols=None):
         self.entries = tuple(tuple(r) for r in entries)
@@ -29,6 +32,7 @@ class Matrix:
         self.cols = len(self.entries[0]) if self.entries else (cols or 0)
         if any(len(r) != self.cols for r in self.entries):
             raise ValueError("ragged matrix")
+        self._int_rows = None    # set by _integer_rows on first use
 
     @classmethod
     def identity(cls, n, one=Fraction(1)):
@@ -79,10 +83,14 @@ class Matrix:
                       else ((),) * self.cols, cols=self.rows)
 
     def vec(self, v):
-        """Matrix-vector product.  Zero matrix entries are skipped; a row
-        of zeros gives r[0] * v[0], the zero of the product's type."""
+        """Matrix-vector product; v may hold rationals or elements of one
+        number field.  A rational matrix works on integers (_rational_vec).
+        Otherwise zero matrix entries are skipped, and a row of zeros
+        gives r[0] * v[0], the zero of the product's type."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
+        if _is_rational(self):
+            return _rational_vec(self, v)
         out = []
         for r in self.entries:
             acc = None
@@ -115,7 +123,19 @@ def _dot(r, c):
 
 
 def _is_rational(m):
-    return all(isinstance(x, (int, Fraction)) for r in m.entries for x in r)
+    return _integer_rows(m) is not False
+
+
+def _integer_rows(m):
+    """_integer_row of each row of m, or False when some entry is not
+    rational; built once per matrix, so no caller may change the rows."""
+    form = m._int_rows
+    if form is None:
+        rational = all(isinstance(x, (int, Fraction))
+                       for r in m.entries for x in r)
+        form = m._int_rows = (tuple(map(_integer_row, m.entries))
+                                 if rational else False)
+    return form
 
 
 def _primitive(row):
@@ -128,6 +148,34 @@ def _integer_row(row):
     """The rational row times the lcm of its denominators: (integers, lcm)."""
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _rational_vec(m, v):
+    """m v for a rational m.  v becomes integer columns over one common
+    denominator: one column for a rational v; for a v over a number field,
+    one column per power-basis coordinate, a rational entry c counting as
+    (c, 0, ..., 0).  Each output coordinate is one integer dot product
+    with a row of m, over the row's lcm times that denominator."""
+    x = next((a for a in v if not isinstance(a, (int, Fraction))), None)
+    if x is None:
+        col, den = _integer_row(v)
+        return tuple(Fraction(sum(map(mul, r, col)), d * den)
+                     for r, d in _integer_rows(m))
+    e = len(x.coords)
+    zeros = (0,) * (e - 1)
+    flat = []
+    for a in v:
+        if isinstance(a, (int, Fraction)):
+            flat += (a,) + zeros
+        elif a.parent == x.parent:
+            flat += a.coords
+        else:
+            raise ValueError("elements of different fields")
+    flat, den = _integer_row(flat)
+    cols = [flat[k::e] for k in range(e)]
+    return tuple(x.__class__(x.parent, tuple(
+        Fraction(sum(map(mul, r, c)), d * den) for c in cols))
+        for r, d in _integer_rows(m))
 
 
 def rref(m):
@@ -162,7 +210,7 @@ def rref(m):
 
 def _rational_rref(m):
     """rref of a rational matrix on primitive integer rows."""
-    a = [_primitive(_integer_row(r)[0]) for r in m.entries]
+    a = [_primitive(r) for r, _ in _integer_rows(m)]
     rows = m.rows
     pivots = []
     pr = 0
@@ -316,8 +364,7 @@ def _rational_det(m):
     """Bareiss: after step k every entry below row k is a (k+1)-minor, so
     the division by the previous pivot is exact."""
     a, sign, den = [], 1, 1
-    for r in m.entries:
-        row, d = _integer_row(r)
+    for row, d in _integer_rows(m):
         a.append(row)
         den *= d
     n = m.rows

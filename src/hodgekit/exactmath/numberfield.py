@@ -66,12 +66,14 @@ _CHECK_PRIME = 2**61 - 1
 
 class NumberField:
     """Q[x]/(defining_poly), defining_poly monic irreducible.  Fields are
-    equal when their defining polynomials are."""
+    equal when their defining polynomials are; the hash of the polynomial
+    is taken once, as the field caches look fields up on every product."""
 
-    __slots__ = ("defining_poly",)
+    __slots__ = ("defining_poly", "_hash")
 
     def __init__(self, defining_poly):
         self.defining_poly = defining_poly
+        self._hash = hash(defining_poly)
 
     def __eq__(self, other):
         if other.__class__ is not NumberField:
@@ -79,7 +81,7 @@ class NumberField:
         return self.defining_poly == other.defining_poly
 
     def __hash__(self):
-        return hash(self.defining_poly)
+        return self._hash
 
     @property
     def degree(self):

@@ -11,20 +11,13 @@ from fractions import Fraction
 
 from .errors import Degenerate, NotSymmetric
 from .exactmath import Matrix, inverse, kernel
+from .exactmath.linalg import _dot
 
 
 def bilinear(gram, u, v):
-    """u^T gram v for a nondegenerate Gram matrix; entries may lie in a
-    number field.  Zero Gram entries are skipped, so each row costs one
-    product of entries of u and v."""
-    acc = None
-    for ui, row in zip(u, gram.entries):
-        w = None
-        for g, vj in zip(row, v):
-            if g != 0:
-                w = vj * g if w is None else w + vj * g
-        acc = ui * w if acc is None else acc + ui * w
-    return acc
+    """u^T gram v = u . (gram v) for a nondegenerate Gram matrix; entries
+    may lie in a number field."""
+    return _dot(u, gram.vec(v))
 
 
 class QuadraticSpace:

@@ -540,6 +540,90 @@ def test_integer_det_and_inverse_match_fraction_elimination(m):
     assert _outcome(inverse, m) == _generic(inverse, m)
 
 
+FIELDS = {"Q(i)": nf_create([1, 0, 1]), "quartic": nf_create([-1, 0, -1, 0, 1])}
+
+
+@st.composite
+def vectors_for(draw, cols):
+    """A vector of length cols: rational, or over Q(i) or the quartic
+    x^4 - x^2 - 1 with some entries left rational."""
+    kind = draw(st.sampled_from(("rational",) + tuple(FIELDS)))
+    v = [draw(big_rationals) for _ in range(cols)]
+    if kind == "rational":
+        return tuple(v), None
+    field = FIELDS[kind]
+    for j in range(cols):
+        if draw(st.booleans()):
+            v[j] = field.element([draw(big_rationals)
+                                  for _ in range(field.degree)])
+    return tuple(v), field
+
+
+def _coords(x, e):
+    return x.coords if isinstance(x, FieldElement) else (x,) + (F(0),) * (e - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_integer_vec_matches_entrywise_fraction_sums(m, data):
+    v, field = data.draw(vectors_for(m.cols))
+    out = m.vec(v)
+    assert len(out) == m.rows
+    if field is None or not any(isinstance(x, FieldElement) for x in v):
+        assert out == tuple(sum((a * b for a, b in zip(r, v)), F(0))
+                            for r in m.entries)
+        assert all(type(c) is Fraction for c in out)
+    else:
+        e = field.degree
+        assert all(type(c) is FieldElement and c.parent == field for c in out)
+        assert [c.coords for c in out] == [
+            tuple(sum((a * _coords(b, e)[k] for a, b in zip(r, v)), F(0))
+                  for k in range(e)) for r in m.entries]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m.vec(v + (F(1),))
+
+
+def test_integer_vec_shapes_and_zero_rows():
+    i = FIELDS["Q(i)"].gen()
+    assert Matrix.zeros(3, 0).vec(()) == (F(0),) * 3
+    assert Matrix.zeros(0, 4).vec((F(1), i, F(2), i)) == ()
+    zero = Matrix.zeros(2, 2).vec((i, F(1, 3)))
+    assert zero == (FIELDS["Q(i)"].zero(),) * 2
+    assert all(type(c) is FieldElement for c in zero)
+    with pytest.raises(ValueError, match="different fields"):
+        Matrix.identity(2).vec((i, FIELDS["quartic"].gen()))
+
+
+def test_field_entry_matrix_takes_the_generic_vec():
+    field = FIELDS["quartic"]
+    g = field.gen()
+    m = Matrix(((g, F(0), field.one()), (F(0), F(0), F(0)), (g * g, F(-2), g)))
+    v = (F(3), g + 1, F(1, 7))
+    with mock.patch.object(linalg, "_rational_vec",
+                           side_effect=AssertionError("integer path")):
+        out = m.vec(v)
+    assert out == (3 * g + F(1, 7), F(0), 3 * g * g - 2 * (g + 1) + g / 7)
+
+
+def test_integer_row_form_is_built_once_per_matrix():
+    m = Matrix([[F(1, 2), F(0), F(3)], [F(-2, 3), F(5), F(1, 7)],
+                [F(0), F(1, 10**12), F(1)]])
+    i = FIELDS["Q(i)"].gen()
+    converted = []
+
+    def integer_row(row, real=linalg._integer_row):
+        converted.append(row)
+        return real(row)
+
+    with mock.patch.object(linalg, "_integer_row", integer_row):
+        for _ in range(3):
+            m.vec((F(1), F(2, 5), F(3)))
+            m.vec((i, F(1), i + 1))
+            rref(m), det(m), kernel(m)
+    assert sum(any(r is row for row in m.entries)
+               for r in converted) == m.rows
+
+
 def test_integer_rref_negative_pivots_and_deficient_rank():
     m = Matrix([[F(-2, 3), F(4), F(0)], [F(1, 10**12), F(-6, 10**12), F(0)],
                 [F(0), F(0), F(0)]])

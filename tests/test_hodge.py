@@ -443,6 +443,34 @@ def test_classify_does_each_exact_step_once(monkeypatch, tmp_path, capsys):
     assert muls == []
 
 
+def test_classify_converts_the_conjugation_matrix_once(monkeypatch, tmp_path,
+                                                      capsys):
+    # the conjugations of one rank-22, d = 8 classify all read one integer
+    # row form of tau, built on the first of them
+    period = cm_rank22_period(8, F(-3, 2))
+    path = tmp_path / "d8.json"
+    path.write_text(json.dumps(_period_document(period)))
+    numberfield.conjugation_matrix.cache_clear()
+    converted, conjugated = [], []
+
+    def integer_row(row, real=linalg._integer_row):
+        converted.append(row)
+        return real(row)
+
+    def conjugate(v, emb, real=numberfield.conjugate_element):
+        conjugated.append(v)
+        return real(v, emb)
+
+    _route(monkeypatch, linalg._integer_row, integer_row)
+    _route(monkeypatch, numberfield.conjugate_element, conjugate)
+    assert main(["classify", str(path), "--json"]) == 0
+    capsys.readouterr()
+    tau = numberfield.conjugation_matrix(period.field, period.embedding.index)
+    assert len(conjugated) >= 22
+    assert sum(any(r is row for row in tau.entries)
+               for r in converted) == tau.rows
+
+
 def test_hodge_classes_dimension_is_e():
     for make in (gaussian_period, sqrt2i_period, quartic_cm_period):
         h = transcendental_lattice(make())
