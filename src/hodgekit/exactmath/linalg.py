@@ -6,15 +6,20 @@ point is used anywhere.  Reduced row-echelon forms have leading
 coefficient 1, and kernel bases are re-echelonized, so every output is
 canonical and byte-reproducible.
 
-One integer row form per rational matrix, built on first use, serves
-rref, det and vec: each row as numerators over the lcm of its
-denominators.  rref makes the rows primitive, Gauss-Jordan steps
-cross-multiply and remove the row content again, and each pivot row is
-divided by its pivot once, at the end; the reduced row-echelon form is
-unique, so this gives the same result as elimination over the Fractions.
-det runs Bareiss's fraction-free elimination, and vec one integer dot
-product per output coordinate.  Matrices with number-field entries take
-the generic elimination and product.
+A rational matrix has one integer row form: each row as integer
+numerators over a positive denominator.  A matrix built from Fractions
+gets it on first use, as each row over the lcm of its denominators; a
+matrix built from the form itself (Matrix.from_int_rows) builds its
+Fraction entries only when they are read.  rref, det and vec read the
+form.  rref makes the rows primitive, Gauss-Jordan steps cross-multiply
+and remove the row content again, and each nonzero row of the result is
+kept as its primitive integers over its pivot; the reduced row-echelon
+form is unique, so this gives the same result as elimination over the
+Fractions.  row_space, kernel and solve_blocks pass such rows on, so a
+chain of eliminations makes no Fraction.  det runs Bareiss's
+fraction-free elimination, and vec one integer dot product per output
+coordinate.  Matrices with number-field entries take the generic
+elimination and product.
 """
 
 from fractions import Fraction
@@ -33,6 +38,27 @@ class Matrix:
         if any(len(r) != self.cols for r in self.entries):
             raise ValueError("ragged matrix")
         self._int_rows = None    # set by _integer_rows on first use
+
+    @classmethod
+    def from_int_rows(cls, form, cols):
+        """The rational matrix with the given integer row form, one
+        (numerators, denominator > 0) pair per row; its entries are built
+        on first read."""
+        m = cls.__new__(cls)
+        m._int_rows = tuple(form)
+        m.rows, m.cols = len(m._int_rows), cols
+        if any(len(r) != cols for r, _ in m._int_rows):
+            raise ValueError("ragged matrix")
+        return m
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: the entries of a matrix made
+        # by from_int_rows, before their first read
+        if name != "entries":
+            raise AttributeError(name)
+        self.entries = tuple(tuple(Fraction(x, d) for x in r)
+                             for r, d in self._int_rows)
+        return self.entries
 
     @classmethod
     def identity(cls, n, one=Fraction(1)):
@@ -79,6 +105,10 @@ class Matrix:
         return Matrix(tuple(tuple(a * other for a in r) for r in self.entries))
 
     def transpose(self):
+        if self._int_rows:
+            den = lcm(*(d for _, d in self._int_rows))
+            cols = zip(*([x * (den // d) for x in r] for r, d in self._int_rows))
+            return Matrix.from_int_rows(tuple((c, den) for c in cols), self.rows)
         return Matrix(tuple(zip(*self.entries)) if self.rows
                       else ((),) * self.cols, cols=self.rows)
 
@@ -102,7 +132,7 @@ class Matrix:
 
     def is_symmetric(self):
         return all(self.entries[i][j] == self.entries[j][i]
-                   for i in range(self.rows) for j in range(self.rows))
+                   for i in range(self.rows) for j in range(i))
 
     def is_antisymmetric(self):
         return all(self.entries[i][j] == -self.entries[j][i]
@@ -150,38 +180,58 @@ def _integer_row(row):
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
+def _lowest(row, den):
+    """The integer row over the nonzero den in lowest terms, with a
+    positive denominator: (row, den)."""
+    g = gcd(den, *row)
+    if den < 0:
+        g = -g
+    return ([x // g for x in row], den // g) if g != 1 else (row, den)
+
+
+def _join(parts):
+    """The rational vectors n / d of the (n, d) parts, concatenated, as
+    integers over one denominator: (integers, lcm of the d)."""
+    den = lcm(*(d for _, d in parts))
+    return [x * (den // d) for n, d in parts for x in n], den
+
+
+def _integer_vec(m, col):
+    """m col for a rational m and an integer column, as integers over one
+    denominator: (integers, lcm of the row denominators)."""
+    form = _integer_rows(m)
+    den = lcm(*(d for _, d in form))
+    return [sum(map(mul, r, col)) * (den // d) for r, d in form], den
+
+
 def _rational_vec(m, v):
     """m v for a rational m.  v becomes integer columns over one common
     denominator: one column for a rational v; for a v over a number field,
-    one column per power-basis coordinate, a rational entry c counting as
-    (c, 0, ..., 0).  Each output coordinate is one integer dot product
-    with a row of m, over the row's lcm times that denominator."""
+    one column per power-basis coordinate of the elements' integer
+    numerators, a rational entry c counting as (c, 0, ..., 0).  Each
+    output coordinate is one integer dot product with a row of m, over
+    the row's denominator times that denominator."""
     x = next((a for a in v if not isinstance(a, (int, Fraction))), None)
     if x is None:
         col, den = _integer_row(v)
         return tuple(Fraction(sum(map(mul, r, col)), d * den)
                      for r, d in _integer_rows(m))
-    e = len(x.coords)
-    zeros = (0,) * (e - 1)
-    flat = []
-    for a in v:
-        if isinstance(a, (int, Fraction)):
-            flat += (a,) + zeros
-        elif a.parent == x.parent:
-            flat += a.coords
-        else:
-            raise ValueError("elements of different fields")
-    flat, den = _integer_row(flat)
-    cols = [flat[k::e] for k in range(e)]
-    return tuple(x.__class__(x.parent, tuple(
-        Fraction(sum(map(mul, r, c)), d * den) for c in cols))
-        for r, d in _integer_rows(m))
+    field = x.parent
+    v = [field.from_rational(a) if isinstance(a, (int, Fraction)) else a
+         for a in v]
+    if any(a.parent != field for a in v):
+        raise ValueError("elements of different fields")
+    flat, den = _join([(a.num, a.den) for a in v])
+    cols = [flat[k::field.degree] for k in range(field.degree)]
+    return tuple(field.element_over([sum(map(mul, r, c)) for c in cols],
+                                    d * den)
+                 for r, d in _integer_rows(m))
 
 
 def rref(m):
     """Reduced row-echelon form; returns (Matrix, pivot column tuple)."""
     if _is_rational(m):
-        return _rational_rref(m)
+        return _rational_rref([r for r, _ in _integer_rows(m)], m.cols)
     a = [list(r) for r in m.entries]
     rows, cols = m.rows, m.cols
     pivots = []
@@ -208,13 +258,15 @@ def rref(m):
     return Matrix(a), tuple(pivots)
 
 
-def _rational_rref(m):
-    """rref of a rational matrix on primitive integer rows."""
-    a = [_primitive(r) for r, _ in _integer_rows(m)]
-    rows = m.rows
+def _rational_rref(int_rows, cols):
+    """rref of the rational matrix whose rows are nonzero multiples of
+    the integer rows, on primitive integer rows.  Each nonzero row of the
+    result is its primitive integers over its pivot, made positive."""
+    a = [_primitive(r) for r in int_rows]
+    rows = len(a)
     pivots = []
     pr = 0
-    for pc in range(m.cols):
+    for pc in range(cols):
         pivot = next((r for r in range(pr, rows) if a[r][pc]), None)
         if pivot is None:
             continue
@@ -230,16 +282,25 @@ def _rational_rref(m):
         pr += 1
         if pr == rows:
             break
-    out = [tuple(Fraction(x, a[i][pc]) for x in a[i])
-           for i, pc in enumerate(pivots)]
-    out += [(Fraction(0),) * m.cols] * (rows - pr)
-    return Matrix(out), tuple(pivots)
+    form = [_lowest(a[i], a[i][pc]) for i, pc in enumerate(pivots)]
+    form += [((0,) * cols, 1)] * (rows - pr)
+    return Matrix.from_int_rows(form, cols), tuple(pivots)
+
+
+def submatrix(m, rows, cols):
+    """The rows and columns of m in the two slices, keeping an integer
+    row form."""
+    width = len(range(m.cols)[cols])
+    if m._int_rows:
+        return Matrix.from_int_rows(
+            tuple((r[cols], d) for r, d in m._int_rows[rows]), width)
+    return Matrix(tuple(r[cols] for r in m.entries[rows]), cols=width)
 
 
 def row_space(m):
     """Canonical basis (nonzero RREF rows) of the row space."""
     r, pivots = rref(m)
-    return Matrix(r.entries[:len(pivots)]) if pivots else Matrix.zeros(0, m.cols)
+    return submatrix(r, slice(len(pivots)), slice(None))
 
 
 def rank(m):
@@ -270,17 +331,31 @@ def kernel(m):
 
 
 def _zero_like(m):
-    return m.entries[0][0] * 0 if m.rows and m.cols else Fraction(0)
+    if m.rows and m.cols and not _is_rational(m):
+        return m.entries[0][0] * 0
+    return Fraction(0)
 
 
 def _kernel_from_rref(r, pivots, cols, zero):
     """Kernel basis of the first `cols` columns of a reduced row-echelon
-    form whose pivots in those columns are `pivots`."""
-    one = zero + 1
+    form whose pivots in those columns are `pivots`.  The basis vector
+    of a free column c is e_c - sum_i r[i][c] e_(pivot i); from an
+    integer row form it is taken times the lcm of the denominators."""
     free = [c for c in range(cols) if c not in pivots]
     if not free:
         return Matrix.zeros(0, cols, zero)
     basis = []
+    if r._int_rows:
+        rows = r._int_rows[:len(pivots)]
+        for c in free:
+            den = lcm(*(d for x, d in rows if x[c]))
+            v = [0] * cols
+            v[c] = den
+            for (x, d), pc in zip(rows, pivots):
+                v[pc] = -x[c] * (den // d)
+            basis.append((v, 1))
+        return row_space(Matrix.from_int_rows(basis, cols))
+    one = zero + 1
     for c in free:
         v = [zero] * cols
         v[c] = one
@@ -288,14 +363,6 @@ def _kernel_from_rref(r, pivots, cols, zero):
             v[pc] = -r.entries[i][c]
         basis.append(v)
     return row_space(Matrix(basis))
-
-
-def _one_like(m):
-    for r in m.entries:
-        for a in r:
-            if a != 0:
-                return a / a
-    return Fraction(1)
 
 
 class SolveResult:
@@ -392,15 +459,19 @@ def solve_blocks(a, blocks):
     some a X = B_k has no solution."""
     if any(b.rows != a.rows for b in blocks):
         raise ValueError("shape mismatch")
-    aug = Matrix(tuple(ra + tuple(chain.from_iterable(rb)) for ra, *rb in
-                       zip(a.entries, *(b.entries for b in blocks))))
+    if all(map(_is_rational, (a,) + tuple(blocks))):
+        aug = Matrix.from_int_rows(
+            tuple(map(_join, zip(*map(_integer_rows, (a,) + tuple(blocks))))),
+            a.cols + sum(b.cols for b in blocks))
+    else:
+        aug = Matrix(tuple(ra + tuple(chain.from_iterable(rb)) for ra, *rb in
+                           zip(a.entries, *(b.entries for b in blocks))))
     r, pivots = rref(aug)
     if pivots != tuple(range(a.cols)):
         return None
-    top, out, start = r.entries[:a.cols], [], a.cols
+    out, start = [], a.cols
     for b in blocks:
-        out.append(Matrix(tuple(row[start:start + b.cols] for row in top),
-                          cols=b.cols))
+        out.append(submatrix(r, slice(a.cols), slice(start, start + b.cols)))
         start += b.cols
     return tuple(out)
 
@@ -409,7 +480,7 @@ def inverse(m):
     """m^-1 as the solution of m X = I."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    x = solve_blocks(m, (Matrix.identity(m.rows, _one_like(m)),))
+    x = solve_blocks(m, (Matrix.identity(m.rows, _zero_like(m) + 1),))
     if x is None:
         raise ValueError("matrix is singular")
     return x[0]

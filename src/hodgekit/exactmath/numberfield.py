@@ -1,11 +1,16 @@
 """Number fields Q[x]/(f) with exact arithmetic and certified complex
 embeddings.
 
-A NumberField carries a monic irreducible defining polynomial; elements
-are coordinate vectors of Fractions in the power basis 1, x, ...,
-x**(e-1).  Two elements are multiplied on integer numerators: their
-convolution is reduced by the powers x**e, ..., x**(2e-2) scaled to one
-common denominator, and each coordinate becomes a Fraction once.
+A NumberField carries a monic irreducible defining polynomial; an
+element keeps the integer numerators of its coordinates in the power
+basis 1, x, ..., x**(e-1) over one positive denominator, in lowest
+terms, and builds the Fraction coordinates only when they are read.
+Sums, products, scaling, comparison and hashing work on those integers.
+Two elements are multiplied by reducing the convolution of their
+numerators by the powers x**e, ..., x**(2e-2) scaled to one common
+denominator; field_dot sums several convolutions over one denominator
+and reduces once.  coordinate_matrix and row_elements move between
+elements and rational matrices on the same integers.
 nf_create certifies irreducibility without factoring: monic factors
 over Q correspond to sets of roots closed under conjugation, and the
 sets of at most e/2 roots are tried on the certified root disks of
@@ -45,13 +50,14 @@ embedding.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 
 from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible)
 from . import unipoly as up
-from .linalg import Matrix, _integer_row
+from .linalg import (Matrix, _integer_row, _integer_rows, _integer_vec,
+                     _lowest)
 from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, approx_conjugation,
                       digits_bits, isolate_nonreal_roots, isolate_real_roots,
                       root_disks)
@@ -88,13 +94,21 @@ class NumberField:
         return len(self.defining_poly) - 1
 
     def element(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError("coordinate vector has wrong length")
         return FieldElement(self, coords)
 
+    def element_over(self, num, den):
+        """The element with the integer power-basis numerators num over the
+        nonzero integer den, brought to lowest terms."""
+        num, den = _lowest(num, den)
+        return _element(self, tuple(num), den)
+
     def from_rational(self, c):
-        return self.element((Fraction(c),) + (Fraction(0),) * (self.degree - 1))
+        c = Fraction(c)
+        return _element(self, (c.numerator,) + (0,) * (self.degree - 1),
+                        c.denominator)
 
     def zero(self):
         return self.from_rational(0)
@@ -106,9 +120,7 @@ class NumberField:
         if self.degree == 1:
             # x - c: the generator is the rational c itself
             return self.from_rational(-self.defining_poly[0])
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return self.element(coords)
+        return _element(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def __repr__(self):
         return f"NumberField({list(self.defining_poly)})"
@@ -238,13 +250,24 @@ QQ = None  # the rationals as a degree-1 field, created below
 
 
 class FieldElement:
-    """Element of a NumberField in power-basis coordinates."""
+    """Element of a NumberField: the integer numerators `num` of its
+    power-basis coordinates over a positive denominator `den`, in lowest
+    terms (gcd(den, *num) == 1), so equal elements have equal (num, den).
+    The Fraction coordinates `coords` are built on first read."""
 
-    __slots__ = ("parent", "coords")
+    __slots__ = ("parent", "num", "den", "coords")
 
     def __init__(self, parent, coords):
-        self.parent = parent
-        self.coords = coords
+        num, self.den = _integer_row(coords)
+        self.parent, self.num = parent, tuple(num)
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: `coords` before its first read
+        if name != "coords":
+            raise AttributeError(name)
+        den = self.den
+        self.coords = tuple(Fraction(x, den) for x in self.num)
+        return self.coords
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -255,37 +278,40 @@ class FieldElement:
             return self.parent.from_rational(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """self + sign * other over the lcm of the denominators."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(self.parent,
-                            tuple(a + b for a, b in zip(self.coords, o.coords)))
+        g = gcd(self.den, o.den)
+        u, v = o.den // g, sign * (self.den // g)
+        return self.parent.element_over(
+            [a * u + b * v for a, b in zip(self.num, o.num)], self.den * u)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.parent, tuple(-a for a in self.coords))
+        return _element(self.parent, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.parent,
-                            tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return FieldElement(self.parent, tuple(a * c for a in self.coords))
+            return self.parent.element_over(
+                [a * other.numerator for a in self.num],
+                self.den * other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(self.parent,
-                            _mul_coords(self.parent, self.coords, o.coords))
+        return _reduced(self.parent, _convolve(self.num, o.num),
+                        self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -323,23 +349,81 @@ class FieldElement:
         return FieldElement(self.parent, _reduce(self.parent, inv))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.parent.from_rational(other)
+            # the lowest terms of a rational c are (c.numerator, 0, ...)
+            # over c.denominator
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator and not any(self.num[1:]))
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.parent == other.parent and self.coords == other.coords
+        return (self.parent == other.parent and self.den == other.den
+                and self.num == other.num)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __hash__(self):
-        return hash((self.parent, self.coords))
+        return hash((self.parent, self.num, self.den))
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
+
+
+def _element(field, num, den):
+    """The element num / den of the field for a tuple num and den > 0 in
+    lowest terms."""
+    x = FieldElement.__new__(FieldElement)
+    x.parent, x.num, x.den = field, num, den
+    return x
+
+
+def _convolve(a, b):
+    """The product of two integer polynomials (constant first, the same
+    length e), of length 2e - 1."""
+    conv = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+    return conv
+
+
+def _reduced(field, conv, den):
+    """The element conv(gen) / den for an integer polynomial conv of
+    length 2e - 1, reduced by the integer power table."""
+    table, dt = _integer_power_table(field)
+    e = field.degree
+    out = [c * dt for c in conv[:e]]
+    for c, row in zip(conv[e:], table):
+        if c:
+            for i, p in row:
+                out[i] += c * p
+    return field.element_over(out, den * dt)
+
+
+def field_dot(u, v):
+    """sum u_i v_i for vectors of rationals and elements of one number
+    field, not all rational: the convolutions of the numerators are summed
+    over one common denominator and reduced by the power table once."""
+    field = next(x.parent for x in chain(u, v) if isinstance(x, FieldElement))
+    terms = []
+    for a, b in zip(u, v):
+        a, b = (x if isinstance(x, FieldElement) else field.from_rational(x)
+                for x in (a, b))
+        if a.parent != field or b.parent != field:
+            raise ValueError("elements of different fields")
+        if a and b:
+            terms.append((a.num, b.num, a.den * b.den))
+    den = lcm(*(d for _, _, d in terms))
+    acc = [0] * (2 * field.degree - 1)
+    for a, b, d in terms:
+        s = den // d
+        for k, c in enumerate(_convolve(a, b)):
+            acc[k] += c * s
+    return _reduced(field, acc, den)
 
 
 def _reduce(field, coeffs):
@@ -357,28 +441,6 @@ def _reduce(field, coeffs):
             for i in range(e):
                 out[i] += c * pk[i]
     return tuple(out)
-
-
-def _mul_coords(field, a, b):
-    """Coordinates of the product of two elements, in integers: the
-    convolution of the numerators of a and b, reduced by the integer
-    power table, over the product of the three denominators."""
-    na, da = _integer_row(a)
-    nb, db = _integer_row(b)
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(na):
-        if x:
-            for j, y in enumerate(nb, i):
-                conv[j] += x * y
-    table, dt = _integer_power_table(field)
-    e = field.degree
-    out = [c * dt for c in conv[:e]]
-    for c, row in zip(conv[e:], table):
-        if c:
-            for i, p in row:
-                out[i] += c * p
-    den = da * db * dt
-    return tuple(Fraction(x, den) for x in out)
 
 
 @lru_cache(maxsize=None)
@@ -412,18 +474,30 @@ def _power_table(field):
     return tuple(rows)
 
 
+def coordinate_matrix(elements):
+    """The rational matrix whose column j holds the power-basis
+    coordinates of elements[j], built on their integer numerators over
+    one common denominator."""
+    den = lcm(*(x.den for x in elements))
+    cols = [[a * (den // x.den) for a in x.num] for x in elements]
+    return Matrix.from_int_rows(tuple((r, den) for r in zip(*cols)),
+                                len(elements))
+
+
+def row_elements(field, m):
+    """The elements whose power-basis coordinates are the rows of the
+    rational matrix m."""
+    return tuple(field.element_over(r, d) for r, d in _integer_rows(m))
+
+
 def mult_matrix(a):
     """Matrix of multiplication by a on the power basis (columns are the
     images of the basis)."""
-    field = a.parent
-    e = field.degree
-    cols = []
-    cur = a
-    gen = field.gen()
-    for _ in range(e):
-        cols.append(cur.coords)
-        cur = cur * gen
-    return Matrix(tuple(zip(*cols)))
+    cols = [a]
+    gen = a.parent.gen()
+    for _ in range(1, a.parent.degree):
+        cols.append(cols[-1] * gen)
+    return coordinate_matrix(cols)
 
 
 def field_trace(a):
@@ -455,8 +529,10 @@ class ComplexEmbedding:
         if element.parent != self.parent:
             raise ValueError("element of a different field")
         disk = self.root.refined_below(width)
-        coords = up.normalize(element.coords) or (Fraction(0),)
-        a, den = _integer_row(coords)
+        a = list(element.num)
+        while len(a) > 1 and not a[-1]:
+            a.pop()
+        den = element.den
         s = disk.scale
         x, y = _horner(a, disk.x, disk.y, s)
         m = _ceil_sqrt(disk.x * disk.x + disk.y * disk.y, 1)
@@ -672,7 +748,7 @@ def conjugation_matrix(field, index):
     powers = [field.one()]
     for _ in range(1, field.degree):
         powers.append(powers[-1] * g)
-    return Matrix(tuple(zip(*(p.coords for p in powers))))
+    return coordinate_matrix(powers)
 
 
 def conjugate_element(v, emb):
@@ -685,7 +761,14 @@ def conjugate_element(v, emb):
         raise ConjugationNotInternal(
             "complex conjugation does not stabilize the embedded field; "
             "re-present the data over a conjugation-closed field")
-    return FieldElement(v.parent, tau.vec(v.coords))
+    return _apply(tau, v)
+
+
+def _apply(matrix, v):
+    """The element whose coordinates are the rational matrix times those
+    of v, on integers."""
+    num, den = _integer_vec(matrix, v.num)
+    return v.parent.element_over(num, den * v.den)
 
 
 def certified_sign(v, emb):
@@ -701,7 +784,7 @@ def certified_sign(v, emb):
         return 0
     if not emb.is_real:
         tau = conjugation_matrix(v.parent, emb.index)
-        if tau is None or tau.vec(v.coords) != v.coords:
+        if tau is None or _apply(tau, v) != v:
             raise NotRealValued(
                 "value is not certifiably real at this embedding")
     bits = 64

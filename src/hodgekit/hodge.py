@@ -23,6 +23,7 @@ inverted.
 
 from functools import cached_property
 from itertools import chain
+from math import lcm
 import random
 
 from .errors import (InternalError, IsotropyFails, PositivityFails,
@@ -30,7 +31,9 @@ from .errors import (InternalError, IsotropyFails, PositivityFails,
 from .exactmath import (Matrix, NumberField, certified_sign,
                         conjugate_element, kernel, rref)
 from .exactmath import unipoly as up
-from .exactmath.linalg import coords_in, row_space, solve_blocks
+from .exactmath.linalg import (_integer_rows, _integer_vec, _join, coords_in,
+                               row_space, solve_blocks, submatrix)
+from .exactmath.numberfield import coordinate_matrix, row_elements
 from .qforms import QuadraticSpace, signature
 
 TOTALLY_REAL = "TotallyReal"
@@ -121,13 +124,7 @@ def transcendental_lattice(period):
     power basis of its field; minimal by the Galois-span argument, and
     re-verified to contain the period after complexification."""
     m = period.dim
-    e = period.field.degree
-    vecs = []
-    for j in range(e):
-        v = tuple(period.omega[i].coords[j] for i in range(m))
-        if any(c != 0 for c in v):
-            vecs.append(v)
-    t = row_space(Matrix(vecs))
+    t = row_space(coordinate_matrix(period.omega))
     bg, gram_t = _lowered(period.space.gram, t)
     tsig = signature(QuadraticSpace(gram_t))
     if tsig != (2, t.rows - 2):
@@ -146,9 +143,15 @@ def _lowered(gram, basis):
     """B G, whose kernel is the orthogonal complement of the basis B, and
     the Gram matrix B G B^T of q on its span.  G is symmetric, so row i
     of B G is G b_i, and the Gram matrix is symmetric, so its row j is
-    (B G) b_j: matrix-vector products, which skip zero entries."""
-    bg = Matrix(tuple(gram.vec(b) for b in basis.entries), cols=gram.cols)
-    return bg, Matrix(tuple(bg.vec(b) for b in basis.entries), cols=basis.rows)
+    (B G) b_j: matrix-vector products on the integer rows of B."""
+    def images(m):
+        rows = []
+        for b, d in _integer_rows(basis):
+            image, den = _integer_vec(m, b)
+            rows.append((image, den * d))
+        return Matrix.from_int_rows(rows, m.rows)
+    bg = images(gram)
+    return bg, images(bg)
 
 
 class MTDescriptor:
@@ -197,7 +200,7 @@ def endomorphism_field(h):
     (totally real) or 0 (CM) real roots."""
     t = h.dim_t
     flat, lams, conj = h.endomorphisms
-    basis = tuple(_unflatten(v, t) for v in flat.entries)
+    basis = _unflatten(flat, t)
     e = len(basis)
     coeffs, minpoly = _primitive_element(lams)
     prim = _combine(basis, coeffs)
@@ -209,8 +212,7 @@ def endomorphism_field(h):
     totally_real = conj == lams
     fixed = ()
     if not totally_real:
-        diffs = tuple((a - b).coords for a, b in zip(lams, conj))
-        fix_ker = kernel(Matrix(tuple(zip(*diffs))))
+        fix_ker = kernel(coordinate_matrix([a - b for a, b in zip(lams, conj)]))
         fixed = tuple(_combine(basis, lam) for lam in fix_ker.entries)
         if 2 * len(fixed) != e:
             raise InternalError("fixed subalgebra does not have dimension e/2")
@@ -258,42 +260,69 @@ def _character_basis(h):
     multiples = [h.omega_t]                # x^i omega_k
     for _ in range(1, e_f):
         multiples.append(tuple(v * gen for v in multiples[-1]))
-    shifted = [Matrix(tuple(zip(*(v.coords for v in c))))
-               for c in multiples]         # M_{x^i} Omega
+    shifted = [coordinate_matrix(c) for c in multiples]   # M_{x^i} Omega
     omega = shifted[0]
     left = kernel(omega.transpose())
     if left.rows:
         cols = tuple(_flatten(left * s) for s in shifted)
-        lams = kernel(Matrix(tuple(zip(*cols))))
+        lams = kernel(Matrix.from_int_rows(cols, left.rows * t).transpose())
     else:
         lams = Matrix.identity(e_f)
     images = tuple(_combine(shifted, lam) for lam in lams.entries)
     phis = solve_blocks(omega, images)         # Omega phi^T = M_lambda Omega
     if phis is None:
         raise InternalError("eigenvalue is not realized by a rational matrix")
-    lowered = h.gram.vec(h.omega_t)        # G_T omega
-    aug = []
-    for lam, phi_t in zip(lams.entries, phis):
-        tau = conjugate_element(field.element(lam), h.period.embedding)
-        delta = tuple(c for a, b in zip(phi_t.vec(lowered), lowered)
-                      for c in (a - tau * b).coords)
-        aug.append(delta + _flatten(phi_t.transpose()) + tuple(lam)
-                   + tau.coords)
     width, tt = t * e_f, t * t             # the delta block, the phi block
-    red, pivots = rref(Matrix(aug))
-    hodge = [r[width:] for r in
-             red.entries[sum(p < width for p in pivots):len(pivots)]]
-    return (Matrix(tuple(r[:tt] for r in hodge)),
-            tuple(field.element(r[tt:tt + e_f]) for r in hodge),
-            tuple(field.element(r[tt + e_f:]) for r in hodge))
+    red, pivots = rref(_defect_rows(h, multiples, lams, phis))
+    hodge = slice(sum(p < width for p in pivots), len(pivots))
+    return (submatrix(red, hodge, slice(width, width + tt)),
+            row_elements(field, submatrix(red, hodge,
+                                          slice(width + tt, width + tt + e_f))),
+            row_elements(field, submatrix(red, hodge,
+                                          slice(width + tt + e_f, red.cols))))
+
+
+def _defect_rows(h, multiples, lams, phis):
+    """The rows [delta | phi | lambda | tau(lambda)] of `_character_basis`
+    on integers, one per eigenvalue row lambda of lams with its phi^T,
+    the defect delta in F^t flattened to its t e_F power-basis
+    coordinates.  tau(lambda) G_T omega is the rational combination
+    sum_k tau_k G_T x^k omega of the vectors G_T x^k omega, which are
+    formed once from `multiples` (x^k omega), so no field product is
+    taken."""
+    field, emb = h.period.field, h.period.embedding
+    lowered = [h.gram.vec(c) for c in multiples]     # G_T x^k omega
+    # column k: G_T x^k omega, flattened
+    combos = Matrix.from_int_rows(
+        [_join([(v.num, v.den) for v in c]) for c in lowered],
+        h.dim_t * field.degree).transpose()
+    rows = []
+    for (lam, lam_den), phi_t in zip(_integer_rows(lams), phis):
+        tau = conjugate_element(field.element_over(lam, lam_den), emb)
+        # phi^T G_T omega, and tau(lambda) G_T omega over db
+        a, da = _join([(v.num, v.den) for v in phi_t.vec(lowered[0])])
+        b, db = _integer_vec(combos, tau.num)
+        db *= tau.den
+        den = lcm(da, db)
+        delta = [x * (den // da) - y * (den // db) for x, y in zip(a, b)]
+        rows.append(_join([(delta, den), _flatten(phi_t.transpose()),
+                           (lam, lam_den), (tau.num, tau.den)]))
+    return Matrix.from_int_rows(
+        rows, combos.rows + h.dim_t**2 + 2 * field.degree)
 
 
 def _flatten(m):
-    return tuple(c for row in m.entries for c in row)
+    """The entries of a rational matrix row by row, as integers over one
+    denominator: (integers, denominator)."""
+    return _join(_integer_rows(m))
 
 
-def _unflatten(v, t):
-    return Matrix(tuple(tuple(v[i * t:(i + 1) * t]) for i in range(t)))
+def _unflatten(m, t):
+    """The t x t matrices whose flattened entries are the rows of the
+    rational matrix m."""
+    return tuple(Matrix.from_int_rows(
+        tuple((r[i * t:(i + 1) * t], d) for i in range(t)), t)
+        for r, d in _integer_rows(m))
 
 
 def _combine(basis, lam):
@@ -312,7 +341,7 @@ def _minpoly(lam):
     dependence among its powers, and the powers below its degree."""
     powers = [lam.parent.one()]
     while True:
-        ker = kernel(Matrix(tuple(zip(*(p.coords for p in powers)))))
+        ker = kernel(coordinate_matrix(powers))
         if ker.rows > 0:
             dep = ker.entries[0]
             return tuple(c / dep[-1] for c in dep), powers[:-1]
@@ -332,7 +361,7 @@ def _primitive_element(lams):
     for coeffs in chain(units, draws):
         p, powers = _minpoly(_combine(lams, coeffs))
         if len(p) - 1 == e:
-            span = row_space(Matrix(tuple(lam.coords for lam in lams)))
+            span = row_space(coordinate_matrix(lams).transpose())
             if any(coords_in(span, q.coords) is None for q in powers):
                 raise InternalError(
                     "endomorphism algebra is not closed under product")
@@ -356,7 +385,7 @@ def hodge_classes_tensor_square(h):
     t = h.dim_t
     # c G_T = phi iff G_T c^T = phi^T, as G_T is symmetric.  The c^T =
     # phi* G_T^-1 span the same space as the c, as E is closed under *
-    cts = solve_blocks(h.gram, tuple(_unflatten(v, t).transpose()
-                                     for v in h.endomorphisms[0].entries))
+    cts = solve_blocks(h.gram, tuple(phi.transpose() for phi in
+                                     _unflatten(h.endomorphisms[0], t)))
     rows = tuple(_flatten(ct) for ct in cts)
-    return tuple(_unflatten(v, t) for v in row_space(Matrix(rows)).entries)
+    return _unflatten(row_space(Matrix.from_int_rows(rows, t * t)), t)

@@ -8,16 +8,23 @@ rational Gram matrices.
 """
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 from .errors import Degenerate, NotSymmetric
-from .exactmath import Matrix, inverse, kernel
-from .exactmath.linalg import _dot
+from .exactmath import FieldElement, Matrix, inverse, kernel
+from .exactmath.linalg import _dot, _integer_rows, _is_rational, _lowest
+from .exactmath.numberfield import field_dot
 
 
 def bilinear(gram, u, v):
     """u^T gram v = u . (gram v) for a nondegenerate Gram matrix; entries
-    may lie in a number field."""
-    return _dot(u, gram.vec(v))
+    may lie in a number field, whose products are summed on integers and
+    reduced once (numberfield.field_dot)."""
+    w = gram.vec(v)
+    if any(isinstance(x, FieldElement) for x in chain(u, w)):
+        return field_dot(u, w)
+    return _dot(u, w)
 
 
 class QuadraticSpace:
@@ -71,7 +78,17 @@ def congruence_diagonal(gram):
     """Exact symmetric (congruence) diagonalization: returns (diagonal
     entries, basis matrix U) with U * gram * U^T diagonal.  Rows of U are
     the diagonalizing basis.  Every diagonal entry is nonzero; a
-    degenerate gram raises Degenerate."""
+    degenerate gram raises Degenerate.
+
+    Step k pivots on the diagonal entry of row k, first swapping in a
+    later row and column with a nonzero diagonal entry; when the trailing
+    block has a zero diagonal, column c of the first nonzero entry of
+    row k is added to row and column k, which makes the pivot twice that
+    entry.  Row k of a nonsingular trailing block is never zero, so a
+    zero row k means a degenerate gram.  A rational gram is reduced on
+    integer rows (_rational_congruence), with the same steps."""
+    if _is_rational(gram):
+        return _rational_congruence(gram)
     n = gram.rows
     g = [list(r) for r in gram.entries]
     zero = gram.entries[0][0] * 0 if n else Fraction(0)
@@ -80,41 +97,20 @@ def congruence_diagonal(gram):
     diag = []
     for step in range(n):
         if g[step][step] == 0:
-            p = None
-            for r in range(step + 1, n):
-                if g[r][r] != 0:
-                    p = r
-                    break
+            p = next((r for r in range(step + 1, n) if g[r][r] != 0), None)
             if p is not None:
                 g[step], g[p] = g[p], g[step]
                 u[step], u[p] = u[p], u[step]
                 for row in g:
                     row[step], row[p] = row[p], row[step]
             else:
-                # all remaining diagonal entries vanish: use the 2x2
-                # hyperbolic trick on a nonzero off-diagonal entry
-                found = None
-                for r in range(step, n):
-                    for c in range(r + 1, n):
-                        if g[r][c] != 0:
-                            found = (r, c)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    raise Degenerate("degenerate block during diagonalization")
-                r, c = found
+                c = _hyperbolic_partner(g[step], step)
                 for j in range(n):
-                    g[r][j] = g[r][j] + g[c][j]
+                    g[step][j] = g[step][j] + g[c][j]
                 for i in range(n):
-                    g[i][r] = g[i][r] + g[i][c]
+                    g[i][step] = g[i][step] + g[i][c]
                 for j in range(n):
-                    u[r][j] = u[r][j] + u[c][j]
-                if r != step:
-                    g[step], g[r] = g[r], g[step]
-                    u[step], u[r] = u[r], u[step]
-                    for row in g:
-                        row[step], row[r] = row[r], row[step]
+                    u[step][j] = u[step][j] + u[c][j]
         d = g[step][step]
         diag.append(d)
         # only the trailing block is reduced: the row operations leave
@@ -128,6 +124,52 @@ def congruence_diagonal(gram):
                         g[r][j] = g[r][j] - f * g[step][j]
                 u[r] = [a - f * b if b != 0 else a for a, b in zip(u[r], u[step])]
     return diag, Matrix(u)
+
+
+def _hyperbolic_partner(row, step):
+    """The first column past `step` where row `step` of a trailing block
+    with zero diagonal is nonzero; Degenerate when there is none."""
+    c = next((c for c in range(step + 1, len(row)) if row[c] != 0), None)
+    if c is None:
+        raise Degenerate("degenerate block during diagonalization")
+    return c
+
+
+def _rational_congruence(gram):
+    """congruence_diagonal of a rational gram on integer rows: row i is
+    [G_i | U_i] as integers over a positive denominator, G_i zero before
+    the current step, so the row operations act on whole rows and the
+    column operations on the trailing columns of the rows left.  Each
+    row operation cross-multiplies and removes the row content."""
+    n = gram.rows
+    rows = [[list(r) + [d if j == i else 0 for j in range(n)], d]
+            for i, (r, d) in enumerate(_integer_rows(gram))]
+    diag = []
+    for step in range(n):
+        if not rows[step][0][step]:
+            p = next((r for r in range(step + 1, n) if rows[r][0][r]), None)
+            if p is not None:
+                rows[step], rows[p] = rows[p], rows[step]
+                for a, _ in rows[step:]:
+                    a[step], a[p] = a[p], a[step]
+            else:
+                c = _hyperbolic_partner(rows[step][0][:n], step)
+                (a, da), (b, db) = rows[step], rows[c]
+                g = gcd(da, db)
+                rows[step] = _lowest([x * (db // g) + y * (da // g)
+                                      for x, y in zip(a, b)], da // g * db)
+                for a, _ in rows[step:]:
+                    a[step] += a[c]
+        b, db = rows[step]
+        diag.append(Fraction(b[step], db))
+        for r in range(step + 1, n):
+            a, da = rows[r]
+            if a[step]:
+                # a / da - (a[step] / da) / (b[step] / db) * b / db
+                g = gcd(b[step], a[step])
+                u, v = b[step] // g, a[step] // g
+                rows[r] = _lowest([u * x - v * y for x, y in zip(a, b)], da * u)
+    return diag, Matrix.from_int_rows(tuple((a[n:], d) for a, d in rows), n)
 
 
 def signature(space):

@@ -275,6 +275,54 @@ def test_each_missing_key_is_named(name, command, keys, tmp_path, capsys):
                          "message": f"{doc['kind']} file is missing {key!r}"}
 
 
+FILE_FORMAT_REJECTIONS = [
+    ("qi_period.json", "classify", "field", "1", "field: expected an array"),
+    ("qi_period.json", "classify", "gram", [],
+     "gram: expected a nonempty array of rows"),
+    ("qi_period.json", "classify", "gram", [["1", "0"], ["1"]],
+     "gram: ragged matrix"),
+    ("qi_period.json", "classify", "extra", 1,
+     "unknown keys for kind k3period: ['extra']"),
+    ("qi_period.json", "classify", "omega", "0",
+     "omega must list one field element per dimension"),
+    ("quaternion3.json", "ksympl", "psis", [],
+     "psis must be a nonempty array of matrices"),
+    ("circle_path.json", "perdom", "coords", "0",
+     "coords must be an array of polynomials"),
+]
+
+
+@pytest.mark.parametrize("name,command,key,value,message",
+                         FILE_FORMAT_REJECTIONS)
+def test_file_format_rejections(name, command, key, value, message, tmp_path,
+                                capsys):
+    doc = json.loads((CORPUS / name).read_text())
+    doc[key] = value
+    error = _error_of(doc, command, tmp_path, capsys)
+    assert error == {"class": "FileFormatError", "message": message}
+
+
+def test_top_level_must_be_an_object(tmp_path, capsys):
+    error = _error_of("[]", "classify", tmp_path, capsys)
+    assert error == {"class": "FileFormatError",
+                     "message": "top level must be an object"}
+
+
+@pytest.mark.parametrize("args,message", [
+    (["bounds", "--d", "2", "--=3"],
+     "ambiguous option: --=3 could match --help, --d, --e, --dim-h1, --json"),
+    (["bounds", "--d", "2", "--json=yes"],
+     "argument --json: ignored explicit argument 'yes'"),
+    (["classify", "x.json", "-hX"],
+     "argument -h/--help: ignored explicit argument 'X'"),
+])
+def test_option_rejections(args, message, capsys):
+    code, out = run_inproc([*args, "--json"], capsys)
+    assert code == 2
+    assert json.loads(out)["sections"]["error"] == {
+        "class": "ValidationError", "message": message}
+
+
 def test_one_dimensional_period_is_a_wrong_signature(tmp_path, capsys):
     doc = {"version": "1", "kind": "k3period", "gram": [["1"]],
            "field": ["1", "0", "1"], "embedding": 0, "omega": [["1", "0"]]}

@@ -609,19 +609,26 @@ def test_integer_row_form_is_built_once_per_matrix():
     m = Matrix([[F(1, 2), F(0), F(3)], [F(-2, 3), F(5), F(1, 7)],
                 [F(0), F(1, 10**12), F(1)]])
     i = FIELDS["Q(i)"].gen()
+    v = (F(1), F(2, 5), F(3))
     converted = []
 
     def integer_row(row, real=linalg._integer_row):
-        converted.append(row)
+        if row is not v:
+            converted.append(row)
         return real(row)
 
     with mock.patch.object(linalg, "_integer_row", integer_row):
         for _ in range(3):
-            m.vec((F(1), F(2, 5), F(3)))
+            m.vec(v)
             m.vec((i, F(1), i + 1))
             rref(m), det(m), kernel(m)
+        # elimination results come with their integer rows
+        red = rref(m)[0]
+        red.vec((i, F(1), i + 1)), rref(red), det(red), kernel(red)
+        red.transpose().vec(v)
+        linalg.solve_blocks(m, (red,))[0].vec(v)
     assert sum(any(r is row for row in m.entries)
-               for r in converted) == m.rows
+               for r in converted) == len(converted) == m.rows
 
 
 def test_integer_rref_negative_pivots_and_deficient_rank():
@@ -763,6 +770,115 @@ def test_field_mul_matches_polynomial_oracle(name, data):
     assert got.coords == want
     assert all(type(c) is Fraction for c in got.coords)
     assert (b * a).coords == want
+
+
+# fields for the Fraction-coordinate oracle, two with non-integral
+# defining polynomials
+ORACLE_FIELDS = {
+    "Q(i)": (1, 0, 1),
+    "x^3-x/2+1/3": (F(1, 3), F(-1, 2), 0, 1),
+    "(x-1/3)^16+1": MUL_FIELDS["(x-1/3)^16+1"],
+}
+
+
+def _oracle_mul(field, a, b):
+    """Fraction coordinates of a b: the convolution of the coordinates
+    reduced by the power table."""
+    e = field.degree
+    conv = [F(0)] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    out = conv[:e]
+    for c, row in zip(conv[e:], numberfield._power_table(field)):
+        out = [o + c * p for o, p in zip(out, row)]
+    return tuple(out)
+
+
+def _assert_canonical(x):
+    """(num, den) in lowest terms, den > 0, and coords read off them."""
+    assert all(type(n) is int for n in x.num) and type(x.den) is int
+    assert len(x.num) == x.parent.degree
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert x.coords == tuple(F(n, x.den) for n in x.num)
+    assert all(type(c) is Fraction for c in x.coords)
+
+
+@lru_cache(maxsize=None)
+def _oracle_field(name):
+    return nf_create(ORACLE_FIELDS[name])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_field_arithmetic_matches_fraction_oracle(name, data):
+    field = _oracle_field(name)
+    coords = st.lists(big_rationals, min_size=field.degree,
+                      max_size=field.degree)
+    ca, cb = data.draw(coords), data.draw(coords)
+    c = data.draw(big_rationals)
+    a, b = field.element(ca), field.element(cb)
+    results = {
+        "a + b": (a + b, tuple(x + y for x, y in zip(ca, cb))),
+        "a - b": (a - b, tuple(x - y for x, y in zip(ca, cb))),
+        "a * b": (a * b, _oracle_mul(field, ca, cb)),
+        "-a": (-a, tuple(-x for x in ca)),
+        "a * c": (a * c, tuple(x * c for x in ca)),
+        "c * a": (c * a, tuple(x * c for x in ca)),
+        "a + c": (a + c, (ca[0] + c,) + tuple(ca[1:])),
+        "c - a": (c - a, (c - ca[0],) + tuple(-x for x in ca[1:])),
+    }
+    for label, (got, want) in results.items():
+        assert got.coords == want, label
+        _assert_canonical(got)
+    # equal elements have equal (num, den), whatever the route
+    for x, y in ((a + b - b, a), (a * b, b * a), (a * c - a * c, field.zero()),
+                 (field.element(ca), a)):
+        assert x == y and (x.num, x.den) == (y.num, y.den)
+        assert hash(x) == hash(y)
+    assert (a == b) == (ca == cb)
+    assert (a == c) == (tuple(ca) == (c,) + (F(0),) * (field.degree - 1))
+    assert field.from_rational(c) == c
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_dot_matches_summed_products(name, data):
+    field = _oracle_field(name)
+    entry = st.one_of(big_rationals, st.lists(
+        big_rationals, min_size=field.degree,
+        max_size=field.degree).map(field.element))
+    n = data.draw(st.integers(1, 6))
+    u = [data.draw(entry) for _ in range(n)]
+    v = [data.draw(entry) for _ in range(n)]
+    u[0] = field.element([data.draw(big_rationals)
+                          for _ in range(field.degree)])
+    got = numberfield.field_dot(u, v)
+    assert got == sum((a * b for a, b in zip(u, v)), field.zero())
+    _assert_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.integers(1, 10**6))
+def test_integer_built_matrices_equal_and_hash_like_fraction_built(m, k):
+    # a row form need not be in lowest terms: scale every row by k
+    built = Matrix.from_int_rows(
+        tuple(([x * k for x in r], d * k) for r, d in linalg._integer_rows(m)),
+        m.cols)
+    assert (built.rows, built.cols) == (m.rows, m.cols)
+    assert built == m and hash(built) == hash(m)
+    assert all(type(x) is Fraction for r in built.entries for x in r)
+    transposed = Matrix(tuple(zip(*m.entries)) if m.rows else ((),) * m.cols,
+                        cols=m.rows)
+    assert built.transpose() == transposed
+    assert hash(built.transpose()) == hash(transposed)
+    for fn in (rref, kernel, linalg.row_space):
+        lazy, generic = _outcome(fn, built), _generic(fn, m)
+        if fn is rref:
+            (lazy, _), (generic, _) = lazy, generic
+        assert lazy == generic and hash(lazy) == hash(generic)
 
 
 @pytest.mark.parametrize("coeffs, roots", [

@@ -446,20 +446,27 @@ def test_classify_does_each_exact_step_once(monkeypatch, tmp_path, capsys):
 def test_classify_converts_the_conjugation_matrix_once(monkeypatch, tmp_path,
                                                       capsys):
     # the conjugations of one rank-22, d = 8 classify all read one integer
-    # row form of tau, built on the first of them
+    # row form of tau, built with it from the integers of the powers of
+    # tau(gen), and the integers of the conjugated element: no row is
+    # converted from Fractions, and no conjugation reads tau's entries
     period = cm_rank22_period(8, F(-3, 2))
     path = tmp_path / "d8.json"
     path.write_text(json.dumps(_period_document(period)))
     numberfield.conjugation_matrix.cache_clear()
-    converted, conjugated = [], []
+    converted, conjugated, conjugating = [], [], []
 
     def integer_row(row, real=linalg._integer_row):
-        converted.append(row)
+        if conjugating:
+            converted.append(row)
         return real(row)
 
     def conjugate(v, emb, real=numberfield.conjugate_element):
         conjugated.append(v)
-        return real(v, emb)
+        conjugating.append(v)
+        try:
+            return real(v, emb)
+        finally:
+            conjugating.pop()
 
     _route(monkeypatch, linalg._integer_row, integer_row)
     _route(monkeypatch, numberfield.conjugate_element, conjugate)
@@ -467,8 +474,39 @@ def test_classify_converts_the_conjugation_matrix_once(monkeypatch, tmp_path,
     capsys.readouterr()
     tau = numberfield.conjugation_matrix(period.field, period.embedding.index)
     assert len(conjugated) >= 22
-    assert sum(any(r is row for row in tau.entries)
-               for r in converted) == tau.rows
+    assert converted == []
+    assert len(tau._int_rows) == tau.rows
+    with pytest.raises(AttributeError):
+        Matrix.entries.__get__(tau)          # the unset slot: never read
+
+
+def test_hodge_defect_makes_no_field_product(monkeypatch):
+    # tau(lambda) G_T omega is a rational combination of the vectors
+    # G_T x^k omega, so the defect rows of the rank-22, d = 8 period take
+    # no FieldElement product, where each of the 8 rows took 8 before
+    h = transcendental_lattice(cm_rank22_period(8, F(-3, 2)))
+    products, calls, inside = [], [], []
+
+    def mul(a, b, real=FieldElement.__mul__):
+        if inside:
+            products.append((a, b))
+        return real(a, b)
+
+    def defect_rows(h, multiples, lams, phis, real=hodge._defect_rows):
+        calls.append(lams)
+        inside.append(lams)
+        try:
+            return real(h, multiples, lams, phis)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hodge, "_defect_rows", defect_rows)
+    monkeypatch.setattr(FieldElement, "__mul__", mul)
+    monkeypatch.setattr(FieldElement, "__rmul__", mul)
+    ef = endomorphism_field(h)
+    assert (ef.e, ef.classification) == (8, CM)
+    assert len(calls) == 1 and calls[0].rows == 8
+    assert products == []
 
 
 def test_hodge_classes_dimension_is_e():

@@ -1,13 +1,15 @@
 """Tests for quadratic spaces: signatures, complements, dual bivector."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgekit.errors import Degenerate, NotSymmetric
-from hodgekit.exactmath import Matrix, det
+from hodgekit.exactmath import Matrix, det, nf_create
+from hodgekit import qforms
 from hodgekit.exactmath.linalg import row_space
 from hodgekit.qforms import (QuadraticSpace, congruence_diagonal,
                              dual_bivector, orth_complement, signature)
@@ -59,6 +61,76 @@ def test_congruence_diagonal_is_a_congruence():
         assert all(d.entries[i][j] == (diag[i] if i == j else 0)
                    for i in range(sp.dim) for j in range(sp.dim))
         assert all(x != 0 for x in diag)
+
+
+# zero diagonals: each pivot is made by adding the first later column of
+# a nonzero entry of its row; the exact (diag, U) are those of the
+# Fraction elimination before the integer rows
+ZERO_DIAGONAL = [
+    ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], ["2", "-1/2", "-12"],
+     [["1", "1", "0"], ["-1/2", "1/2", "0"], ["-3", "-2", "1"]]),
+    ([[0, "1/2", 0, 0], ["1/2", 0, 0, 0], [0, 0, 0, "-2/3"], [0, 0, "-2/3", 0]],
+     ["1", "-1/4", "-4/3", "1/3"],
+     [["1", "1", "0", "0"], ["-1/2", "1/2", "0", "0"], ["0", "0", "1", "1"],
+      ["0", "0", "-1/2", "1/2"]]),
+    ([[0, 0, 1, 0], [0, 0, 0, 3], [1, 0, 0, 0], [0, 3, 0, 0]],
+     ["2", "-1/2", "6", "-3/2"],
+     [["1", "0", "1", "0"], ["-1/2", "0", "1/2", "0"], ["0", "1", "0", "1"],
+      ["0", "-1/2", "0", "1/2"]]),
+]
+GAUSSIAN = nf_create([1, 0, 1])
+
+
+def _lifted(m):
+    return Matrix([[GAUSSIAN.from_rational(c) for c in r] for r in m.entries])
+
+
+@pytest.mark.parametrize("rows, diag, u", ZERO_DIAGONAL)
+def test_zero_diagonal_gives_the_fraction_elimination(rows, diag, u):
+    gram = Matrix([[F(c) for c in r] for r in rows])
+    want = [F(d) for d in diag], Matrix([[F(c) for c in r] for r in u])
+    assert congruence_diagonal(gram) == want
+    # a Gram matrix over a number field takes the generic elimination
+    got_diag, got_u = congruence_diagonal(_lifted(gram))
+    assert got_diag == want[0] and got_u == _lifted(want[1])
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+    [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]],
+])
+def test_zero_row_at_a_zero_pivot_is_degenerate(rows):
+    # row `step` of a nonsingular trailing block with zero diagonal has a
+    # nonzero entry past the diagonal; a zero row is a singular block
+    gram = Matrix([[F(c) for c in r] for r in rows])
+    for g in (gram, _lifted(gram)):
+        with pytest.raises(Degenerate,
+                           match="^degenerate block during diagonalization$"):
+            congruence_diagonal(g)
+    with pytest.raises(Degenerate, match="must be nondegenerate"):
+        QuadraticSpace(gram)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+             min_size=n, max_size=n), min_size=n, max_size=n)), st.booleans())
+def test_integer_congruence_matches_the_fraction_elimination(rows, hollow):
+    n = len(rows)
+    gram = Matrix([[F(0) if hollow and i == j else rows[min(i, j)][max(i, j)]
+                    for j in range(n)] for i in range(n)], cols=n)
+
+    def outcome():
+        try:
+            return congruence_diagonal(gram)
+        except Degenerate as exc:
+            return str(exc)
+    got = outcome()
+    with mock.patch.object(qforms, "_is_rational", lambda m: False):
+        assert got == outcome()
+    if not isinstance(got, str):
+        assert all(type(x) is Fraction for x in got[0])
+        assert all(type(x) is Fraction for r in got[1].entries for x in r)
 
 
 @settings(max_examples=80, deadline=None)
