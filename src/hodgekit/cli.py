@@ -3,7 +3,9 @@
 Problem files are JSON with a version tag; every arithmetic number is a
 string "p/q" so parsing is lossless.  Polynomials are coefficient
 arrays constant term first, matrices row-major arrays of arrays, field
-elements coefficient arrays in the power basis.  All commands are
+elements coefficient arrays in the power basis.  An array of numbers is
+read as integers over the lcm of its denominators, the integer row form
+that matrices and field elements keep up to the report.  All commands are
 deterministic: the machine output (--json) is canonical JSON with
 sorted keys and round-trips byte-identically.
 
@@ -14,12 +16,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from types import SimpleNamespace
 
 from . import __version__
 from .errors import (FileFormatError, HodgekitError, InternalError, TooLarge,
                      ValidationError)
 from .exactmath import Matrix, nf_create, nf_embeddings
+from .exactmath.linalg import _integer_rows
 from .hodge import (endomorphism_field, hodge_classes_tensor_square,
                     transcendental_lattice, validate_period)
 from .ksympl import (KSymplecticCandidate, check_torus, clifford_operators,
@@ -45,32 +49,43 @@ BOUNDS_CAP = 1000
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
-def _fraction(value, where):
+def _ratio(value, where):
+    """A "p/q" string as the integers (p, q) in lowest terms."""
     match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise FileFormatError(
             f"{where}: numbers must be strings like \"p/q\", got {value!r}")
     num, den = match.groups()
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        num, den = int(num), int(den or 1)
     except ValueError:      # past the interpreter's int conversion limit
         raise FileFormatError(f"{where}: a number has more than "
                               f"{sys.get_int_max_str_digits()} digits") from None
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _int_row(values, where):
+    """An array of "p/q" strings as integers over the lcm of the q."""
+    if not isinstance(values, list):
+        raise FileFormatError(f"{where}: expected an array")
+    pairs = [_ratio(v, where) for v in values]
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
 
 
 def _fraction_list(values, where):
-    if not isinstance(values, list):
-        raise FileFormatError(f"{where}: expected an array")
-    return [_fraction(v, where) for v in values]
+    row, den = _int_row(values, where)
+    return [Fraction(x, den) for x in row]
 
 
 def _matrix(values, where):
     if not isinstance(values, list) or not values:
         raise FileFormatError(f"{where}: expected a nonempty array of rows")
-    rows = [_fraction_list(r, where) for r in values]
-    if len({len(r) for r in rows}) != 1:
+    rows = [_int_row(r, where) for r in values]
+    if len({len(r) for r, _ in rows}) != 1:
         raise FileFormatError(f"{where}: ragged matrix")
-    return Matrix(rows)
+    return Matrix.from_int_rows(rows, len(rows[0][0]))
 
 
 def load_problem_file(path):
@@ -112,11 +127,11 @@ def build_period(doc):
     omega_rows = doc["omega"]
     if not isinstance(omega_rows, list) or len(omega_rows) != space.dim:
         raise FileFormatError("omega must list one field element per dimension")
-    coords = [_fraction_list(r, "omega") for r in omega_rows]
-    if any(len(c) != field.degree for c in coords):
+    coords = [_int_row(r, "omega") for r in omega_rows]
+    if any(len(c) != field.degree for c, _ in coords):
         raise FileFormatError(
             f"omega: each field element needs {field.degree} coordinates")
-    omega = tuple(field.element(c) for c in coords)
+    omega = tuple(field.element_over(c, d) for c, d in coords)
     return validate_period(space, field, embs[idx], omega)
 
 
@@ -171,9 +186,13 @@ class Report:
         return 0 if self.status == "ok" else 2
 
 
-def _fmt_fraction(x):
+def _fmt_fraction(x, den=1):
+    """x / den in lowest terms as "p/q", or "p" when q is 1, for a
+    rational x and an integer den > 0."""
+    p, q = x.numerator, x.denominator * den
+    g = gcd(p, q)
     try:
-        return str(Fraction(x))
+        return str(p // g) if q == g else f"{p // g}/{q // g}"
     except ValueError:      # past the interpreter's int conversion limit
         raise TooLarge(f"a result has more than "
                        f"{sys.get_int_max_str_digits()} digits") from None
@@ -184,7 +203,7 @@ def _fmt_vector(v):
 
 
 def _fmt_matrix(m):
-    return [[_fmt_fraction(c) for c in row] for row in m.entries]
+    return [[_fmt_fraction(x, d) for x in r] for r, d in _integer_rows(m)]
 
 
 def cmd_classify(period):

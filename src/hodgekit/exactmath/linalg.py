@@ -10,12 +10,12 @@ A rational matrix has one integer row form: each row as integer
 numerators over a positive denominator.  A matrix built from Fractions
 gets it on first use, as each row over the lcm of its denominators; a
 matrix built from the form itself (Matrix.from_int_rows) builds its
-Fraction entries only when they are read.  rref, det and vec read the
-form.  rref makes the rows primitive, Gauss-Jordan steps cross-multiply
-and remove the row content again, and each nonzero row of the result is
-kept as its primitive integers over its pivot; the reduced row-echelon
-form is unique, so this gives the same result as elimination over the
-Fractions.  row_space, kernel and solve_blocks pass such rows on, so a
+Fraction entries only when they are read.  rref, det, vec, coords_in
+and is_symmetric read the form.  rref makes the rows primitive,
+Gauss-Jordan steps cross-multiply and remove the row content again, and
+each nonzero row of the result is kept as its primitive integers over
+its pivot; the reduced row-echelon form is unique, so this gives the
+same result as elimination over the Fractions.  row_space, kernel and solve_blocks pass such rows on, so a
 chain of eliminations makes no Fraction.  det runs Bareiss's
 fraction-free elimination, and vec one integer dot product per output
 coordinate.  Matrices with number-field entries take the generic
@@ -131,6 +131,10 @@ class Matrix:
         return tuple(out)
 
     def is_symmetric(self):
+        if self._int_rows:      # r_i[j] / d_i == r_j[i] / d_j
+            form = self._int_rows
+            return all(r[j] * form[j][1] == form[j][0][i] * d
+                       for i, (r, d) in enumerate(form) for j in range(i))
         return all(self.entries[i][j] == self.entries[j][i]
                    for i in range(self.rows) for j in range(i))
 
@@ -308,19 +312,13 @@ def rank(m):
 
 
 def coords_in(basis, v):
-    """Coordinates of v over an RREF row basis, read off the pivot
-    columns; None when v is outside the span.  Entries of v may lie in
-    a number field."""
-    pivots = (next(j for j, c in enumerate(row) if c != 0)
-              for row in basis.entries)
-    coords = tuple(v[p] for p in pivots)
-    for j, vj in enumerate(v):
-        for c, row in zip(coords, basis.entries):
-            if row[j] != 0:
-                vj = vj - c * row[j]
-        if vj != 0:
-            return None
-    return coords
+    """Coordinates of v over a rational RREF row basis, read off the
+    pivot columns; None when v is outside the span.  Entries of v may lie
+    in a number field: v is compared with the combination of the basis
+    rows, taken on integers by vec."""
+    coords = tuple(v[next(j for j, x in enumerate(r) if x)]
+                   for r, _ in _integer_rows(basis))
+    return coords if basis.transpose().vec(coords) == tuple(v) else None
 
 
 def kernel(m):

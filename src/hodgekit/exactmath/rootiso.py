@@ -154,25 +154,40 @@ def _fx_divide(a, x, y, w):
 @lru_cache(maxsize=None)
 def approx_roots(f, bits):
     """Gaussian integers X + iY with (X + iY) / 2**bits close to the roots
-    of the Fraction polynomial f, or None when the iteration does not
-    converge within _MAX_STEPS sweeps or two approximations collide.
+    of the Fraction polynomial f, or None when _durand_kerner fails."""
+    sweep = _durand_kerner(f, bits)
+    if sweep is None or not sweep[2]:
+        return None
+    half = 1 << (bits - 1)
+    return tuple(((x + half) >> bits, (y + half) >> bits)
+                 for x, y in zip(sweep[0], sweep[1]))
 
-    Durand-Kerner (Weierstrass) iteration z_i <- z_i - a(z_i) / (l
-    prod_{j != i} (z_i - z_j)) for a = l f with integer coefficients, in
-    the fixed point 2**w, w = 2 bits: working at twice the precision
-    covers the cancellation in evaluating a dense f near its roots.  It
-    starts from the powers of 0.4 + 0.9i, updates in place, and stops
-    once every correction of a sweep is below 2**-(bits + 8)."""
+
+@lru_cache(maxsize=None)
+def _durand_kerner(f, bits):
+    """(xs, ys, converged): the last iterate of Durand-Kerner iteration
+    z_i <- z_i - a(z_i) / (l prod_{j != i} (z_i - z_j)), a = l f with
+    integer coefficients, in the fixed point 2**w, w = 2 bits, which covers
+    the cancellation in evaluating a dense f near its roots; None when two
+    approximations collide.  It stops once every correction of a sweep is
+    below 2**-(bits + 8), or after _MAX_STEPS sweeps.  Each ROOT_DIGITS
+    level starts from the last iterate of the level below, converged or
+    not, else from the powers of 0.4 + 0.9i."""
     a, _ = _integer_poly(f)
     n, lead = len(a) - 1, a[-1]
     w = 2 * bits
-    br, bi = (2 << w) // 5, (9 << w) // 10
-    xs, ys = [], []
-    x, y = 1 << w, 0
-    for _ in range(n):
-        xs.append(x)
-        ys.append(y)
-        x, y = (x * br - y * bi) >> w, (x * bi + y * br) >> w
+    levels = [digits_bits(d) for d in ROOT_DIGITS]
+    below = levels[levels.index(bits) - 1] if bits in levels[1:] else None
+    warm = below and _durand_kerner(f, below)
+    if warm:
+        xs, ys = ([v << (w - 2 * below) for v in vs] for vs in warm[:2])
+    else:
+        br, bi = (2 << w) // 5, (9 << w) // 10
+        xs, ys = [1 << w], [0]
+        for _ in range(n - 1):
+            x, y = xs[-1], ys[-1]
+            xs.append((x * br - y * bi) >> w)
+            ys.append((x * bi + y * br) >> w)
     tol = 1 << (w - bits - 8)
     for _ in range(_MAX_STEPS):
         converged = True
@@ -193,11 +208,8 @@ def approx_roots(f, bits):
             if abs(cr) >= tol or abs(ci) >= tol:
                 converged = False
         if converged:
-            s = w - bits
-            half = 1 << (s - 1)
-            return tuple(((x + half) >> s, (y + half) >> s)
-                         for x, y in zip(xs, ys))
-    return None
+            break
+    return xs, ys, converged
 
 
 def approx_conjugation(f, bits):

@@ -3,13 +3,12 @@
 Polynomials are tuples of coefficients, constant term first, with no
 trailing zeros (the zero polynomial is the empty tuple).  The arithmetic
 routines are generic over any exact field scalar (Fraction or a
-FieldElement); Sturm sequences and root counting are Fraction-only.
+FieldElement); Sturm sequences and root counting take rational
+coefficients and run on integers.
 """
 
+import math
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def normalize(coeffs):
@@ -132,16 +131,35 @@ def is_squarefree(p):
     return degree(gcd(p, derivative(p))) <= 0
 
 
-# Sturm machinery (Fraction coefficients only).
+# Sturm machinery (rational coefficients, on integers).
 
 def sturm_chain(p):
-    chain = [normalize(p), derivative(p)]
+    """The Sturm chain of p, each member a positive integer multiple."""
+    den = math.lcm(*(c.denominator for c in p))
+    p = normalize(c.numerator * (den // c.denominator) for c in p)
+    chain = [p, derivative(p)]
     while chain[-1]:
-        r = divmod_poly(chain[-2], chain[-1])[1]
+        r = _positive_remainder(chain[-2], chain[-1])
         if not r:
             break
         chain.append(neg(r))
     return [c for c in chain if c]
+
+
+def _positive_remainder(a, b):
+    """A positive multiple of the remainder of the integer polynomial a
+    by b, divided by its content: each step scales by |lead(b)|."""
+    r, m = list(a), abs(b[-1])
+    while len(r) >= len(b):
+        c, k = r[-1] * m // b[-1], len(r) - len(b)
+        r = [m * x for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    g = math.gcd(*r)
+    return tuple(x // g for x in r) if g > 1 else tuple(r)
 
 
 def _sign_changes(values):
@@ -157,17 +175,17 @@ def sturm_count(chain, a, b):
 
 
 def root_bound(p):
-    """Cauchy bound: all complex roots lie in |z| < bound."""
-    lead = abs(p[-1])
-    m = max(abs(c) for c in p[:-1]) if len(p) > 1 else ZERO
-    return ONE + m / lead
+    """The Cauchy bound, rounded up: all complex roots lie in |z| < bound."""
+    m = max(map(abs, p[:-1]), default=0)
+    return 1 - (-m // abs(p[-1]))
 
 
 def count_real_roots(p):
     """Number of distinct real roots, by the Sturm count over the Cauchy
-    bound."""
-    bound = root_bound(p)
-    return sturm_count(sturm_chain(p), -bound, bound)
+    bound of the chain's integer polynomial."""
+    chain = sturm_chain(p)
+    bound = root_bound(chain[0])
+    return sturm_count(chain, -bound, bound)
 
 
 def factor_rational(p):

@@ -18,9 +18,10 @@ totally real (Mumford-Tate SO_E), otherwise E is CM over the fixed
 subfield E_0 (Mumford-Tate U_E).  The rational (2,2)-classes of T (x) T
 are the c with c G_T = phi in E, where G_T is the Gram matrix of q on T.
 Both phi and c are solved by one elimination each; no matrix is
-inverted.
+inverted.  Matrices and field elements stay integer rows throughout.
 """
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
@@ -29,7 +30,7 @@ import random
 from .errors import (InternalError, IsotropyFails, PositivityFails,
                      ValidationError, WrongSignature)
 from .exactmath import (Matrix, NumberField, certified_sign,
-                        conjugate_element, kernel, rref)
+                        conjugate_element, kernel, rank, rref)
 from .exactmath import unipoly as up
 from .exactmath.linalg import (_integer_rows, _integer_vec, _join, coords_in,
                                row_space, solve_blocks, submatrix)
@@ -200,11 +201,14 @@ def endomorphism_field(h):
     (totally real) or 0 (CM) real roots."""
     t = h.dim_t
     flat, lams, conj = h.endomorphisms
-    basis = _unflatten(flat, t)
+    basis = _unflatten(_integer_rows(flat), t)
     e = len(basis)
     coeffs, minpoly = _primitive_element(lams)
-    prim = _combine(basis, coeffs)
-    tau_p = _combine(conj, coeffs)
+    # the basis matrices of E, flattened, are the columns of cols
+    cols = flat.transpose()
+    (prim,) = _unflatten((_combine(cols, (coeffs, 1)),), t)
+    tau_p = h.period.field.element_over(
+        *_combine(coordinate_matrix(conj), (coeffs, 1)))
     lowered = h.gram.vec(h.omega_t)            # G_T omega
     if prim.transpose().vec(lowered) != tuple(tau_p * v for v in lowered):
         raise InternalError("endomorphism field is not closed under adjoint")
@@ -213,7 +217,8 @@ def endomorphism_field(h):
     fixed = ()
     if not totally_real:
         fix_ker = kernel(coordinate_matrix([a - b for a, b in zip(lams, conj)]))
-        fixed = tuple(_combine(basis, lam) for lam in fix_ker.entries)
+        fixed = _unflatten((_combine(cols, lam)
+                            for lam in _integer_rows(fix_ker)), t)
         if 2 * len(fixed) != e:
             raise InternalError("fixed subalgebra does not have dimension e/2")
 
@@ -268,7 +273,11 @@ def _character_basis(h):
         lams = kernel(Matrix.from_int_rows(cols, left.rows * t).transpose())
     else:
         lams = Matrix.identity(e_f)
-    images = tuple(_combine(shifted, lam) for lam in lams.entries)
+    # column i: M_{x^i} Omega, flattened
+    stacked = Matrix.from_int_rows(tuple(map(_flatten, shifted)),
+                                   e_f * t).transpose()
+    images = _unflatten((_combine(stacked, lam)
+                         for lam in _integer_rows(lams)), t)
     phis = solve_blocks(omega, images)         # Omega phi^T = M_lambda Omega
     if phis is None:
         raise InternalError("eigenvalue is not realized by a rational matrix")
@@ -317,55 +326,47 @@ def _flatten(m):
     return _join(_integer_rows(m))
 
 
-def _unflatten(m, t):
-    """The t x t matrices whose flattened entries are the rows of the
-    rational matrix m."""
+def _unflatten(rows, t):
+    """The matrices with t columns whose entries, row by row, are the
+    integer rows (integers, denominator)."""
     return tuple(Matrix.from_int_rows(
-        tuple((r[i * t:(i + 1) * t], d) for i in range(t)), t)
-        for r, d in _integer_rows(m))
+        tuple((r[i:i + t], d) for i in range(0, len(r), t)), t)
+        for r, d in rows)
 
 
-def _combine(basis, lam):
-    """sum c * b over the nonzero coefficients; a coefficient of 1 adds b
-    itself."""
-    acc = None
-    for c, b in zip(lam, basis):
-        if c != 0:
-            term = b if c == 1 else b * c
-            acc = term if acc is None else acc + term
-    return basis[0] * 0 if acc is None else acc
-
-
-def _minpoly(lam):
-    """Monic minimal polynomial of a field element, by the first linear
-    dependence among its powers, and the powers below its degree."""
-    powers = [lam.parent.one()]
-    while True:
-        ker = kernel(coordinate_matrix(powers))
-        if ker.rows > 0:
-            dep = ker.entries[0]
-            return tuple(c / dep[-1] for c in dep), powers[:-1]
-        powers.append(powers[-1] * lam)
+def _combine(cols, coeffs):
+    """sum_k c_k v_k / den over the columns v_k of the rational matrix
+    cols, for the coefficient row (integers c_k, den), on integers:
+    (integers, denominator)."""
+    acc, d = _integer_vec(cols, coeffs[0])
+    return acc, d * coeffs[1]
 
 
 def _primitive_element(lams):
     """Coefficients over the basis of a generator p of span(lams), with
     its minimal polynomial: each basis element in turn, then small integer
     combinations in a fixed pseudorandom order, until p has degree
-    e = len(lams).  Then 1, p, ..., p^(e-1) are independent, and the span
-    is the field Q(p) iff each of them lies in it."""
+    e = len(lams), that is, until the dependences among 1, p, ..., p^e
+    form one line (their dimension is e + 1 - deg p when deg p <= e).
+    The span is then the field Q(p) iff [lams; 1, ..., p^(e-1)] has rank e."""
     e = len(lams)
+    field = lams[0].parent
+    cols = coordinate_matrix(lams)
     units = (tuple(int(i == j) for j in range(e)) for i in range(e))
     rng = random.Random(0)
     draws = ([rng.randint(-3, 3) for _ in lams] for _ in range(1000))
     for coeffs in chain(units, draws):
-        p, powers = _minpoly(_combine(lams, coeffs))
-        if len(p) - 1 == e:
-            span = row_space(coordinate_matrix(lams).transpose())
-            if any(coords_in(span, q.coords) is None for q in powers):
+        p = field.element_over(*_combine(cols, (coeffs, 1)))
+        powers = [field.one()]
+        for _ in range(e):
+            powers.append(powers[-1] * p)
+        ker = kernel(coordinate_matrix(powers))
+        if ker.rows == 1:
+            if rank(coordinate_matrix(tuple(lams) + tuple(powers[:-1]))) != e:
                 raise InternalError(
                     "endomorphism algebra is not closed under product")
-            return coeffs, p
+            (dep, _), = _integer_rows(ker)
+            return tuple(coeffs), tuple(Fraction(c, dep[-1]) for c in dep)
     raise InternalError("no primitive element found")
 
 
@@ -385,7 +386,8 @@ def hodge_classes_tensor_square(h):
     t = h.dim_t
     # c G_T = phi iff G_T c^T = phi^T, as G_T is symmetric.  The c^T =
     # phi* G_T^-1 span the same space as the c, as E is closed under *
-    cts = solve_blocks(h.gram, tuple(phi.transpose() for phi in
-                                     _unflatten(h.endomorphisms[0], t)))
+    phis = _unflatten(_integer_rows(h.endomorphisms[0]), t)
+    cts = solve_blocks(h.gram, tuple(phi.transpose() for phi in phis))
     rows = tuple(_flatten(ct) for ct in cts)
-    return _unflatten(row_space(Matrix.from_int_rows(rows, t * t)), t)
+    classes = row_space(Matrix.from_int_rows(rows, t * t))
+    return _unflatten(_integer_rows(classes), t)

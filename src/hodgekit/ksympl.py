@@ -187,8 +187,7 @@ def verify_k_symplectic(cand, seed=0):
     if det(qmat) == 0:
         return _fail(DegenerateQuadric)
     point, field_poly = _quadric_point(qmat)
-    m_at = _combination(cand, point)
-    r = rank(m_at)
+    r = _rank_at(cand, point, field_poly)
     if r != v_dim // 2:
         return _fail(WrongRankOnQuadric)
     return KSymplecticReport(True, qmat, scalar, r, point, field_poly, None)
@@ -282,14 +281,23 @@ def _quadric_point(qmat):
 def _combination(cand, point):
     acc = None
     for c, psi in zip(point, cand.psis):
-        if isinstance(c, (int, Fraction)):
-            term = psi * c
-        else:
-            lifted = Matrix(tuple(tuple(c.parent.from_rational(x) for x in row)
-                                  for row in psi.entries))
-            term = lifted * c
+        term = psi * c
         acc = term if acc is None else acc + term
     return acc
+
+
+def _rank_at(cand, point, field_poly):
+    """The rank of sum c_i Psi_i at the point c, rational or a + sb over
+    Q(s) = Q[x]/(field_poly), s^2 = mu.  Then A + sB maps x + sy to
+    (Ax + mu By) + s(Bx + Ay): over Q it is [[A, mu B], [B, A]], whose
+    rank is twice the rank over Q(s)."""
+    if field_poly is None:
+        return rank(_combination(cand, point))
+    a, b = (_combination(cand, [x.coords[k] for x in point]).entries
+            for k in (0, 1))
+    return rank(Matrix(tuple(ra + tuple(-field_poly[0] * x for x in rb)
+                             for ra, rb in zip(a, b))
+                       + tuple(rb + ra for ra, rb in zip(a, b)))) // 2
 
 
 class CliffordResult:

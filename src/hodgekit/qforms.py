@@ -175,7 +175,7 @@ def _rational_congruence(gram):
 def signature(space):
     """Signature (positives, negatives) read off the space's congruence
     diagonal (rational Gram matrices only)."""
-    if space.dim and not isinstance(space.gram.entries[0][0], Fraction):
+    if not _is_rational(space.gram):
         raise TypeError("signature requires a rational Gram matrix")
     pos = sum(1 for d in space.diagonal if d > 0)
     return pos, space.dim - pos

@@ -6,12 +6,11 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hodgekit.cli import SYNTAX, _fraction, _level, main
+from hodgekit.cli import SYNTAX, _level, _ratio, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -355,8 +354,9 @@ def test_numbers_are_ascii_p_over_q(value, tmp_path, capsys):
 
 
 def test_signed_numbers_are_accepted():
-    assert _fraction("+5", "gram") == 5
-    assert _fraction("-3/4", "gram") == Fraction(-3, 4)
+    assert _ratio("+5", "gram") == (5, 1)
+    assert _ratio("-3/4", "gram") == (-3, 4)
+    assert _ratio("6/4", "gram") == (3, 2)
 
 
 def test_printed_number_past_the_digit_limit_is_too_large(tmp_path, capsys):

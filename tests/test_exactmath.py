@@ -737,6 +737,28 @@ def test_tie_bits_pass_a_known_real_part_gap(k):
     assert [conj for _, conj in isolate_nonreal_roots(f, 4)] == [1, 0, 3, 2]
 
 
+@pytest.mark.parametrize("a", [10**6 + 1, 10**12 + 1])
+def test_mignotte_roots_are_separated(a):
+    # f = x^16 - 2 (a x - 1)^2, irreducible by Eisenstein at 2, has two
+    # real roots 1/a +- a^-9 / sqrt(2) + O(a^-24) and two more, beyond
+    # the gap of about a^-9 that a cold Durand-Kerner start at every
+    # ROOT_DIGITS level could not resolve for a = 10^12 + 1
+    f = tuple(F(c) for c in [-2, 4 * a, -2 * a * a] + [0] * 13 + [1])
+    field = nf_create(f)
+    embs = nf_embeddings(field)
+    reals = [emb.root for emb in embs if emb.is_real]
+    assert len(embs) == 16 and len(reals) == 4
+    chain = up.sturm_chain(f)
+    assert up.sturm_count(chain, -up.root_bound(f), up.root_bound(f)) == 4
+    near = (F(1, a) - F(1, a**9), F(1, a) + F(1, a**9))
+    assert up.sturm_count(chain, *near) == 2
+    inside = [b for b in map(box, reals)
+              if near[0] < b[0][0] and b[0][1] < near[1]]
+    assert len(inside) == 2 and boxes_disjoint(*inside)
+    for (lo, hi), _ in inside:
+        assert up.sturm_count(chain, lo, hi) == 1
+
+
 # 2cos(2 pi/17) + i, whose conjugates are 2cos(2 pi k/17) +- i
 MINPOLY_2COS17_PLUS_I = (1597, 632, 1435, 614, 790, 102, 231, 328, 189,
                          -118, -37, 68, 32, -12, -5, 2, 1)

@@ -192,6 +192,51 @@ def test_closure_is_certified_on_the_primitive_element():
         hodge._primitive_element((z ** 0, z, z ** 2, z ** 4))
 
 
+def test_primitive_element_skips_candidates_of_lower_degree():
+    # in Q(z), z = zeta_8, the basis 1, i = z^2, sqrt2 = z - z^3 and
+    # i sqrt2 = z + z^3 has no element of degree 4, so p is a combination
+    z = nf_create([1, 0, 0, 0, 1]).gen()
+    lams = (z ** 0, z ** 2, z - z ** 3, z + z ** 3)
+    coeffs, minpoly = hodge._primitive_element(lams)
+    assert sum(map(bool, coeffs)) > 1 and len(minpoly) == 5
+    p = sum((c * lam for c, lam in zip(coeffs, lams)), z * 0)
+    assert sum((c * p ** k for k, c in enumerate(minpoly)), z * 0) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_integer_combination_is_the_fraction_sum(k, n, data):
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    cols = [data.draw(st.lists(rational, min_size=k, max_size=k))
+            for _ in range(n)]
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    den = data.draw(st.integers(1, 6))
+    num, d = hodge._combine(Matrix(cols), (coeffs, den))
+    expected = [sum((F(c, den) * row[j] for j, c in enumerate(coeffs)), F(0))
+                for row in cols]
+    assert [F(x, d) for x in num] == expected
+
+
+def test_classify_reads_and_reports_on_integers(capsys):
+    # the reader, the combinations of E, the closure certificate and the
+    # report keep integer rows; 2982 Fractions were built here before
+    calls = []
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        calls.append(cls)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        code = main(["classify", str(CORPUS / "cm_d8_basis_period.json"),
+                     "--json"])
+    finally:
+        Fraction.__new__ = new
+    assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert 0 < len(calls) < 600
+
+
 def test_endomorphism_field_quartic_totally_real():
     h = transcendental_lattice(sqrt2i_period())
     ef = endomorphism_field(h)

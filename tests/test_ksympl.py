@@ -3,6 +3,7 @@ and the divisibility bounds."""
 
 from fractions import Fraction
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +13,13 @@ from hodgekit import errors
 from hodgekit.cli import cmd_ksympl
 from hodgekit.errors import (BasePointIsotropic, OddDimension, TooLarge,
                              ValidationError)
-from hodgekit.exactmath import Matrix, det
+from hodgekit.exactmath import Matrix, det, nf_create, rank
 from hodgekit.exactmath.mpoly import (mp_add, mp_const, mp_eval,
                                       mp_from_vector, mp_items_grlex, mp_mul,
                                       mp_pow, mp_scale)
 from hodgekit.ksympl import (CliffordResult, KSymplecticCandidate,
-                             _quadric_root, check_torus, clifford_operators,
+                             _combination, _quadric_root, _rank_at,
+                             check_torus, clifford_operators,
                              divisibility_bound, pfaffian, subvariety_bound,
                              torus_bound, verify_k_symplectic)
 from hodgekit.qforms import bilinear, congruence_diagonal
@@ -494,3 +496,32 @@ def test_subvariety_bound():
     assert subvariety_bound(3, 2) == 10
     with pytest.raises(ValidationError):
         subvariety_bound(-1, 1)
+
+
+
+NONSQUARES = (-7, -3, -2, -1, 2, 3, 5, 6)
+MATRIX = st.lists(st.lists(st.integers(-1, 1), min_size=4, max_size=4),
+                  min_size=3, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(NONSQUARES), MATRIX, MATRIX,
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                min_size=2, max_size=2))
+@example(2, [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], [(1, 0), (0, 1)])
+def test_rank_on_the_quadric_over_q_matches_the_field_rank(mu, m0, m1, point):
+    # the combination at a point a + s b over Q(s), s^2 = mu, against the
+    # generic elimination over Q(s); the example is [[s, 2], [1, s]] at
+    # mu = 2, of rank 1 over Q(s) and rank 2 at every rational point
+    psis = (fmat(m0), fmat(m1))
+    field = nf_create([-mu, 0, 1])
+    s = field.gen()
+    coords = tuple(field.from_rational(a) + s * b for a, b in point)
+    lifted = Matrix(tuple(
+        tuple(sum((c * psi.entries[i][j] for c, psi in zip(coords, psis)),
+                  field.zero()) for j in range(4)) for i in range(3)))
+    cand = SimpleNamespace(psis=psis)
+    assert _rank_at(cand, coords, field.defining_poly) == rank(lifted)
+    rational = tuple(F(a) for a, _ in point)
+    assert _rank_at(cand, rational, None) == rank(_combination(cand, rational))
