@@ -9,7 +9,8 @@ Sums, products, scaling, comparison and hashing work on those integers.
 Two elements are multiplied by reducing the convolution of their
 numerators by the powers x**e, ..., x**(2e-2) scaled to one common
 denominator; field_dot sums several convolutions over one denominator
-and reduces once.  coordinate_matrix and row_elements move between
+and reduces once.  An inverse is one integer elimination on the matrix
+of multiplication.  coordinate_matrix and row_elements move between
 elements and rational matrices on the same integers.
 nf_create certifies irreducibility without factoring: monic factors
 over Q correspond to sets of roots closed under conjugation, and the
@@ -57,7 +58,7 @@ from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible)
 from . import unipoly as up
 from .linalg import (Matrix, _integer_row, _integer_rows, _integer_vec,
-                     _lowest)
+                     _lowest, solve_blocks)
 from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, approx_conjugation,
                       digits_bits, isolate_nonreal_roots, isolate_real_roots,
                       root_disks)
@@ -126,6 +127,9 @@ class NumberField:
         return f"NumberField({list(self.defining_poly)})"
 
 
+QQ = NumberField((Fraction(0), Fraction(1)))  # the rationals, of degree 1
+
+
 def nf_create(coeffs):
     """Build the number field defined by a monic irreducible polynomial
     (coefficients constant-first)."""
@@ -147,8 +151,10 @@ def _least_factor(f):
     irreducible factor of least degree, ties broken by the coefficient
     tuple.  f and its squarefree part h = f / gcd(f, f') have the same
     irreducible factors, and h is irreducible iff no proper factor of
-    degree <= deg(h) / 2 is found among the root subsets of h."""
-    h = up.divmod_poly(f, up.gcd(f, up.derivative(f)))[0]
+    degree <= deg(h) / 2 is found among the root subsets of h.  gcd(f, f')
+    is read off the last member of f's Sturm chain, the chain that
+    nf_embeddings counts real roots on."""
+    h = up.monic(up.divmod_poly(f, up.sturm_chain(f)[-1])[0])
     found = _root_subset_factors(h) if up.degree(h) > 1 else ()
     if found:
         return min(found)
@@ -246,28 +252,21 @@ def _times_x(p, s, q):
     return [q[0]] + [(a << s) + b for a, b in zip(p, q[1:])] + [p[-1] << s]
 
 
-QQ = None  # the rationals as a degree-1 field, created below
-
-
 class FieldElement:
     """Element of a NumberField: the integer numerators `num` of its
     power-basis coordinates over a positive denominator `den`, in lowest
     terms (gcd(den, *num) == 1), so equal elements have equal (num, den).
-    The Fraction coordinates `coords` are built on first read."""
+    The Fraction coordinates `coords` are built when they are read."""
 
-    __slots__ = ("parent", "num", "den", "coords")
+    __slots__ = ("parent", "num", "den")
 
     def __init__(self, parent, coords):
         num, self.den = _integer_row(coords)
         self.parent, self.num = parent, tuple(num)
 
-    def __getattr__(self, name):
-        # reached only while a slot is unset: `coords` before its first read
-        if name != "coords":
-            raise AttributeError(name)
-        den = self.den
-        self.coords = tuple(Fraction(x, den) for x in self.num)
-        return self.coords
+    @property
+    def coords(self):
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -334,19 +333,15 @@ class FieldElement:
         return result
 
     def inverse(self):
+        """The solution of self * x = 1: the coordinates of x solve
+        M x = (1, 0, ..., 0) for the matrix M of multiplication by self
+        (mult_matrix), by one elimination on integers."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid: s*self + t*f = 1 in Q[x]
-        f = self.parent.defining_poly
-        a, b = up.normalize(self.coords), f
-        s0, s1 = (Fraction(1),), ()
-        while b:
-            q, r = up.divmod_poly(a, b)
-            a, b = b, r
-            s0, s1 = s1, up.sub(s0, up.mul(q, s1))
-        # a is now a nonzero constant gcd
-        inv = tuple(c / a[0] for c in s0)
-        return FieldElement(self.parent, _reduce(self.parent, inv))
+        field = self.parent
+        x = solve_blocks(mult_matrix(self),
+                         (coordinate_matrix((field.one(),)),))[0]
+        return row_elements(field, x.transpose())[0]
 
     def is_zero(self):
         return not any(self.num)
@@ -424,23 +419,6 @@ def field_dot(u, v):
         for k, c in enumerate(_convolve(a, b)):
             acc[k] += c * s
     return _reduced(field, acc, den)
-
-
-def _reduce(field, coeffs):
-    """Reduce a polynomial in the generator modulo the defining poly."""
-    e = field.degree
-    coeffs = list(coeffs) + [Fraction(0)] * max(0, e - len(coeffs))
-    if len(coeffs) <= e:
-        return tuple(coeffs[:e])
-    powers = _power_table(field)
-    out = coeffs[:e]
-    for k in range(e, len(coeffs)):
-        c = coeffs[k]
-        if c:
-            pk = powers[k - e]
-            for i in range(e):
-                out[i] += c * pk[i]
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -575,14 +553,13 @@ def roots_in_field(field):
         # sum of the two roots is -f[1]
         return tuple(sorted((gen, field.from_rational(-f[1]) - gen),
                             key=lambda r: r.coords))
-    norm = None
-    shift = None
-    for s in range(1, 4 * e * e + 2):
-        n = _trager_norm(f, s)
-        if up.is_squarefree(n):
-            norm, shift = n, s
+    # the norm's roots are r_j + s r_i over all pairs of roots of f, so
+    # s = 1 repeats each r_i + r_j (i != j): the search starts at 2
+    for shift in range(2, 4 * e * e + 2):
+        norm = _trager_norm(f, shift)
+        if norm is not None:
             break
-    if norm is None:
+    else:
         raise InternalError("no squarefree Trager norm found")
     _, factors = up.factor_rational(norm)
     roots = []
@@ -600,7 +577,8 @@ def roots_in_field(field):
 
 
 def _trager_norm(f, s):
-    """Res_x(f(x), f(y - s*x)) as a Fraction polynomial in y."""
+    """Res_x(f(x), f(y - s*x)) as a Fraction polynomial in y, or None
+    when it is not squarefree."""
     import sympy
 
     x, y = sympy.symbols("x y")
@@ -608,6 +586,8 @@ def _trager_norm(f, s):
     ge = sum(sympy.Rational(c) * (y - s * x)**k for k, c in enumerate(f))
     res = sympy.Poly(fe, x).resultant(sympy.Poly(sympy.expand(ge), x))
     pres = sympy.Poly(res, y)
+    if not pres.is_sqf:
+        return None
     return up.normalize([Fraction(sympy.Rational(c))
                          for c in reversed(pres.all_coeffs())])
 
@@ -668,20 +648,26 @@ def _is_root(field, g):
     """Whether f(g) = 0 in the field.  When the prime p divides no
     denominator of f or g, a wrong g is rejected modulo p first:
     f(g) = 0 in the field implies f(g) = 0 in F_p[x]/(f mod p), as f is
-    monic."""
+    monic.  The exact test alone would decide, but a wrong guess is slow
+    there: the 30- and 60-digit guesses on the field of 2cos(2 pi/17) + i
+    have 495- and 1007-bit denominators, and its conjugations at two
+    embeddings take 140 ms without this rejection and 33 ms with it
+    (medians of 5 processes, 2 cores, Python 3.11.7).  It costs 0.015 to
+    0.17 ms per guess, from x**2 + 1 to x**16 + 1."""
     f, p = field.defining_poly, _CHECK_PRIME
-    if (all(c.denominator % p for c in f + g.coords)
-            and not _is_root_mod(f, g.coords, p)):
+    if (g.den % p and all(c.denominator % p for c in f)
+            and not _is_root_mod(f, g, p)):
         return False
     return up.eval_at(f, g).is_zero()
 
 
 def _is_root_mod(f, g, p):
-    """Whether f(g) = 0 in F_p[x]/(f mod p), for a monic f and g of
-    degree below deg f whose coefficients are all p-integral."""
+    """Whether f(g) = 0 in F_p[x]/(f mod p), for a monic f and a field
+    element g whose coefficients are all p-integral."""
     e = len(f) - 1
     fp = [c.numerator * pow(c.denominator, -1, p) % p for c in f]
-    gp = [c.numerator * pow(c.denominator, -1, p) % p for c in g]
+    inv = pow(g.den, -1, p)
+    gp = [x * inv % p for x in g.num]
     acc = [0] * e
     for c in reversed(fp):               # Horner: acc = acc * g + c
         prod = [0] * (2 * e - 1)
@@ -793,10 +779,3 @@ def certified_sign(v, emb):
         if abs(x) > r:
             return 1 if x > 0 else -1
         bits *= 2
-
-
-def _make_rationals():
-    return NumberField(up.normalize((Fraction(0), Fraction(1))))
-
-
-QQ = _make_rationals()

@@ -9,17 +9,14 @@ coefficients and run on integers.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def normalize(coeffs):
     coeffs = list(coeffs)
-    while coeffs and _is_zero(coeffs[-1]):
+    while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _is_zero(c):
-    return c == 0
 
 
 def degree(p):
@@ -45,16 +42,12 @@ def neg(p):
     return tuple(-c for c in p)
 
 
-def sub(p, q):
-    return add(p, neg(q))
-
-
 def mul(p, q):
     if not p or not q:
         return ()
     out = [p[0] * q[0] * 0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if _is_zero(a):
+        if a == 0:
             continue
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
@@ -62,7 +55,7 @@ def mul(p, q):
 
 
 def scale(p, c):
-    if _is_zero(c):
+    if c == 0:
         return ()
     return normalize(tuple(a * c for a in p))
 
@@ -82,7 +75,7 @@ def divmod_poly(a, b):
         for i in range(db + 1):
             r[k + i] = r[k + i] - c * b[i]
         del r[-1]
-        while r and _is_zero(r[-1]):
+        while r and r[-1] == 0:
             r.pop()
     qc = [lead * 0] * (max(k for k, _ in q) + 1) if q else []
     for k, c in q:
@@ -127,14 +120,12 @@ def compose(p, q):
     return acc
 
 
-def is_squarefree(p):
-    return degree(gcd(p, derivative(p))) <= 0
-
-
 # Sturm machinery (rational coefficients, on integers).
 
+@lru_cache(maxsize=None)
 def sturm_chain(p):
-    """The Sturm chain of p, each member a positive integer multiple."""
+    """The Sturm chain of p, each member a positive integer multiple; its
+    last member is a multiple of gcd(p, p')."""
     den = math.lcm(*(c.denominator for c in p))
     p = normalize(c.numerator * (den // c.denominator) for c in p)
     chain = [p, derivative(p)]
@@ -143,7 +134,7 @@ def sturm_chain(p):
         if not r:
             break
         chain.append(neg(r))
-    return [c for c in chain if c]
+    return tuple(c for c in chain if c)
 
 
 def _positive_remainder(a, b):

@@ -183,8 +183,8 @@ def verify_k_symplectic(cand, seed=0):
     root = _quadric_root(p, n, k)
     if root is None:
         return _fail(NotQuadricPower)
-    qmat, scalar = root
-    if det(qmat) == 0:
+    qmat, scalar, q_rank = root
+    if q_rank < k:
         return _fail(DegenerateQuadric)
     point, field_poly = _quadric_point(qmat)
     r = _rank_at(cand, point, field_poly)
@@ -206,8 +206,9 @@ def _generic_entry(cand, i, j):
 
 
 def _quadric_root(p, n, k):
-    """(qmat, c) with p = c * q**n for the matrix qmat of a quadric q
-    irreducible over Q with grlex-leading coefficient 1, or None."""
+    """(qmat, c, r) with p = c * q**n for the matrix qmat of rank r of a
+    quadric q irreducible over Q with grlex-leading coefficient 1, or
+    None."""
     gram = _gram_candidate(p, n, k)
     r = rank(gram)
     if r <= 1:
@@ -227,7 +228,7 @@ def _quadric_root(p, n, k):
                   for i in range(k) for j in range(i + 1, k))
         if _is_square(-next(m for m in minors if m)) is not None:
             return None
-    return gram * (1 / lead), c
+    return gram * (1 / lead), c, r
 
 
 def _gram_candidate(p, n, k):

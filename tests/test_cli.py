@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,28 @@ def test_classify_check_mode(tmp_path, capsys):
     code, _ = run_inproc(["classify", str(CORPUS / "qi_period.json"),
                           "--json", "--check", str(recorded)], capsys)
     assert code == 2
+
+
+def test_nonstable_mignotte_period_is_rejected_by_trager(tmp_path):
+    # the Gram matrix and omega = (1, -x^2/2, x) of
+    # corpus/bad/mignotte_positivity_fails.json over x^8 - 2(11x - 1)^2 at
+    # its nonreal embedding 4: no guess of the conjugation certifies, and
+    # Trager's search shows the embedded field is not conjugation stable.
+    # Kept out of corpus/, as Trager's search loads sympy
+    doc = json.loads((CORPUS / "bad" / "mignotte_positivity_fails.json")
+                     .read_text())
+    zeros = ["0"] * 8
+    doc.update(field=["-2", "44", "-242"] + zeros[3:] + ["1"], embedding=4,
+               omega=[["1"] + zeros[1:], ["0", "0", "-1/2"] + zeros[3:],
+                      ["0", "1"] + zeros[2:]])
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, out = run_cli(["classify", str(path), "--json"])
+    assert time.monotonic() - start < 20
+    assert code == 2
+    assert (json.loads(out)["sections"]["error"]["class"]
+            == "ConjugationNotInternal")
 
 
 def test_internal_error_exit_code(capsys):

@@ -313,6 +313,40 @@ def _no_trager(field):
     raise AssertionError("the certified guess fell back to Trager")
 
 
+# x^8 - 2(11x - 1)^2: no guess certifies tau at its nonreal embeddings,
+# and its Trager norms are of degree 64
+MIGNOTTE_8_11 = _mignotte(8, 11)
+
+
+def test_trager_finds_no_conjugation_at_a_nonreal_mignotte_embedding():
+    field = nf_create(MIGNOTTE_8_11)
+    assert not nf_embeddings(field)[4].is_real
+    assert conjugation_automorphism(field, 4) is None
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2, 0, 0, 1], [9, 0, -2, 0, 1], [3] + [0] * 5 + [1], [1] + [0] * 7 + [1],
+    MIGNOTTE_8_11])
+def test_roots_in_field_match_sympy_factorization(coeffs):
+    # oracle: the linear factors of f over Q(alpha), alpha a root of f,
+    # from sympy's own factorization over the algebraic field; the
+    # search for x^6 + 3 passes the shift 2, where the norm is not
+    # squarefree
+    import sympy
+
+    x = sympy.Symbol("x")
+    f = sympy.Poly(list(reversed(coeffs)), x)
+    _, factors = f.set_domain(
+        sympy.QQ.algebraic_field(sympy.CRootOf(f, 0))).factor_list()
+    field = nf_create(coeffs)
+    roots = roots_in_field(field)
+    assert len(roots) == sum(m for g, m in factors if g.degree() == 1)
+    assert len(set(roots)) == len(roots) and field.gen() in roots
+    assert all(up.eval_at(field.defining_poly, r).is_zero() for r in roots)
+    # at the shift 1 the norm's roots r_j + r_i repeat for i != j
+    assert numberfield._trager_norm(field.defining_poly, 1) is None
+
+
 def test_conjugation_fallback_when_guess_cannot_certify(monkeypatch):
     # x^4 - 2: conjugation fixes the real embeddings but not the two
     # complex ones, so no single interpolant g(r) = conj(r) is rational;
@@ -787,7 +821,7 @@ def test_field_mul_matches_polynomial_oracle(name, data):
                       max_size=field.degree)
     a = field.element(data.draw(coords))
     b = field.element(data.draw(coords))
-    want = numberfield._reduce(field, up.mul(a.coords, b.coords))
+    want = _oracle_mul(field, a.coords, b.coords)
     got = a * b
     assert got.coords == want
     assert all(type(c) is Fraction for c in got.coords)
@@ -880,6 +914,21 @@ def test_field_dot_matches_summed_products(name, data):
     got = numberfield.field_dot(u, v)
     assert got == sum((a * b for a, b in zip(u, v)), field.zero())
     _assert_canonical(got)
+
+
+@pytest.mark.parametrize("name", sorted(set(MUL_FIELDS) | set(ORACLE_FIELDS)))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_inverse_is_the_canonical_solution_of_a_x_equals_1(name, data):
+    field = (_mul_field if name in MUL_FIELDS else _oracle_field)(name)
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
+    a = field.element(data.draw(st.lists(big_rationals, min_size=field.degree,
+                                          max_size=field.degree)))
+    if a:
+        inv = a.inverse()
+        assert a * inv == 1 and inv * a == field.one()
+        _assert_canonical(inv)
 
 
 @settings(max_examples=100, deadline=None)

@@ -221,7 +221,7 @@ def factor_list_root(p, n, k):
     """Oracle for _quadric_root: sympy's factorization over Q, accepted
     when it is one factor of degree 2 with multiplicity n; the factor is
     scaled to grlex-leading coefficient 1 and returned as its matrix,
-    with the scalar."""
+    with the scalar and sympy's rank of the matrix."""
     import sympy
 
     ts = sympy.symbols(f"t0:{k}")
@@ -243,7 +243,9 @@ def factor_list_root(p, n, k):
     for exp, a in q.items():
         i, j = [v for v, e in enumerate(exp) for _ in range(e)]
         gram[i][j] = gram[j][i] = a if i == j else a / 2
-    return Matrix(gram), c
+    r = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row]
+                      for row in gram]).rank()
+    return Matrix(gram), c, r
 
 
 def _form(k, coeffs):
