@@ -47,6 +47,8 @@ BOUNDS_CAP = 1000
 
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
+# integers joined by NUL, a character int() rejects inside a number
+_INTEGERS_RE = re.compile(r"[+-]?[0-9]+(?:\0[+-]?[0-9]+)*")
 
 
 def _ratio(value, where):
@@ -66,9 +68,18 @@ def _ratio(value, where):
 
 
 def _int_row(values, where):
-    """An array of "p/q" strings as integers over the lcm of the q."""
+    """An array of "p/q" strings as integers over the lcm of the q.  An
+    array of integers is validated by one match of its entries joined by
+    NUL and converted by int() alone; any other array, and one whose
+    conversion fails, goes through _ratio entry by entry, which gives the
+    error message."""
     if not isinstance(values, list):
         raise FileFormatError(f"{where}: expected an array")
+    try:
+        if _INTEGERS_RE.fullmatch("\0".join(values)):
+            return list(map(int, values)), 1
+    except (TypeError, ValueError):  # a non-string, or past int()'s limit
+        pass
     pairs = [_ratio(v, where) for v in values]
     den = lcm(*(q for _, q in pairs))
     return [p * (den // q) for p, q in pairs], den

@@ -89,12 +89,6 @@ class Matrix:
         return Matrix(tuple(tuple(a + b for a, b in zip(ra, rb))
                             for ra, rb in zip(self.entries, other.entries)))
 
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
@@ -392,42 +386,13 @@ def solve_linear(a, b):
 
 
 def det(m):
-    """Determinant: Bareiss elimination on integer rows for a rational
-    matrix, ordinary elimination over the scalar field otherwise."""
+    """Determinant of a rational matrix by Bareiss's elimination on its
+    integer rows: after step k every entry below row k is a (k+1)-minor,
+    so the division by the previous pivot is exact."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    if _is_rational(m):
-        return _rational_det(m)
-    a = [list(r) for r in m.entries]
-    zero = a[0][0] * 0
-    result = None
-    sign = 1
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if a[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return zero
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        lead = a[c][c]
-        result = lead if result is None else result * lead
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] / lead
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return result if sign > 0 else -result
-
-
-def _rational_det(m):
-    """Bareiss: after step k every entry below row k is a (k+1)-minor, so
-    the division by the previous pivot is exact."""
+    if not _is_rational(m):
+        raise TypeError("det requires a rational matrix")
     a, sign, den = [], 1, 1
     for row, d in _integer_rows(m):
         a.append(row)

@@ -8,12 +8,6 @@ graded lexicographic (total degree first, then lex on the exponents).
 from fractions import Fraction
 
 
-def mp_const(nvars, c):
-    if c == 0:
-        return {}
-    return {(0,) * nvars: c}
-
-
 def mp_from_vector(v):
     """Linear form with the given coordinate vector."""
     n = len(v)
@@ -68,7 +62,7 @@ def mp_pow(p, n):
     if n == 0:
         ka = next(iter(p), None)
         nvars = len(ka) if ka is not None else 0
-        return mp_const(nvars, Fraction(1))
+        return {(0,) * nvars: Fraction(1)}
     result = None
     base = p
     while n:

@@ -41,9 +41,9 @@ precision ramp passes both checks, g is guessed from the chosen
 embedding alone, as the integer relation between conj(sigma(gen)) and
 the powers of sigma(gen) found by LLL reduction, under the same checks.
 When that fails too, the roots of f in the field are found by Trager's
-norm method (roots_in_field) instead.  Only that
-fallback can report that the image field is not stable under
-conjugation; period-style inputs are then rejected
+norm method (roots_in_field) instead, up to degree 8 (TooLarge past
+it).  Only that fallback can report that the image field is not stable
+under conjugation; period-style inputs are then rejected
 (ConjugationNotInternal).  Elements are conjugated by the rational
 matrix of tau on the power basis (conjugation_matrix), built once per
 embedding.
@@ -53,17 +53,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, lcm
+from operator import mul
 
 from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
-                      Reducible)
+                      Reducible, TooLarge)
 from . import unipoly as up
-from .linalg import (Matrix, _integer_row, _integer_rows, _integer_vec,
-                     _lowest, solve_blocks)
+from .linalg import (Matrix, _integer_row, _integer_rows, _lowest,
+                     solve_blocks)
 from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, approx_conjugation,
                       digits_bits, isolate_nonreal_roots, isolate_real_roots,
                       root_disks)
 
 MAX_DEGREE = 16
+# the largest degree e**2 of the norm that roots_in_field factors: at
+# e = 10 the search takes about 10 s, at e = 12 about 100 s
+MAX_TRAGER_NORM_DEGREE = 64
 # decimal working precisions of the numeric conjugation guess, sharing
 # the root approximations of the embeddings
 _GUESS_DIGITS = ROOT_DIGITS[:3]
@@ -320,18 +324,6 @@ class FieldElement:
             return o
         return self * o.inverse()
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def inverse(self):
         """The solution of self * x = 1: the coordinates of x solve
         M x = (1, 0, ..., 0) for the matrix M of multiplication by self
@@ -478,11 +470,6 @@ def mult_matrix(a):
     return coordinate_matrix(cols)
 
 
-def field_trace(a):
-    """Trace of a from its field down to Q."""
-    return mult_matrix(a).trace()
-
-
 class ComplexEmbedding:
     """One embedding of a number field into C, certified by the isolating
     disk (RootDisk) of the image of the generator."""
@@ -543,7 +530,8 @@ def nf_embeddings(field):
 @lru_cache(maxsize=None)
 def roots_in_field(field):
     """All roots of the defining polynomial inside the field itself,
-    found by Trager's norm method; always contains the generator."""
+    found by Trager's norm method; always contains the generator.  Fields
+    whose norm would pass MAX_TRAGER_NORM_DEGREE raise TooLarge."""
     f = field.defining_poly
     e = field.degree
     gen = field.gen()
@@ -553,6 +541,9 @@ def roots_in_field(field):
         # sum of the two roots is -f[1]
         return tuple(sorted((gen, field.from_rational(-f[1]) - gen),
                             key=lambda r: r.coords))
+    if e * e > MAX_TRAGER_NORM_DEGREE:
+        raise TooLarge(f"Trager's norm of degree {e * e} exceeds the cap "
+                       f"{MAX_TRAGER_NORM_DEGREE}")
     # the norm's roots are r_j + s r_i over all pairs of roots of f, so
     # s = 1 repeats each r_i + r_j (i != j): the search starts at 2
     for shift in range(2, 4 * e * e + 2):
@@ -609,7 +600,8 @@ def conjugation_automorphism(field, index):
     guessed from the chosen embedding alone (relations.relation_guess)
     at the same precisions, under the same two checks.  When neither
     certifies the roots of f in the field are searched by Trager's norm
-    method instead, and only that search returns None.
+    method instead, and only that search returns None (or raises
+    TooLarge past its cap).
     """
     embs = nf_embeddings(field)
     emb = embs[index]
@@ -737,24 +729,34 @@ def conjugation_matrix(field, index):
     return coordinate_matrix(powers)
 
 
-def conjugate_element(v, emb):
-    """The element representing conj(sigma(v)) inside the field: the
-    matrix of the conjugation automorphism applied to its coordinates."""
+def conjugate_vector(vec, emb):
+    """The elements representing conj(sigma(v)) inside the field, for the
+    elements v of vec: the matrix of the conjugation automorphism applied
+    to their coordinates."""
     from ..errors import ConjugationNotInternal
 
-    tau = conjugation_matrix(v.parent, emb.index)
+    tau = conjugation_matrix(emb.parent, emb.index)
     if tau is None:
         raise ConjugationNotInternal(
             "complex conjugation does not stabilize the embedded field; "
             "re-present the data over a conjugation-closed field")
-    return _apply(tau, v)
+    return _apply(tau, vec)
 
 
-def _apply(matrix, v):
-    """The element whose coordinates are the rational matrix times those
-    of v, on integers."""
-    num, den = _integer_vec(matrix, v.num)
-    return v.parent.element_over(num, den * v.den)
+def conjugate_element(v, emb):
+    """conjugate_vector of the one element v."""
+    return conjugate_vector((v,), emb)[0]
+
+
+def _apply(matrix, vec):
+    """The elements whose coordinates are the rational matrix times those
+    of each element of vec, on integers, reading each row once."""
+    form = _integer_rows(matrix)
+    den = lcm(*(d for _, d in form))
+    images = [[sum(map(mul, r, v.num)) * (den // d) for v in vec]
+              for r, d in form]
+    return tuple(v.parent.element_over(list(num), den * v.den)
+                 for v, num in zip(vec, zip(*images)))
 
 
 def certified_sign(v, emb):
@@ -770,7 +772,7 @@ def certified_sign(v, emb):
         return 0
     if not emb.is_real:
         tau = conjugation_matrix(v.parent, emb.index)
-        if tau is None or _apply(tau, v) != v:
+        if tau is None or _apply(tau, (v,))[0] != v:
             raise NotRealValued(
                 "value is not certifiably real at this embedding")
     bits = 64

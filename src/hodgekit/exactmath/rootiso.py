@@ -3,8 +3,9 @@
 All roots of f (degree n) are isolated at once by Weierstrass-Gerschgorin
 inclusion disks (Smith 1970, JACM 17; Carstensen 1991, Numer. Math. 59).
 Approximations z_i, Gaussian rationals with denominator 2**b, come from
-Durand-Kerner iteration (Kerner 1966) on Python integers in fixed point
-(approx_roots); the nonreal ones are mirrored exactly about the real
+Durand-Kerner iteration (Kerner 1966), proposed in complex doubles and
+finished on Python integers in fixed point (approx_roots); no float
+decides anything.  The nonreal ones are mirrored exactly about the real
 axis, and the Weierstrass corrections
 w_i = f(z_i) / prod_{j != i} (z_i - z_j) are computed exactly.  The roots
 of f are the eigenvalues of diag(z) - w 1^T, so by Gerschgorin's theorem
@@ -38,7 +39,7 @@ equal.
 
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
-from math import isqrt, lcm
+from math import isfinite, isqrt, lcm
 
 from ..errors import InternalError
 
@@ -172,7 +173,8 @@ def _durand_kerner(f, bits):
     approximations collide.  It stops once every correction of a sweep is
     below 2**-(bits + 8), or after _MAX_STEPS sweeps.  Each ROOT_DIGITS
     level starts from the last iterate of the level below, converged or
-    not, else from the powers of 0.4 + 0.9i."""
+    not; the first from the settled iterate of _float_proposal, else from
+    the powers of 0.4 + 0.9i."""
     a, _ = _integer_poly(f)
     n, lead = len(a) - 1, a[-1]
     w = 2 * bits
@@ -181,6 +183,10 @@ def _durand_kerner(f, bits):
     warm = below and _durand_kerner(f, below)
     if warm:
         xs, ys = ([v << (w - 2 * below) for v in vs] for vs in warm[:2])
+    elif below is None and (seed := _float_proposal(f)) is not None:
+        # exact: a double is an integer over a power of 2
+        xs, ys = ([(p << w) // q for p, q in map(float.as_integer_ratio, vs)]
+                  for vs in ([z.real for z in seed], [z.imag for z in seed]))
     else:
         br, bi = (2 << w) // 5, (9 << w) // 10
         xs, ys = [1 << w], [0]
@@ -210,6 +216,38 @@ def _durand_kerner(f, bits):
         if converged:
             break
     return xs, ys, converged
+
+
+def _float_proposal(f):
+    """The Durand-Kerner iterate of f in complex doubles, from the powers
+    of 0.4 + 0.9i, once every correction of a sweep is at most 2**-40 of
+    its root; None when a coefficient overflows a float, an iterate is
+    not finite, or the iteration does not settle within _MAX_STEPS
+    sweeps.  It only proposes: _durand_kerner finishes in fixed point,
+    and the Weierstrass disks certify."""
+    try:
+        c = [float(x / f[-1]) for x in f]
+        n = len(c) - 1
+        zs = [(0.4 + 0.9j)**k for k in range(n)]
+        for _ in range(_MAX_STEPS):
+            settled = True
+            for i, z in enumerate(zs):
+                p, d = 1, 1
+                for a in reversed(c[:-1]):
+                    p = p * z + a
+                for j, u in enumerate(zs):
+                    if j != i:
+                        d *= z - u
+                step = p / d
+                if not isfinite(abs(step)):
+                    return None
+                zs[i] = z - step
+                settled = settled and abs(step) <= abs(z) * 2.0**-40
+            if settled:
+                return zs
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
 
 
 def approx_conjugation(f, bits):

@@ -24,10 +24,6 @@ def degree(p):
     return len(p) - 1
 
 
-def constant(c):
-    return normalize((c,))
-
-
 def add(p, q):
     n = max(len(p), len(q))
     out = []
@@ -116,7 +112,7 @@ def compose(p, q):
     """p(q(x))."""
     acc = ()
     for c in reversed(p):
-        acc = add(mul(acc, q), constant(c))
+        acc = add(mul(acc, q), (c,))
     return acc
 
 

@@ -34,7 +34,8 @@ from .exactmath import (Matrix, NumberField, certified_sign,
 from .exactmath import unipoly as up
 from .exactmath.linalg import (_integer_rows, _integer_vec, _join, coords_in,
                                row_space, solve_blocks, submatrix)
-from .exactmath.numberfield import coordinate_matrix, row_elements
+from .exactmath.numberfield import (conjugate_vector, coordinate_matrix,
+                                    field_dot, row_elements)
 from .qforms import QuadraticSpace, signature
 
 TOTALLY_REAL = "TotallyReal"
@@ -81,13 +82,16 @@ def validate_period(space, field, embedding, omega):
 
 def check_period_line(space, embedding, vec):
     """q(l, l) = 0 exactly, else IsotropyFails with witness q(l, l); then
-    q(l, conj l) > 0 certified, else PositivityFails with the sign."""
-    iso = space.form(vec, vec)
+    q(l, conj l) > 0 certified, else PositivityFails with the sign.  Both
+    pair with w = G l, formed once: q(l, l) = l . w and, as the Gram
+    matrix G is symmetric, q(l, conj l) = conj(l) . w."""
+    w = space.gram.vec(vec)
+    iso = field_dot(vec, w)
     if not iso.is_zero():
         raise IsotropyFails(
             f"q(omega, omega) is nonzero: {list(iso.coords)}", witness=iso)
-    conj = tuple(conjugate_element(v, embedding) for v in vec)
-    s = certified_sign(space.form(vec, conj), embedding)
+    conj = conjugate_vector(vec, embedding)
+    s = certified_sign(field_dot(conj, w), embedding)
     if s <= 0:
         raise PositivityFails(f"q(omega, conj omega) has sign {s}, not positive",
                               witness=s)

@@ -13,7 +13,8 @@ from math import gcd
 
 from .errors import Degenerate, NotSymmetric
 from .exactmath import FieldElement, Matrix, inverse, kernel
-from .exactmath.linalg import _dot, _integer_rows, _is_rational, _lowest
+from .exactmath.linalg import (_dot, _integer_rows, _is_rational, _lowest,
+                               _zero_like)
 from .exactmath.numberfield import field_dot
 
 
@@ -62,16 +63,6 @@ class QuadraticSpace:
     def form(self, u, v):
         """The bilinear form q(u, v); entries may lie in a number field."""
         return bilinear(self.gram, u, v)
-
-    def is_isotropic(self, v):
-        return self.form(v, v) == 0
-
-    def one(self):
-        for r in self.gram.entries:
-            for a in r:
-                if a != 0:
-                    return a / a
-        raise Degenerate("zero Gram matrix")
 
 
 def congruence_diagonal(gram):
@@ -185,7 +176,7 @@ def orth_complement(space, w):
     """Canonical basis of the q-orthogonal complement of the row span of
     w; the full space for an empty w."""
     if w.rows == 0:
-        return Matrix.identity(space.dim, space.one())
+        return Matrix.identity(space.dim, _zero_like(space.gram) + 1)
     return kernel(w * space.gram)
 
 

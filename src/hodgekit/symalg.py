@@ -20,7 +20,7 @@ from math import comb
 
 from .errors import (DegreeTooHigh, HarmonicDimTooSmall, InternalError,
                      ValidationError)
-from .exactmath import Matrix, inverse, kernel
+from .exactmath import Matrix, inverse
 from .exactmath.mpoly import (mp_from_vector, mp_items_grlex, mp_mul, mp_pow,
                               mp_sub)
 from .qforms import QuadraticSpace, bilinear, dual_bivector
@@ -210,15 +210,6 @@ def _splitting_inverse(space, i):
         raise InternalError("contraction splitting is singular") from exc
 
 
-def harmonic_basis(space, i):
-    """Canonical basis of the harmonic subspace of Sym^i (kernel rows of
-    the contraction matrix)."""
-    if i < 2:
-        one = space.one()
-        return Matrix.identity(sym_dim(space.dim, i), one)
-    return kernel(contraction_matrix(space, i))
-
-
 def harmonic_project(alg, x):
     """The harmonic representative of x in the quotient by (b):
     idempotent, kernel exactly b * Sym^(degree-2)."""
@@ -240,19 +231,6 @@ def harmonic_project(alg, x):
     correction = mp_mul(b, ylow.as_dict())
     return SymElement.from_dict(space.dim, x.degree,
                                 mp_sub(x.as_dict(), correction))
-
-
-def sym_plus_multiply(alg, a, c):
-    """Product in the truncated algebra: plain in Full mode, harmonic
-    representative of the product in Harmonic mode."""
-    if a.degree + c.degree > alg.top:
-        raise DegreeTooHigh(
-            f"product degree {a.degree + c.degree} exceeds top degree {alg.top}")
-    prod = SymElement.from_dict(alg.dim, a.degree + c.degree,
-                                mp_mul(a.as_dict(), c.as_dict()))
-    if alg.mode == HARMONIC:
-        return harmonic_project(alg, prod)
-    return prod
 
 
 def power_top(alg, x):

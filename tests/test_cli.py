@@ -443,6 +443,26 @@ def test_nonstable_mignotte_period_is_rejected_by_trager(tmp_path):
             == "ConjugationNotInternal")
 
 
+def test_trager_search_past_its_cap_is_too_large(tmp_path):
+    # the same period over x^10 - 2(11x - 1)^2 at its nonreal embedding 4:
+    # no guess certifies, and Trager's norm would have degree 100, past
+    # the cap of 64 (the search took about 10 s before the cap)
+    doc = json.loads((CORPUS / "bad" / "mignotte_positivity_fails.json")
+                     .read_text())
+    zeros = ["0"] * 10
+    doc.update(field=["-2", "44", "-242"] + zeros[3:] + ["1"], embedding=4,
+               omega=[["1"] + zeros[1:], ["0", "0", "-1/2"] + zeros[3:],
+                      ["0", "1"] + zeros[2:]])
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, out = run_cli(["classify", str(path), "--json"])
+    assert time.monotonic() - start < 5
+    assert code == 2
+    error = json.loads(out)["sections"]["error"]
+    assert error["class"] == "TooLarge" and "cap 64" in error["message"]
+
+
 def test_internal_error_exit_code(capsys):
     from types import SimpleNamespace
 

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -12,24 +13,39 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hodgekit.errors import (ConjugationNotInternal, DegreeTooLarge, NotMonic,
-                             NotRealValued, Reducible)
+from hodgekit.errors import (ConjugationNotInternal, DegreeTooLarge,
+                             InternalError, NotMonic, NotRealValued, Reducible,
+                             TooLarge)
 from hodgekit.exactmath import (ComplexEmbedding, FieldElement, Matrix,
                                 certified_sign, conjugate_element,
                                 conjugation_automorphism, det, inverse, kernel,
-                                nf_create, nf_embeddings, rank, roots_in_field,
-                                rref, solve_linear)
+                                mult_matrix, nf_create, nf_embeddings, rank,
+                                roots_in_field, rref, solve_linear)
 from hodgekit.exactmath import linalg, numberfield, relations, rootiso
 from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
-                                            _guess_conjugation, field_trace)
+                                            _guess_conjugation,
+                                            conjugate_vector)
 from hodgekit.exactmath.rootiso import RootDisk, isolate_nonreal_roots, root_disks
 
 F = Fraction
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def power(x, n):
+    """x**n for a field element x and n >= 0, by repeated products."""
+    result = x.parent.one()
+    for _ in range(n):
+        result = result * x
+    return result
+
+
+def field_trace(a):
+    """Trace of the field element a down to Q."""
+    return mult_matrix(a).trace()
 
 
 def box(disk):
@@ -153,12 +169,12 @@ def test_embedding_count_invariant(coeffs):
 def test_field_arithmetic():
     field = nf_create([9, 0, -2, 0, 1])
     th = field.gen()
-    sqrt2 = (5 * th - th**3) / 6
-    i_el = (th**3 + th) / 6
+    sqrt2 = (5 * th - power(th, 3)) / 6
+    i_el = (power(th, 3) + th) / 6
     assert sqrt2 * sqrt2 == 2
     assert i_el * i_el == -1
     assert sqrt2 + i_el == th
-    assert (sqrt2 * i_el) ** 2 == -2
+    assert power(sqrt2 * i_el, 2) == -2
     assert th.inverse() * th == field.one()
     assert field_trace(sqrt2) == 0
     assert field_trace(field.from_rational(Fraction(5, 2))) == 10
@@ -193,7 +209,7 @@ def test_certified_sign_reevaluation_invariant():
     field = nf_create([9, 0, -2, 0, 1])
     emb = nf_embeddings(field)[3]
     th = field.gen()
-    sqrt2 = (5 * th - th**3) / 6
+    sqrt2 = (5 * th - power(th, 3)) / 6
     values = [sqrt2, sqrt2 - 1, sqrt2 - 2, 3 - 2 * sqrt2, sqrt2 * 7 - 10]
     fresh = [certified_sign(v, emb) for v in values]
     emb.eval_box(sqrt2, Fraction(1, 2**512))  # refine the embedding further
@@ -205,7 +221,7 @@ def test_certified_sign_ramps_past_64_bits(monkeypatch):
     field = nf_create([9, 0, -2, 0, 1])
     emb = nf_embeddings(field)[3]
     th = field.gen()
-    sqrt2 = (5 * th - th**3) / 6
+    sqrt2 = (5 * th - power(th, 3)) / 6
     with localcontext() as ctx:
         ctx.prec = 80
         r = Fraction(Decimal(2).sqrt()).limit_denominator(10**40)
@@ -282,8 +298,8 @@ def test_sign_ramp_walks_one_newton_chain(monkeypatch):
 def test_conjugation_automorphism_quartic():
     field = nf_create([9, 0, -2, 0, 1])
     th = field.gen()
-    sqrt2 = (5 * th - th**3) / 6
-    i_el = (th**3 + th) / 6
+    sqrt2 = (5 * th - power(th, 3)) / 6
+    i_el = (power(th, 3) + th) / 6
     tau = conjugation_automorphism(field, 3)
     assert tau is not None
     assert apply_automorphism(tau, sqrt2) == sqrt2
@@ -322,6 +338,17 @@ def test_trager_finds_no_conjugation_at_a_nonreal_mignotte_embedding():
     field = nf_create(MIGNOTTE_8_11)
     assert not nf_embeddings(field)[4].is_real
     assert conjugation_automorphism(field, 4) is None
+
+
+def test_trager_search_is_capped_before_sympy_loads(monkeypatch):
+    # e = 10: the norm would have degree 100 > 64; sympy cannot be
+    # imported here, so the cap is checked first
+    field = nf_create(mignotte(10, 11))
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    with pytest.raises(TooLarge, match="cap 64"):
+        roots_in_field(field)
+    with pytest.raises(TooLarge):
+        conjugation_automorphism(field, 4)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -470,7 +497,7 @@ def test_certified_conjugation_at_degree_cap(monkeypatch):
     start = time.monotonic()
     tau = conjugation_automorphism.__wrapped__(field, emb.index)
     elapsed = time.monotonic() - start
-    assert tau == -field.gen() ** 15
+    assert tau == -power(field.gen(), 15)
     assert elapsed < 5
 
 
@@ -552,6 +579,24 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+def _fraction_det(m):
+    """Oracle: the determinant by elimination over the entries' field."""
+    a = [list(r) for r in m.entries]
+    n, result = m.rows, F(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return a[0][0] * 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            result = -result
+        result = a[c][c] * result
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return result
+
+
 def _generic(fn, *args):
     """Oracle: the outcome of fn with every matrix taking the generic
     Fraction elimination instead of the integer one."""
@@ -570,7 +615,7 @@ def test_integer_rref_and_kernel_match_fraction_elimination(m):
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices(square=True))
 def test_integer_det_and_inverse_match_fraction_elimination(m):
-    assert det(m) == _generic(det, m)
+    assert det(m) == _fraction_det(m)
     assert _outcome(inverse, m) == _generic(inverse, m)
 
 
@@ -713,7 +758,9 @@ def test_field_matrix_linear_algebra():
     i_el = field.gen()
     one = field.one()
     a = Matrix(((one, i_el), (i_el, one)))
-    assert det(a) == field.from_rational(2)
+    assert _fraction_det(a) == field.from_rational(2)
+    with pytest.raises(TypeError, match="rational"):
+        det(a)
     inv = inverse(a)
     assert inv * a == Matrix.identity(2, one)
 
@@ -791,6 +838,193 @@ def test_mignotte_roots_are_separated(a):
     assert len(inside) == 2 and boxes_disjoint(*inside)
     for (lo, hi), _ in inside:
         assert up.sturm_count(chain, lo, hi) == 1
+
+
+def mignotte(n, a):
+    """x^n - 2 (a x - 1)^2, irreducible by Eisenstein at 2, with two real
+    roots about a^(-(n+2)/2) apart near 1/a."""
+    return tuple(F(c) for c in [-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1])
+
+
+MIGNOTTE = [(n, a) for a in (11, 10**6 + 1) for n in range(4, 17)]
+
+
+def _clear_root_caches():
+    for fn in (rootiso.root_disks, rootiso.approx_roots,
+               rootiso._durand_kerner, nf_embeddings):
+        fn.cache_clear()
+
+
+def _isolation(f, float_seed=True):
+    """root_disks(f) and nf_embeddings of Q[x]/(f) from cleared caches,
+    with the double-precision proposal or, if not float_seed, without."""
+    _clear_root_caches()
+    with mock.patch.object(rootiso, "_float_proposal",
+                           rootiso._float_proposal if float_seed
+                           else lambda f: None):
+        return root_disks(f), nf_embeddings(numberfield.NumberField(f))
+
+
+def _disks_meet(p, q):
+    s = max(p.scale, q.scale)
+    dx = (p.x << (s - p.scale)) - (q.x << (s - q.scale))
+    dy = (p.y << (s - p.scale)) - (q.y << (s - q.scale))
+    r = (p.r << (s - p.scale)) + (q.r << (s - q.scale))
+    return dx * dx + dy * dy <= r * r
+
+
+def _root_of(disk, family):
+    """The index of the disk of the pairwise disjoint family that holds
+    the root of disk: the only one its refinement still meets."""
+    width = F(1, 2**16)
+    while True:
+        small = disk.refined_below(width)
+        hits = [j for j, d in enumerate(family) if _disks_meet(small, d)]
+        if len(hits) == 1:
+            return hits[0]
+        width /= 2**8
+
+
+def _assert_float_seed_decides_nothing(f):
+    (cold, cold_mirror), cold_embs = _isolation(f, float_seed=False)
+    (disks, mirror), embs = _isolation(f)
+    # the same real/nonreal split; root_disks keeps the order in which
+    # the iterates settled, so its disks match up to a permutation
+    assert mirror == cold_mirror
+    match = [_root_of(d, cold) for d in disks]
+    assert sorted(match) == list(range(len(disks)))
+    assert all((mirror[i] == i) == (cold_mirror[j] == j)
+               for i, j in enumerate(match))
+    # the embeddings come in the same order on the same roots
+    assert ([(e.is_real, e.conjugate_index) for e in embs]
+            == [(e.is_real, e.conjugate_index) for e in cold_embs])
+    cold_roots = [e.root for e in cold_embs]
+    assert [_root_of(e.root, cold_roots) for e in embs] == list(range(len(embs)))
+
+
+@st.composite
+def squarefree_polynomials(draw):
+    n = draw(st.integers(1, 8))
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-10**9, 10**9))
+    f = tuple(F(c) for c in draw(st.lists(coeff, min_size=n, max_size=n)))
+    f += (F(1),)
+    assume(up.degree(up.sturm_chain(f)[-1]) == 0)
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(squarefree_polynomials())
+def test_float_proposal_decides_nothing(f):
+    _assert_float_seed_decides_nothing(f)
+
+
+@pytest.mark.parametrize("n, a", MIGNOTTE)
+def test_float_proposal_decides_nothing_on_mignotte(n, a):
+    _assert_float_seed_decides_nothing(mignotte(n, a))
+
+
+@pytest.mark.parametrize("n, a", MIGNOTTE)
+def test_mignotte_known_answers(n, a):
+    # n even: four real roots, n odd: three; the close pair is separated
+    f = mignotte(n, a)
+    start = time.monotonic()
+    (disks, mirror), embs = _isolation(f)
+    assert time.monotonic() - start < 1
+    reals = sum(e.is_real for e in embs)
+    assert reals == up.count_real_roots(f) == (4 if n % 2 == 0 else 3)
+    assert sum(mirror[i] == i for i in range(n)) == reals
+    for i, p in enumerate(disks):
+        assert all(boxes_disjoint(box(p), box(q)) for q in disks[i + 1:])
+
+
+def test_fixed_point_finishes_the_float_proposal_in_three_sweeps(monkeypatch):
+    # x^8 + 1 at 30 digits: 8 fixed-point sweeps from the powers of
+    # 0.4 + 0.9i, at most 3 from the settled double-precision iterate
+    f = (F(1),) + (F(0),) * 7 + (F(1),)
+    sweeps = []
+
+    def divide(a, x, y, w, real=rootiso._fx_divide):
+        sweeps.append(w)
+        return real(a, x, y, w)
+
+    _clear_root_caches()
+    monkeypatch.setattr(rootiso, "_fx_divide", divide)
+    xs, ys, converged = rootiso._durand_kerner(f, rootiso.digits_bits(30))
+    _clear_root_caches()
+    assert converged and 0 < len(sweeps) <= 3 * 8
+
+
+@pytest.mark.parametrize("f", [
+    (F(10**400), F(0), F(1)),                     # overflows a float
+    (F(10**300), F(0), F(1)),                     # roots fit, iterates do not
+], ids=["400-digit coefficient", "non-finite iterate"])
+def test_float_proposal_fallbacks(f):
+    # the fixed-point start from the powers of 0.4 + 0.9i takes over
+    assert rootiso._float_proposal(f) is None
+    (disks, mirror), _ = _isolation(f)
+    assert mirror == (1, 0) and all(d.y != 0 for d in disks)
+
+
+def test_float_proposal_that_does_not_settle(monkeypatch):
+    f = mignotte(6, 7)
+    assert rootiso._float_proposal(f) is not None
+    monkeypatch.setattr(rootiso, "_MAX_STEPS", 3)
+    assert rootiso._float_proposal(f) is None
+    monkeypatch.undo()
+    (disks, mirror), embs = _isolation(f)
+    assert sum(e.is_real for e in embs) == up.count_real_roots(f) == 4
+
+
+def test_root_disks_fallback_branches(monkeypatch):
+    # a level whose iteration does not converge, or whose approximations
+    # do not pair up under conjugation, passes to the next; when no level
+    # is left, root_disks raises
+    f = mignotte(5, 3)
+    first, second = (rootiso.digits_bits(d) for d in rootiso.ROOT_DIGITS[:2])
+    real_approx = rootiso.approx_roots
+
+    def unpaired(g, bits):
+        roots = real_approx(g, bits)
+        if bits == first:     # one lower root moved to the upper half
+            i = next(i for i, (_, y) in enumerate(roots) if y < 0)
+            roots = roots[:i] + ((roots[i][0], -roots[i][1]),) + roots[i + 1:]
+        return roots
+
+    _clear_root_caches()
+    monkeypatch.setattr(rootiso, "approx_roots", unpaired)
+    assert rootiso._mirrored_centres(unpaired(f, first), first) is None
+    disks, _ = rootiso.root_disks(f)
+    assert {d.scale for d in disks} == {second}
+    monkeypatch.undo()
+
+    _clear_root_caches()
+    monkeypatch.setattr(rootiso, "_MAX_STEPS", 1)
+    assert rootiso._durand_kerner(f, first)[2] is False
+    assert rootiso.approx_roots(f, first) is None
+    with pytest.raises(InternalError, match="separated"):
+        rootiso.root_disks(f)
+    monkeypatch.undo()
+    _clear_root_caches()
+
+
+def test_embedded_root_test_refines_past_the_first_width(monkeypatch):
+    # a value box that meets several isolating disks at the first width
+    # 2^-16 (here widened to radius 4 about the true value) is narrowed
+    # at the next width, 2^-24, which decides
+    field = nf_create((F(1),) + (F(0),) * 7 + (F(1),))
+    embs = nf_embeddings(field)
+    widths = []
+
+    def eval_box(self, element, width, real=ComplexEmbedding.eval_box):
+        widths.append(width)
+        x, y, r, d = real(self, element, width)
+        return (x, y, r + 4 * d, d) if width == F(1, 2**16) else (x, y, r, d)
+
+    monkeypatch.setattr(ComplexEmbedding, "eval_box", eval_box)
+    for emb in (embs[0], embs[5]):
+        assert _embedded_root_is(field.gen(), emb, emb.index)
+        assert not _embedded_root_is(field.gen(), emb, emb.conjugate_index)
+    assert sorted(set(widths)) == [F(1, 2**24), F(1, 2**16)]
 
 
 # 2cos(2 pi/17) + i, whose conjugates are 2cos(2 pi k/17) +- i
@@ -1044,7 +1278,7 @@ def test_conjugation_matrix_matches_automorphism_oracle(coeffs):
     field = nf_create(coeffs)
     e = field.degree
     rng = random.Random(e)
-    elements = [field.gen()**j for j in range(e)] + [
+    elements = [power(field.gen(), j) for j in range(e)] + [
         field.element([F(rng.randint(-9, 9), rng.randint(1, 9))
                        for _ in range(e)]) for _ in range(4)]
     nonreal = [emb for emb in nf_embeddings(field) if not emb.is_real]
@@ -1057,6 +1291,8 @@ def test_conjugation_matrix_matches_automorphism_oracle(coeffs):
             conj = conjugate_element(v, emb)
             assert conj == apply_automorphism(tau, v)
             assert FieldElement(field, matrix.vec(v.coords)) == conj
+        assert conjugate_vector(elements, emb) == tuple(
+            apply_automorphism(tau, v) for v in elements)
         # the realness test of certified_sign reads the same matrix
         real = elements[-1] + conjugate_element(elements[-1], emb)
         imaginary = field.gen() - conjugate_element(field.gen(), emb)

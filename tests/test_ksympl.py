@@ -14,9 +14,8 @@ from hodgekit.cli import cmd_ksympl
 from hodgekit.errors import (BasePointIsotropic, OddDimension, TooLarge,
                              ValidationError)
 from hodgekit.exactmath import Matrix, det, nf_create, rank
-from hodgekit.exactmath.mpoly import (mp_add, mp_const, mp_eval,
-                                      mp_from_vector, mp_items_grlex, mp_mul,
-                                      mp_pow, mp_scale)
+from hodgekit.exactmath.mpoly import (mp_add, mp_eval, mp_from_vector,
+                                      mp_items_grlex, mp_mul, mp_pow, mp_scale)
 from hodgekit.ksympl import (CliffordResult, KSymplecticCandidate,
                              _combination, _quadric_root, _rank_at,
                              check_torus, clifford_operators,
@@ -53,7 +52,7 @@ def doubled_candidate():
 
 
 def const_entries(m, nvars=1):
-    return [[mp_const(nvars, c) if c != 0 else {} for c in row]
+    return [[{(0,) * nvars: c} if c != 0 else {} for c in row]
             for row in m.entries]
 
 

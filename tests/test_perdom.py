@@ -31,13 +31,13 @@ def make_isotropic_path(space, base, w1, w2):
     + 2 q(base, m(t)) * m(t) with m(t) = t*w1 + (1-t)*w2 is isotropic by
     construction.  Returns None when the data degenerates to the zero
     path."""
-    if not space.is_isotropic(base):
+    if space.form(base, base) != 0:
         raise ValidationError("base vector must be isotropic")
     one = (F(0), F(1))     # t
     onem = (F(1), F(-1))   # 1 - t
     m = [up.add(up.scale(one, a), up.scale(onem, b)) for a, b in zip(w1, w2)]
     qmm = _poly_form(space, m, m)
-    qbm = _poly_form(space, [up.constant(c) for c in base], m)
+    qbm = _poly_form(space, [up.normalize((c,)) for c in base], m)
     coords = []
     for i in range(space.dim):
         term = up.scale(qmm, -base[i])
@@ -80,6 +80,23 @@ def test_membership_quartic():
     check_period_line(LORENTZ3, emb, (sqrt2, i_el, field.one()))
 
 
+def test_membership_takes_one_gram_product(monkeypatch):
+    # q(omega, omega) and q(omega, conj omega) both pair with G omega
+    field = nf_create([9, 0, -2, 0, 1])
+    emb = nf_embeddings(field)[3]
+    sqrt2 = field.element([0, F(5, 6), 0, F(-1, 6)])
+    i_el = field.element([0, F(1, 6), 0, F(1, 6)])
+    products = []
+
+    def vec(m, v, real=Matrix.vec):
+        products.append(m)
+        return real(m, v)
+
+    monkeypatch.setattr(Matrix, "vec", vec)
+    check_period_line(LORENTZ3, emb, (sqrt2, i_el, field.one()))
+    assert products == [LORENTZ3.gram]
+
+
 def test_membership_scaling_invariance():
     field = nf_create([9, 0, -2, 0, 1])
     emb = nf_embeddings(field)[3]
@@ -87,7 +104,7 @@ def test_membership_scaling_invariance():
     i_el = field.element([0, F(1, 6), 0, F(1, 6)])
     vec = (sqrt2, i_el, field.one())
     for scale in (field.from_rational(F(7, 3)), field.gen(),
-                  field.gen() ** 2 + 1):
+                  field.gen() * field.gen() + 1):
         scaled = tuple(scale * v for v in vec)
         check_period_line(LORENTZ3, emb, scaled)
 
