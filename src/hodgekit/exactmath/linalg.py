@@ -1,10 +1,10 @@
-"""Exact dense linear algebra over any exact field scalar.
+"""Exact dense linear algebra over the rationals, with products and
+inverses over a number field.
 
 Matrices are immutable tuples of tuples.  Entries may be Fractions or
-FieldElements (anything with field arithmetic dunders); no floating
-point is used anywhere.  Reduced row-echelon forms have leading
-coefficient 1, and kernel bases are re-echelonized, so every output is
-canonical and byte-reproducible.
+FieldElements of one number field; no floating point is used anywhere.
+Reduced row-echelon forms have leading coefficient 1, and kernel bases
+are re-echelonized, so every output is canonical and byte-reproducible.
 
 A rational matrix has one integer row form: each row as integer
 numerators over a positive denominator.  A matrix built from Fractions
@@ -15,15 +15,20 @@ and is_symmetric read the form.  rref makes the rows primitive,
 Gauss-Jordan steps cross-multiply and remove the row content again, and
 each nonzero row of the result is kept as its primitive integers over
 its pivot; the reduced row-echelon form is unique, so this gives the
-same result as elimination over the Fractions.  row_space, kernel and solve_blocks pass such rows on, so a
-chain of eliminations makes no Fraction.  det runs Bareiss's
-fraction-free elimination, and vec one integer dot product per output
-coordinate.  Matrices with number-field entries take the generic
-elimination and product.
+same result as elimination over the Fractions.  row_space, kernel and
+solve_blocks pass such rows on, so a chain of eliminations makes no
+Fraction.  det runs Bareiss's fraction-free elimination, and vec one
+integer dot product per output coordinate.
+
+Integer elimination is the only elimination: rref, kernel, row_space,
+rank, solve_linear, solve_blocks and det raise TypeError on a matrix
+with number-field entries.  Such a matrix is multiplied, added and
+applied to vectors entry by entry, and inverse reduces it to one
+rational inverse of its regular representation
+(numberfield.field_matrix_inverse).
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -67,8 +72,9 @@ class Matrix:
                          for i in range(n)))
 
     @classmethod
-    def zeros(cls, rows, cols, zero=Fraction(0)):
-        return cls(tuple((zero,) * cols for _ in range(rows)), cols=cols)
+    def zeros(cls, rows, cols):
+        return cls(tuple((Fraction(0),) * cols for _ in range(rows)),
+                   cols=cols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -227,41 +233,13 @@ def _rational_vec(m, v):
 
 
 def rref(m):
-    """Reduced row-echelon form; returns (Matrix, pivot column tuple)."""
-    if _is_rational(m):
-        return _rational_rref([r for r, _ in _integer_rows(m)], m.cols)
-    a = [list(r) for r in m.entries]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        pivot = None
-        for r in range(pr, rows):
-            if a[r][pc] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[pr], a[pivot] = a[pivot], a[pr]
-        lead = a[pr][pc]
-        a[pr] = [x / lead for x in a[pr]]
-        for r in range(rows):
-            if r != pr and a[r][pc] != 0:
-                f = a[r][pc]
-                a[r] = [x - f * y for x, y in zip(a[r], a[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
-            break
-    return Matrix(a), tuple(pivots)
-
-
-def _rational_rref(int_rows, cols):
-    """rref of the rational matrix whose rows are nonzero multiples of
-    the integer rows, on primitive integer rows.  Each nonzero row of the
+    """Reduced row-echelon form of a rational matrix, on primitive integer
+    rows; returns (Matrix, pivot column tuple).  Each nonzero row of the
     result is its primitive integers over its pivot, made positive."""
-    a = [_primitive(r) for r in int_rows]
-    rows = len(a)
+    if not _is_rational(m):
+        raise TypeError("rref requires a rational matrix")
+    a = [_primitive(r) for r, _ in _integer_rows(m)]
+    rows, cols = m.rows, m.cols
     pivots = []
     pr = 0
     for pc in range(cols):
@@ -319,42 +297,27 @@ def kernel(m):
     """Canonical (RREF) basis of the right kernel, one row per basis
     vector; zero-row Matrix when the kernel is trivial."""
     r, pivots = rref(m)
-    return _kernel_from_rref(r, pivots, m.cols, _zero_like(m))
+    return _kernel_from_rref(r, pivots, m.cols)
 
 
-def _zero_like(m):
-    if m.rows and m.cols and not _is_rational(m):
-        return m.entries[0][0] * 0
-    return Fraction(0)
-
-
-def _kernel_from_rref(r, pivots, cols, zero):
+def _kernel_from_rref(r, pivots, cols):
     """Kernel basis of the first `cols` columns of a reduced row-echelon
     form whose pivots in those columns are `pivots`.  The basis vector
-    of a free column c is e_c - sum_i r[i][c] e_(pivot i); from an
-    integer row form it is taken times the lcm of the denominators."""
+    of a free column c is e_c - sum_i r[i][c] e_(pivot i), taken times
+    the lcm of the denominators of the integer row form."""
     free = [c for c in range(cols) if c not in pivots]
     if not free:
-        return Matrix.zeros(0, cols, zero)
+        return Matrix.zeros(0, cols)
+    rows = r._int_rows[:len(pivots)]
     basis = []
-    if r._int_rows:
-        rows = r._int_rows[:len(pivots)]
-        for c in free:
-            den = lcm(*(d for x, d in rows if x[c]))
-            v = [0] * cols
-            v[c] = den
-            for (x, d), pc in zip(rows, pivots):
-                v[pc] = -x[c] * (den // d)
-            basis.append((v, 1))
-        return row_space(Matrix.from_int_rows(basis, cols))
-    one = zero + 1
     for c in free:
-        v = [zero] * cols
-        v[c] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -r.entries[i][c]
-        basis.append(v)
-    return row_space(Matrix(basis))
+        den = lcm(*(d for x, d in rows if x[c]))
+        v = [0] * cols
+        v[c] = den
+        for (x, d), pc in zip(rows, pivots):
+            v[pc] = -x[c] * (den // d)
+        basis.append((v, 1))
+    return row_space(Matrix.from_int_rows(basis, cols))
 
 
 class SolveResult:
@@ -376,13 +339,12 @@ def solve_linear(a, b):
         raise ValueError("shape mismatch")
     aug = Matrix(tuple(tuple(r) + (bv,) for r, bv in zip(a.entries, b)))
     r, pivots = rref(aug)
-    zero = _zero_like(a)
     if a.cols in pivots:
-        return SolveResult(None, _kernel_from_rref(r, pivots[:-1], a.cols, zero))
-    x = [zero] * a.cols
+        return SolveResult(None, _kernel_from_rref(r, pivots[:-1], a.cols))
+    x = [Fraction(0)] * a.cols
     for i, pc in enumerate(pivots):
         x[pc] = r.entries[i][a.cols]
-    return SolveResult(tuple(x), _kernel_from_rref(r, pivots, a.cols, zero))
+    return SolveResult(tuple(x), _kernel_from_rref(r, pivots, a.cols))
 
 
 def det(m):
@@ -422,13 +384,11 @@ def solve_blocks(a, blocks):
     some a X = B_k has no solution."""
     if any(b.rows != a.rows for b in blocks):
         raise ValueError("shape mismatch")
-    if all(map(_is_rational, (a,) + tuple(blocks))):
-        aug = Matrix.from_int_rows(
-            tuple(map(_join, zip(*map(_integer_rows, (a,) + tuple(blocks))))),
-            a.cols + sum(b.cols for b in blocks))
-    else:
-        aug = Matrix(tuple(ra + tuple(chain.from_iterable(rb)) for ra, *rb in
-                           zip(a.entries, *(b.entries for b in blocks))))
+    if not all(map(_is_rational, (a,) + tuple(blocks))):
+        raise TypeError("solve_blocks requires rational matrices")
+    aug = Matrix.from_int_rows(
+        tuple(map(_join, zip(*map(_integer_rows, (a,) + tuple(blocks))))),
+        a.cols + sum(b.cols for b in blocks))
     r, pivots = rref(aug)
     if pivots != tuple(range(a.cols)):
         return None
@@ -440,10 +400,18 @@ def solve_blocks(a, blocks):
 
 
 def inverse(m):
-    """m^-1 as the solution of m X = I."""
+    """m^-1: for a rational m the solution of m X = I, for a matrix over
+    a number field one rational inverse of its regular representation
+    (numberfield.field_matrix_inverse)."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    x = solve_blocks(m, (Matrix.identity(m.rows, _zero_like(m) + 1),))
-    if x is None:
-        raise ValueError("matrix is singular")
-    return x[0]
+    if _is_rational(m):
+        x = solve_blocks(m, (Matrix.identity(m.rows),))
+        if x is not None:
+            return x[0]
+    else:
+        from .numberfield import field_matrix_inverse
+        x = field_matrix_inverse(m)
+        if x is not None:
+            return x
+    raise ValueError("matrix is singular")

@@ -39,7 +39,7 @@ equal.
 
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
-from math import isfinite, isqrt, lcm
+from math import inf, isfinite, isqrt, lcm
 
 from ..errors import InternalError
 
@@ -47,6 +47,11 @@ from ..errors import InternalError
 ROOT_DIGITS = (30, 60, 120, 240, 480, 960)
 # sweeps of the Durand-Kerner iteration before approx_roots gives up
 _MAX_STEPS = 200
+# sweeps without a new low of the largest relative correction after which
+# the double-precision iteration counts as stalled; on the Mignotte
+# polynomials x^n - 2(ax - 1)^2 it climbs for up to 21 sweeps before it
+# falls again and settles
+_STALL_SWEEPS = 32
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +178,7 @@ def _durand_kerner(f, bits):
     approximations collide.  It stops once every correction of a sweep is
     below 2**-(bits + 8), or after _MAX_STEPS sweeps.  Each ROOT_DIGITS
     level starts from the last iterate of the level below, converged or
-    not; the first from the settled iterate of _float_proposal, else from
+    not; the first from the iterate of _float_proposal, else from
     the powers of 0.4 + 0.9i."""
     a, _ = _integer_poly(f)
     n, lead = len(a) - 1, a[-1]
@@ -221,16 +226,19 @@ def _durand_kerner(f, bits):
 def _float_proposal(f):
     """The Durand-Kerner iterate of f in complex doubles, from the powers
     of 0.4 + 0.9i, once every correction of a sweep is at most 2**-40 of
-    its root; None when a coefficient overflows a float, an iterate is
-    not finite, or the iteration does not settle within _MAX_STEPS
-    sweeps.  It only proposes: _durand_kerner finishes in fixed point,
-    and the Weierstrass disks certify."""
+    its root, or once the largest relative correction of a sweep has not
+    reached a new low for _STALL_SWEEPS sweeps: a pair of roots closer
+    than doubles resolve keeps it at a floor above 2**-40.  None when a
+    coefficient overflows a float, an iterate is not finite, or neither
+    happens within _MAX_STEPS sweeps.  It only proposes: _durand_kerner
+    finishes in fixed point, and the Weierstrass disks certify."""
     try:
         c = [float(x / f[-1]) for x in f]
         n = len(c) - 1
         zs = [(0.4 + 0.9j)**k for k in range(n)]
+        low, stalled = inf, 0
         for _ in range(_MAX_STEPS):
-            settled = True
+            worst = 0.0
             for i, z in enumerate(zs):
                 p, d = 1, 1
                 for a in reversed(c[:-1]):
@@ -242,8 +250,11 @@ def _float_proposal(f):
                 if not isfinite(abs(step)):
                     return None
                 zs[i] = z - step
-                settled = settled and abs(step) <= abs(z) * 2.0**-40
-            if settled:
+                worst = max(worst, abs(step) / abs(z) if z else inf)
+            if worst <= 2.0**-40:
+                return zs
+            low, stalled = (worst, 0) if worst < low else (low, stalled + 1)
+            if stalled == _STALL_SWEEPS:
                 return zs
     except (OverflowError, ZeroDivisionError):
         pass

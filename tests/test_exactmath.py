@@ -30,6 +30,7 @@ from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
                                             _guess_conjugation,
                                             conjugate_vector)
 from hodgekit.exactmath.rootiso import RootDisk, isolate_nonreal_roots, root_disks
+import reference_elimination as reference
 
 F = Fraction
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -579,44 +580,19 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def _fraction_det(m):
-    """Oracle: the determinant by elimination over the entries' field."""
-    a = [list(r) for r in m.entries]
-    n, result = m.rows, F(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pivot is None:
-            return a[0][0] * 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result = a[c][c] * result
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return result
-
-
-def _generic(fn, *args):
-    """Oracle: the outcome of fn with every matrix taking the generic
-    Fraction elimination instead of the integer one."""
-    with mock.patch.object(linalg, "_is_rational", lambda m: False):
-        return _outcome(fn, *args)
-
-
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_integer_rref_and_kernel_match_fraction_elimination(m):
-    assert rref(m) == _generic(rref, m)
-    assert kernel(m) == _generic(kernel, m)
+    assert rref(m) == reference.rref(m)
+    assert kernel(m) == reference.kernel(m)
     assert all(isinstance(c, Fraction) for r in rref(m)[0].entries for c in r)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices(square=True))
 def test_integer_det_and_inverse_match_fraction_elimination(m):
-    assert det(m) == _fraction_det(m)
-    assert _outcome(inverse, m) == _generic(inverse, m)
+    assert det(m) == reference.det(m)
+    assert _outcome(inverse, m) == _outcome(reference.inverse, m)
 
 
 FIELDS = {"Q(i)": nf_create([1, 0, 1]), "quartic": nf_create([-1, 0, -1, 0, 1])}
@@ -713,7 +689,7 @@ def test_integer_row_form_is_built_once_per_matrix():
 def test_integer_rref_negative_pivots_and_deficient_rank():
     m = Matrix([[F(-2, 3), F(4), F(0)], [F(1, 10**12), F(-6, 10**12), F(0)],
                 [F(0), F(0), F(0)]])
-    assert rref(m) == _generic(rref, m)
+    assert rref(m) == reference.rref(m)
     red, pivots = rref(m)
     assert pivots == (0,) and red.entries[0] == (F(1), F(-6), F(0))
     assert det(m) == 0 and rank(m) == 1
@@ -758,11 +734,58 @@ def test_field_matrix_linear_algebra():
     i_el = field.gen()
     one = field.one()
     a = Matrix(((one, i_el), (i_el, one)))
-    assert _fraction_det(a) == field.from_rational(2)
+    assert reference.det(a) == field.from_rational(2)
     with pytest.raises(TypeError, match="rational"):
         det(a)
     inv = inverse(a)
     assert inv * a == Matrix.identity(2, one)
+
+
+def test_elimination_takes_rational_matrices_only():
+    # a matrix over a number field reaches elimination only as its regular
+    # representation, whose determinant is the norm of its determinant
+    field = FIELDS["Q(i)"]
+    a = Matrix(((field.one(), field.gen()), (field.gen(), field.one())))
+    for fn in (rref, kernel, rank, linalg.row_space):
+        with pytest.raises(TypeError, match="rref requires a rational matrix"):
+            fn(a)
+    with pytest.raises(TypeError, match="rref requires a rational matrix"):
+        solve_linear(Matrix.identity(2), (field.gen(), F(1)))
+    for blocks in ((a, (Matrix.identity(2),)), (Matrix.identity(2), (a,))):
+        with pytest.raises(TypeError, match="requires rational matrices"):
+            linalg.solve_blocks(*blocks)
+    assert det(numberfield.regular_representation(a)) == 4    # N(1 - i^2)
+    with pytest.raises(TypeError, match="number field"):
+        numberfield.field_matrix_inverse(Matrix.identity(2))
+
+
+@st.composite
+def field_matrices(draw):
+    """Square matrices up to 3 x 3 over Q(i) or the quartic x^4 - x^2 - 1,
+    mixing field elements with rationals, singular ones included."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(1, 3))
+    m = [[field.element([draw(big_rationals) for _ in range(field.degree)])
+          if draw(st.booleans()) else draw(big_rationals) for _ in range(n)]
+         for _ in range(n)]
+    m[0][0] = field.gen() + m[0][0]
+    if n >= 2 and draw(st.booleans()):
+        m[-1] = [x * m[0][0] for x in m[0]]
+    return Matrix(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_matrices())
+def test_field_matrix_inverse_matches_the_field_elimination(m):
+    # one rational inverse of the regular representation, read back block
+    # by block, against Gauss-Jordan elimination on the field elements
+    one = m[0, 0].parent.one()
+    got = _outcome(inverse, m)
+    assert got == _outcome(reference.inverse,
+                           Matrix([[one * x for x in r] for r in m.entries]))
+    if not isinstance(got, str):
+        assert all(type(x) is FieldElement for r in got.entries for x in r)
+        assert got * m == Matrix.identity(m.rows, one)
 
 
 # ---- certified embeddings and the irreducibility certificate ------------
@@ -975,6 +998,42 @@ def test_float_proposal_that_does_not_settle(monkeypatch):
     assert sum(e.is_real for e in embs) == up.count_real_roots(f) == 4
 
 
+def _float_sweeps(f):
+    """_float_proposal(f) and its number of sweeps, counted by the
+    finiteness test it makes once per root and sweep."""
+    tests = []
+
+    def counting(x, real=math.isfinite):
+        tests.append(x)
+        return real(x)
+
+    with mock.patch.object(rootiso, "isfinite", counting):
+        zs = rootiso._float_proposal(f)
+    return zs, len(tests) // (len(f) - 1)
+
+
+@pytest.mark.parametrize("n, last_low", [(9, 27), (10, 23)])
+def test_float_proposal_stops_once_it_stalls(n, last_low):
+    # the close root pair near 1/11 holds the largest relative correction
+    # at about 1e-11, above 2**-40, with its last new low at sweep
+    # `last_low`: the iterate is handed over _STALL_SWEEPS sweeps later,
+    # not None after all _MAX_STEPS
+    zs, sweeps = _float_sweeps(mignotte(n, 11))
+    assert zs is not None and len(zs) == n
+    assert rootiso._STALL_SWEEPS < sweeps <= last_low + rootiso._STALL_SWEEPS
+    assert sweeps < rootiso._MAX_STEPS
+
+
+def test_float_proposal_rides_out_a_climbing_correction():
+    # x^16 - 2(11x - 1)^2: the corrections climb from 1e-9 to 1e-7 before
+    # they fall and settle at sweep 57; the stall test lets that happen
+    f = mignotte(16, 11)
+    zs, sweeps = _float_sweeps(f)
+    with mock.patch.object(rootiso, "_STALL_SWEEPS", rootiso._MAX_STEPS):
+        assert _float_sweeps(f) == (zs, sweeps)
+    assert sweeps < rootiso._MAX_STEPS
+
+
 def test_root_disks_fallback_branches(monkeypatch):
     # a level whose iteration does not converge, or whose approximations
     # do not pair up under conjugation, passes to the next; when no level
@@ -1179,8 +1238,9 @@ def test_integer_built_matrices_equal_and_hash_like_fraction_built(m, k):
                         cols=m.rows)
     assert built.transpose() == transposed
     assert hash(built.transpose()) == hash(transposed)
-    for fn in (rref, kernel, linalg.row_space):
-        lazy, generic = _outcome(fn, built), _generic(fn, m)
+    for fn, ref in ((rref, reference.rref), (kernel, reference.kernel),
+                    (linalg.row_space, reference.row_space)):
+        lazy, generic = _outcome(fn, built), _outcome(ref, m)
         if fn is rref:
             (lazy, _), (generic, _) = lazy, generic
         assert lazy == generic and hash(lazy) == hash(generic)

@@ -16,7 +16,7 @@ from hodgekit.cli import build_period, load_problem_file, main
 from hodgekit.errors import (Degenerate, InternalError, IsotropyFails,
                              PositivityFails, WrongSignature)
 from hodgekit.exactmath import (FieldElement, Matrix, certified_sign,
-                                conjugate_element, inverse, kernel, nf_create,
+                                conjugate_element, inverse, nf_create,
                                 nf_embeddings, solve_linear)
 from hodgekit.exactmath import linalg, numberfield
 from hodgekit.exactmath import unipoly as up
@@ -26,6 +26,7 @@ from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
                             transcendental_lattice, validate_period)
 from hodgekit.qforms import QuadraticSpace
 from test_exactmath import field_trace, power
+import reference_elimination as reference
 
 F = Fraction
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -639,7 +640,7 @@ def _matrix_minpoly(m):
     """Minimal polynomial by the first linear dependence among powers."""
     powers = [Matrix.identity(m.rows)]
     while True:
-        ker = kernel(Matrix(tuple(zip(*(_flat(p) for p in powers)))))
+        ker = reference.kernel(Matrix(tuple(zip(*(_flat(p) for p in powers)))))
         if ker.rows > 0:
             lam = ker.entries[0]
             return tuple(c / lam[-1] for c in lam)
@@ -676,7 +677,7 @@ def oracle_omega_t(h):
     field = h.period.field
     cols = Matrix(tuple(zip(*(tuple(field.from_rational(c) for c in row)
                               for row in h.trans.entries))))
-    return solve_linear(cols, h.period.omega).particular
+    return reference.solve_linear(cols, h.period.omega).particular
 
 
 def oracle_endomorphism_field(h, seed=0):
@@ -697,23 +698,23 @@ def oracle_endomorphism_field(h, seed=0):
                     row[s * t + k] += prods[r][k].coords[j]
                     row[r * t + k] -= prods[s][k].coords[j]
                 rows.append(tuple(row))
-    ker = kernel(Matrix(rows)) if rows else Matrix.identity(t * t)
+    ker = reference.kernel(Matrix(rows)) if rows else Matrix.identity(t * t)
     basis = tuple(_square(v, t) for v in ker.entries)
     cols = Matrix(tuple(zip(*(_flat(b) for b in basis))))
 
     def spans(m):
-        return solve_linear(cols, _flat(m)).particular is not None
+        return reference.solve_linear(cols, _flat(m)).particular is not None
 
     assert spans(Matrix.identity(t))
     assert all(a * b == b * a and spans(a * b) for a in basis for b in basis)
     gram_t = _restricted_gram(h)
-    gram_inv = inverse(gram_t)
+    gram_inv = reference.inverse(gram_t)
     adj = tuple(gram_inv * a.transpose() * gram_t for a in basis)
     assert all(spans(a) for a in adj)
     fixed = ()
     if any(a != s for a, s in zip(basis, adj)):
         diffs = [_flat(a + s * F(-1)) for a, s in zip(basis, adj)]
-        fix_ker = kernel(Matrix(tuple(zip(*diffs))))
+        fix_ker = reference.kernel(Matrix(tuple(zip(*diffs))))
         fixed = tuple(sum((b * c for c, b in zip(lam, basis)),
                           Matrix.zeros(t, t))
                       for lam in fix_ker.entries)
@@ -733,8 +734,9 @@ def oracle_hodge_classes(h):
     gram_f = Matrix(tuple(tuple(field.from_rational(c) for c in row)
                           for row in _restricted_gram(h).entries))
     lowered = Matrix((gram_f.vec(omega_t), gram_f.vec(omega_conj_t)))
-    frame = (tuple(omega_t), tuple(omega_conj_t)) + kernel(lowered).entries
-    p_inv = inverse(Matrix(frame).transpose())
+    frame = ((tuple(omega_t), tuple(omega_conj_t))
+             + reference.kernel(lowered).entries)
+    p_inv = reference.inverse(Matrix(frame).transpose())
     forbidden = [(0, 0), (1, 1)]
     for j in range(2, t):
         forbidden += [(0, j), (j, 0), (1, j), (j, 1)]
@@ -743,7 +745,7 @@ def oracle_hodge_classes(h):
         for j in range(field.degree):
             rows.append(tuple((p_inv[r, a] * p_inv[s, b]).coords[j]
                               for a in range(t) for b in range(t)))
-    return tuple(_square(v, t) for v in kernel(Matrix(rows)).entries)
+    return tuple(_square(v, t) for v in reference.kernel(Matrix(rows)).entries)
 
 
 @pytest.mark.parametrize("make", [

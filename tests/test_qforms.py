@@ -1,7 +1,6 @@
 """Tests for quadratic spaces: signatures, complements, dual bivector."""
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +8,10 @@ from hypothesis import strategies as st
 
 from hodgekit.errors import Degenerate, NotSymmetric
 from hodgekit.exactmath import Matrix, det, nf_create
-from hodgekit import qforms
 from hodgekit.exactmath.linalg import row_space
 from hodgekit.qforms import (QuadraticSpace, congruence_diagonal,
                              dual_bivector, orth_complement, signature)
+import reference_elimination as reference
 
 F = Fraction
 
@@ -90,9 +89,12 @@ def test_zero_diagonal_gives_the_fraction_elimination(rows, diag, u):
     gram = Matrix([[F(c) for c in r] for r in rows])
     want = [F(d) for d in diag], Matrix([[F(c) for c in r] for r in u])
     assert congruence_diagonal(gram) == want
-    # a Gram matrix over a number field takes the generic elimination
-    got_diag, got_u = congruence_diagonal(_lifted(gram))
+    # the same steps on the entries of a Gram matrix over a number field,
+    # which hodgekit does not diagonalize
+    got_diag, got_u = reference.congruence_diagonal(_lifted(gram))
     assert got_diag == want[0] and got_u == _lifted(want[1])
+    with pytest.raises(TypeError, match="rational Gram matrix"):
+        congruence_diagonal(_lifted(gram))
 
 
 @pytest.mark.parametrize("rows", [
@@ -103,12 +105,17 @@ def test_zero_row_at_a_zero_pivot_is_degenerate(rows):
     # row `step` of a nonsingular trailing block with zero diagonal has a
     # nonzero entry past the diagonal; a zero row is a singular block
     gram = Matrix([[F(c) for c in r] for r in rows])
-    for g in (gram, _lifted(gram)):
+    for diagonalize, g in ((congruence_diagonal, gram),
+                           (reference.congruence_diagonal, gram),
+                           (reference.congruence_diagonal, _lifted(gram))):
         with pytest.raises(Degenerate,
                            match="^degenerate block during diagonalization$"):
-            congruence_diagonal(g)
-    with pytest.raises(Degenerate, match="must be nondegenerate"):
-        QuadraticSpace(gram)
+            diagonalize(g)
+    with pytest.raises(TypeError, match="rational Gram matrix"):
+        congruence_diagonal(_lifted(gram))
+    for g in (gram, _lifted(gram)):
+        with pytest.raises(Degenerate, match="must be nondegenerate"):
+            QuadraticSpace(g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,14 +127,13 @@ def test_integer_congruence_matches_the_fraction_elimination(rows, hollow):
     gram = Matrix([[F(0) if hollow and i == j else rows[min(i, j)][max(i, j)]
                     for j in range(n)] for i in range(n)], cols=n)
 
-    def outcome():
+    def outcome(diagonalize):
         try:
-            return congruence_diagonal(gram)
+            return diagonalize(gram)
         except Degenerate as exc:
             return str(exc)
-    got = outcome()
-    with mock.patch.object(qforms, "_is_rational", lambda m: False):
-        assert got == outcome()
+    got = outcome(congruence_diagonal)
+    assert got == outcome(reference.congruence_diagonal)
     if not isinstance(got, str):
         assert all(type(x) is Fraction for x in got[0])
         assert all(type(x) is Fraction for r in got[1].entries for x in r)
@@ -207,6 +213,22 @@ def bivector_pairing(space, biv, u, v):
         else:
             acc += c * (lu[i] * lv[j] + lu[j] * lv[i]) / 2
     return acc
+
+
+def test_gram_over_a_number_field_is_certified_by_its_norm():
+    # the determinant of the regular representation is the norm of the
+    # determinant: -1 - i^2 = 0 for the first Gram matrix, and the norm
+    # 4 of 1 - i^2 = 2 for the second
+    i, one = GAUSSIAN.gen(), GAUSSIAN.one()
+    with pytest.raises(Degenerate,
+                       match="^Gram matrix must be nondegenerate$"):
+        QuadraticSpace(Matrix(((one, i), (i, -one))))
+    sp = QuadraticSpace(Matrix(((one, i), (i, one))))
+    assert sp.diagonal is None
+    with pytest.raises(TypeError, match="rational Gram matrix"):
+        signature(sp)
+    # gram^-1 = [[1, -i], [-i, 1]] / 2
+    assert dual_bivector(sp) == {(2, 0): one / 2, (1, 1): -i, (0, 2): one / 2}
 
 
 def test_dual_bivector_identity():

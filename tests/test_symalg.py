@@ -289,6 +289,30 @@ def test_harmonic_project_matches_the_fischer_formula(dim, deg):
             _fischer_projection(space, p, deg)
 
 
+@pytest.mark.parametrize("dim,deg", [(3, 2), (3, 4), (4, 4), (5, 4), (4, 5)])
+def test_harmonic_project_matches_the_fischer_formula_over_a_real_field(
+        dim, deg):
+    # E = Q(sqrt2) is real and not Q: sqrt2 replaces the (0, 1) and (1, 0)
+    # entries of the Gram matrix, which stays nondegenerate over E, and
+    # the polynomials have coefficients a + b sqrt2
+    field = nf_create([-2, 0, 1])
+    rows = [[field.from_rational(c) for c in r] for r in FISCHER_GRAMS[dim]]
+    rows[0][1] = rows[1][0] = field.gen()
+    gram = Matrix(rows)
+    assert inverse(gram) * gram == Matrix.identity(dim, field.one())
+    space = QuadraticSpace(gram)
+    alg = SymAlgebra(space, HARMONIC, deg)
+    rng = random.Random(dim * 10 + deg)
+    for _ in range(3):
+        p = {mon: field.element([F(rng.randint(-5, 5), rng.randint(1, 3)),
+                                 F(rng.randint(-2, 2))])
+             for mon in monomials(dim, deg)}
+        p = {mon: c for mon, c in p.items() if c}
+        x = SymElement.from_dict(dim, deg, p)
+        assert harmonic_project(alg, x).as_dict() == \
+            _fischer_projection(space, p, deg)
+
+
 # helpers shared with the hodge tests
 
 def gaussian_structure():
@@ -414,6 +438,24 @@ def test_build_tha_multiplication_over_e():
     for _ in range(2):
         acc = sym_plus_multiply(tha.algebra, acc, x)
     assert not acc.is_zero()
+
+
+def test_build_tha_spaces_are_certified_over_e():
+    # the CM identity space and the totally real trace-transfer space are
+    # over E: certified nondegenerate by the regular representation, they
+    # keep no congruence diagonal, and their Gram matrices invert over E
+    for make, n in ((gaussian_structure, 3), (sqrt2i_structure, 2),
+                    (quartic_cm_structure, 2)):
+        h, ef = make()
+        tha = build_tha(h, ef, n)
+        field, gram = tha.estructure.field, tha.algebra.space.gram
+        if tha.mode == FULL_E:
+            assert gram == Matrix.identity(gram.rows, field.one())
+        else:
+            assert gram == trace_transfer_form(h, ef, tha.estructure).gram
+        assert all(x.parent == field for r in gram.entries for x in r)
+        assert tha.algebra.space.diagonal is None
+        assert inverse(gram) * gram == Matrix.identity(gram.rows, field.one())
 
 
 def test_build_tha_rejects_bad_n():
