@@ -142,12 +142,6 @@ class Matrix:
         return all(self.entries[i][j] == -self.entries[j][i]
                    for i in range(self.rows) for j in range(self.rows))
 
-    def trace(self):
-        t = self.entries[0][0]
-        for i in range(1, self.rows):
-            t = t + self.entries[i][i]
-        return t
-
 
 def _dot(r, c):
     acc = None

@@ -30,22 +30,23 @@ Conjugation is handled through the conjugation automorphism of the
 chosen embedding: the field element tau with sigma(tau(v)) equal to the
 complex conjugate of sigma(v).  tau is first guessed numerically: when
 conjugation commutes with every embedding (CM and totally real fields)
-the image g = tau(gen) is the polynomial of degree < e interpolating
-r -> conj(r) over all roots r of the defining polynomial f, and its
-coefficients are rational.  The guess is rebuilt as rationals and then
-certified exactly: f(g) = 0 in the field, and sigma(g) lies in the
-isolating disk of the conjugate root.  A wrong guess is first rejected
-modulo a prime, and the guesses with their f(g) = 0 verdicts are kept
-per field, as neither depends on the embedding.  The guess interpolates
-in the same fixed-point arithmetic and from the same root approximations
-(rootiso.approx_roots) as the embeddings.  When no guess of a short
-precision ramp passes both checks, g is guessed from the chosen
-embedding alone, as the integer relation between conj(sigma(gen)) and
-the powers of sigma(gen) found by LLL reduction, under the same checks.
-When that fails too, the roots of f in the field are found by Trager's
-norm method (roots_in_field) instead, up to degree 8 (TooLarge past
-it).  Only that fallback can report that the image field is not stable
-under conjugation; period-style inputs are then rejected
+tau maps each root r of the defining polynomial f to conj(r).  With D
+the common denominator of f, D gen is a root of a monic integer
+polynomial h, and h'(D gen) tau(D gen) has integer coordinates, the
+coefficients of the interpolant of s -> h'(s) conj(s) over the roots s
+of h.  They are rounded to integers and divided by D h'(D gen) in the
+field, and the guess is then certified exactly: f(tau(gen)) = 0 in the
+field, and sigma(tau(gen)) lies in the isolating disk of the conjugate
+root.  The guess interpolates in the same fixed-point arithmetic and
+from the same root approximations (rootiso.approx_roots) as the
+embeddings.  When no guess of a short precision ramp passes both
+checks, tau(gen) is guessed from the chosen embedding alone, as the
+integer relation between conj(sigma(gen)) and the powers of sigma(gen)
+found by LLL reduction, under the same checks.  When that fails too,
+the roots of f in the field are found by Trager's norm method
+(roots_in_field) instead, up to degree 8 (TooLarge past it).  Only that
+fallback can report that the image field is not stable under
+conjugation; period-style inputs are then rejected
 (ConjugationNotInternal).  Elements are conjugated by the rational
 matrix of tau on the power basis (conjugation_matrix), built once per
 embedding.
@@ -62,9 +63,9 @@ from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
 from . import unipoly as up
 from .linalg import (Matrix, _integer_row, _integer_rows, _join, _lowest,
                      solve_blocks)
-from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, approx_conjugation,
-                      digits_bits, isolate_nonreal_roots, isolate_real_roots,
-                      root_disks)
+from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, _integer_poly,
+                      approx_conjugation, digits_bits, isolate_nonreal_roots,
+                      isolate_real_roots, root_disks)
 
 MAX_DEGREE = 16
 # the largest degree e**2 of the norm that roots_in_field factors: at
@@ -73,8 +74,9 @@ MAX_TRAGER_NORM_DEGREE = 64
 # decimal working precisions of the numeric conjugation guess, sharing
 # the root approximations of the embeddings
 _GUESS_DIGITS = ROOT_DIGITS[:3]
-# the Mersenne prime of the modular rejection of a wrong guess
-_CHECK_PRIME = 2**61 - 1
+# the integer sums of the conjugation guess are rounded when they lie
+# within 2**-_ROUNDING_BITS of an integer
+_ROUNDING_BITS = 2
 
 
 class NumberField:
@@ -414,33 +416,24 @@ def field_dot(u, v):
 
 @lru_cache(maxsize=None)
 def _integer_power_table(field):
-    """_power_table over one common denominator: (rows, den), each row
-    the nonzero (index, numerator) pairs."""
-    rows = _power_table(field)
-    den = lcm(*(c.denominator for r in rows for c in r))
-    return tuple(tuple((i, c.numerator * (den // c.denominator))
-                       for i, c in enumerate(r) if c) for r in rows), den
-
-
-@lru_cache(maxsize=None)
-def _power_table(field):
-    """Coordinates of gen**e, ..., gen**(2e-2) in the power basis."""
-    f = field.defining_poly
-    e = up.degree(f)
-    rows = []
-    cur = [-c for c in f[:-1]]  # gen**e
-    rows.append(tuple(cur))
+    """Coordinates of gen**e, ..., gen**(2e-2) in the power basis over one
+    common denominator: (rows, den), each row the nonzero (index,
+    numerator) pairs.  Each power is gen times the one before, in lowest
+    terms, with gen**e = -(f_0 + ... + f_(e-1) gen**(e-1)) = -a / D for
+    a = D f on integers."""
+    a, _ = _integer_poly(field.defining_poly)
+    e, lead = field.degree, a[-1]
+    cur, den = _lowest([-c for c in a[:-1]], lead)
+    rows = [(cur, den)]
     for _ in range(e - 2 if e >= 2 else 0):
-        nxt = [Fraction(0)] * e
-        carry = cur[e - 1]
-        for i in range(e - 1):
-            nxt[i + 1] = cur[i]
-        if carry:
-            for i in range(e):
-                nxt[i] += carry * rows[0][i]
-        rows.append(tuple(nxt))
-        cur = nxt
-    return tuple(rows)
+        # gen * cur = shifted cur - cur[e-1] a / D
+        carry = cur[-1]
+        cur, den = _lowest([lead * x - carry * c
+                            for x, c in zip([0] + cur[:-1], a)], den * lead)
+        rows.append((cur, den))
+    common = lcm(*(d for _, d in rows))
+    return tuple(tuple((i, x * (common // d)) for i, x in enumerate(r) if x)
+                 for r, d in rows), common
 
 
 def coordinate_matrix(elements):
@@ -631,7 +624,7 @@ def conjugation_automorphism(field, index):
     or None when the embedded field is not conjugation stable.
 
     At a nonreal embedding the image g is guessed numerically
-    (_automorphism_guess) at each precision of _GUESS_DIGITS and accepted
+    (_guess_conjugation) at each precision of _GUESS_DIGITS and accepted
     only on two exact checks: f(g) = 0 in the field, so gen -> g is an
     automorphism, and sigma(g) lies in the isolating disk of the
     conjugate root, so sigma(tau(gen)) = conj(sigma(gen)).  Together
@@ -648,10 +641,15 @@ def conjugation_automorphism(field, index):
     emb = embs[index]
     if emb.is_real:
         return field.gen()
+
+    def certified(g):
+        # f(g) = 0 first: _embedded_root_is terminates only on roots of f
+        return (g is not None and up.eval_at(field.defining_poly, g).is_zero()
+                and _embedded_root_is(g, emb, emb.conjugate_index))
+
     for digits in _GUESS_DIGITS:
-        g = _automorphism_guess(field, digits)
-        # g is a root of f: _embedded_root_is terminates only on those
-        if g is not None and _embedded_root_is(g, emb, emb.conjugate_index):
+        g = _guess_conjugation(field, digits)
+        if certified(g):
             return g
     # imported here: only fields on which conjugation does not commute
     # with every embedding get this far
@@ -659,8 +657,7 @@ def conjugation_automorphism(field, index):
 
     for digits in _GUESS_DIGITS:
         g = relation_guess(emb, digits)
-        if (g is not None and _is_root(field, g)
-                and _embedded_root_is(g, emb, emb.conjugate_index)):
+        if certified(g):
             return g
     for cand in roots_in_field(field):
         if _embedded_root_is(cand, emb, emb.conjugate_index):
@@ -668,70 +665,33 @@ def conjugation_automorphism(field, index):
     return None
 
 
-@lru_cache(maxsize=None)
-def _automorphism_guess(field, digits):
-    """The guess of tau(gen) at the given precision when f(g) = 0 holds
-    exactly, else None.  Neither depends on the embedding, so each field
-    guesses and checks once per precision."""
-    g = _guess_conjugation(field, digits)
-    return g if g is not None and _is_root(field, g) else None
-
-
-def _is_root(field, g):
-    """Whether f(g) = 0 in the field.  When the prime p divides no
-    denominator of f or g, a wrong g is rejected modulo p first:
-    f(g) = 0 in the field implies f(g) = 0 in F_p[x]/(f mod p), as f is
-    monic.  The exact test alone would decide, but a wrong guess is slow
-    there: the 30- and 60-digit guesses on the field of 2cos(2 pi/17) + i
-    have 495- and 1007-bit denominators, and its conjugations at two
-    embeddings take 140 ms without this rejection and 33 ms with it
-    (medians of 5 processes, 2 cores, Python 3.11.7).  It costs 0.015 to
-    0.17 ms per guess, from x**2 + 1 to x**16 + 1."""
-    f, p = field.defining_poly, _CHECK_PRIME
-    if (g.den % p and all(c.denominator % p for c in f)
-            and not _is_root_mod(f, g, p)):
-        return False
-    return up.eval_at(f, g).is_zero()
-
-
-def _is_root_mod(f, g, p):
-    """Whether f(g) = 0 in F_p[x]/(f mod p), for a monic f and a field
-    element g whose coefficients are all p-integral."""
-    e = len(f) - 1
-    fp = [c.numerator * pow(c.denominator, -1, p) % p for c in f]
-    inv = pow(g.den, -1, p)
-    gp = [x * inv % p for x in g.num]
-    acc = [0] * e
-    for c in reversed(fp):               # Horner: acc = acc * g + c
-        prod = [0] * (2 * e - 1)
-        for i, a in enumerate(acc):
-            if a:
-                for j, b in enumerate(gp):
-                    prod[i + j] += a * b
-        for k in range(2 * e - 2, e - 1, -1):
-            q = prod[k] % p
-            if q:
-                for i in range(e):
-                    prod[k - e + i] -= q * fp[i]
-        acc = [x % p for x in prod[:e]]
-        acc[0] = (acc[0] + c) % p
-    return not any(acc)
-
-
 def _guess_conjugation(field, digits):
-    """Rational guess of tau(gen), assuming conjugation commutes with
-    every embedding: the g of degree < e with g(r) = conj(r) at every
-    root r of f (rootiso.approx_conjugation), at the binary precision of
-    the given decimal precision.  Each coefficient is rounded to the
-    nearest rational with denominator at most 10**(digits // 3).  None
-    when the root approximations fail."""
+    """Guess of tau(gen), assuming conjugation commutes with every
+    embedding, at the binary precision of the given decimal precision.
+    For the least common denominator D of f, beta = D gen is a root of
+    the monic integer polynomial h(y) = D**e f(y/D), and tau(beta) is an
+    algebraic integer of the field, so H(beta) = h'(beta) tau(beta) lies
+    in Z[beta] (H. Cohen, GTM 138, 4.4): its coordinates H_j are integers,
+    the sums of rootiso.approx_conjugation.  Each sum is rounded to the
+    nearest integer, and tau(gen) = H(beta) / (D h'(beta)), where
+    h'(beta) = D**(e-1) f'(gen).  None when the root approximations fail
+    or a sum is not within 2**-_ROUNDING_BITS of an integer."""
     bits = digits_bits(digits)
-    coeffs = approx_conjugation(field.defining_poly, bits)
-    if coeffs is None:
+    sums = approx_conjugation(field.defining_poly, bits)
+    if sums is None:
         return None
-    max_den = 10 ** (digits // 3)
-    return field.element([Fraction(c, 2**(2 * bits)).limit_denominator(max_den)
-                          for c in coeffs])
+    w = 2 * bits
+    coeffs = [(c + (1 << (w - 1))) >> w for c in sums]
+    if any(abs(c - (m << w)) >> (w - _ROUNDING_BITS)
+           for c, m in zip(sums, coeffs)):
+        return None
+    # a = D f and da = D f' on integers, D = a[-1]: tau(gen) is
+    # H(D gen) / (D**(e-1) da(gen))
+    a, da = _integer_poly(field.defining_poly)
+    den = a[-1]
+    num = field.element_over([m * den**j for j, m in enumerate(coeffs)],
+                             den**(field.degree - 1))
+    return num / field.element_over(da, 1)
 
 
 def _embedded_root_is(cand, emb, root_index):

@@ -262,33 +262,29 @@ def _float_proposal(f):
 
 
 def approx_conjugation(f, bits):
-    """Fixed-point coefficients c_k, with sum c_k x**k / 2**(2 bits)
-    close to the polynomial g of degree < n with g(r) = conj(r) at every
-    approximate root r (approx_roots(f, bits)), or None when there are no
-    approximations.  g = sum_r conj(r) q_r(x) / q_r(r) in Lagrange form,
-    with q_r = a / (x - r) by synthetic division for a = l f with integer
-    coefficients; its value q_r(r) is a'(r).  Only the real parts are
-    kept: g has real coefficients when conjugation commutes with every
-    embedding, the one case in which it is used."""
+    """Fixed-point sums c_j, with c_j / 2**(2 bits) close to
+    H_j = sum_k conj(s_k) b_j(s_k), or None when there are no root
+    approximations.  Here h(y) = D**e f(y/D) is monic with integer
+    coefficients for the least common denominator D of f, its roots are
+    s_k = D r_k for the approximate roots r_k of f (approx_roots(f, bits)),
+    and h(y) / (y - s_k) = sum_j b_j(s_k) y**j by synthetic division.
+    H = sum_j H_j y**j takes the value h'(s_k) conj(s_k) at each s_k.
+    Only the real parts are kept: H has real coefficients when
+    conjugation commutes with every embedding, the one case in which it
+    is used."""
     roots = approx_roots(f, bits)
     if roots is None:
         return None
-    a, da = _integer_poly(f)
+    e, den = len(f) - 1, lcm(*(c.denominator for c in f))
+    h = tuple(int(c * den**(e - k)) for k, c in enumerate(f))
     w = 2 * bits
-    coeffs = [0] * (len(a) - 1)
+    sums = [0] * e
     for x, y in roots:
-        x, y = x << bits, y << bits
-        quot, _ = _fx_divide(a, x, y, w)
-        _, (hr, hi) = _fx_divide(da, x, y, w)
-        den = hr * hr + hi * hi
-        if den == 0:
-            return None
-        # conj(r) / a'(r)
-        wr = ((x * hr - y * hi) << w) // den
-        wi = -((x * hi + y * hr) << w) // den
-        for k, (qr, qi) in enumerate(quot):
-            coeffs[k] += (wr * qr - wi * qi) >> w
-    return coeffs
+        x, y = den * x << bits, den * y << bits
+        quot, _ = _fx_divide(h, x, y, w)
+        for j, (qr, qi) in enumerate(quot):
+            sums[j] += (x * qr + y * qi) >> w
+    return sums
 
 
 def _mirrored_centres(roots, bits):

@@ -108,6 +108,19 @@ def eval_at(p, x):
     return acc
 
 
+def power_sums(p, n):
+    """The sums s_k of the k-th powers of the roots of the monic p of
+    degree e, for k = 0, ..., n, by Newton's identities:
+    s_k = -k p_(e-k) - sum_(i=1)^(min(k-1, e)) p_(e-i) s_(k-i), the first
+    term only for k <= e."""
+    e = degree(p)
+    s = [Fraction(e)]
+    for k in range(1, n + 1):
+        acc = sum(p[e - i] * s[k - i] for i in range(1, min(k - 1, e) + 1))
+        s.append(-acc - k * p[e - k] if k <= e else -acc)
+    return s
+
+
 def compose(p, q):
     """p(q(x))."""
     acc = ()

@@ -36,7 +36,7 @@ from .exactmath.linalg import (_integer_rows, _integer_vec, _join, coords_in,
                                row_space, solve_blocks, submatrix)
 from .exactmath.numberfield import (conjugate_vector, coordinate_matrix,
                                     field_dot, row_elements)
-from .qforms import QuadraticSpace, signature
+from .qforms import QuadraticSpace, lowered, signature
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
@@ -130,7 +130,7 @@ def transcendental_lattice(period):
     re-verified to contain the period after complexification."""
     m = period.dim
     t = row_space(coordinate_matrix(period.omega))
-    bg, gram_t = _lowered(period.space.gram, t)
+    bg, gram_t = lowered(period.space.gram, t)
     tsig = signature(QuadraticSpace(gram_t))
     if tsig != (2, t.rows - 2):
         raise WrongSignature(
@@ -142,21 +142,6 @@ def transcendental_lattice(period):
     if t.rows + tperp.rows != m:
         raise InternalError("T and its complement do not decompose V")
     return K3Hodge(period, t, tperp, gram_t, omega_t)
-
-
-def _lowered(gram, basis):
-    """B G, whose kernel is the orthogonal complement of the basis B, and
-    the Gram matrix B G B^T of q on its span.  G is symmetric, so row i
-    of B G is G b_i, and the Gram matrix is symmetric, so its row j is
-    (B G) b_j: matrix-vector products on the integer rows of B."""
-    def images(m):
-        rows = []
-        for b, d in _integer_rows(basis):
-            image, den = _integer_vec(m, b)
-            rows.append((image, den * d))
-        return Matrix.from_int_rows(rows, m.rows)
-    bg = images(gram)
-    return bg, images(bg)
 
 
 class MTDescriptor:

@@ -30,7 +30,7 @@ from .exactmath import Matrix, det, kernel, nf_create, rank
 from .exactmath.linalg import rref, solve_blocks
 from .exactmath.mpoly import (mp_add, mp_diff, mp_eval, mp_items_grlex, mp_mul,
                               mp_neg, mp_pow, mp_scale)
-from .qforms import bilinear, congruence_diagonal
+from .qforms import bilinear, congruence_diagonal, lowered
 
 MAX_VDIM = 8
 MAX_K = 5
@@ -327,7 +327,7 @@ def clifford_operators(cand, report, omega0):
     # C spans the complement of omega0; congruence-diagonalizing
     # C q C^T by U makes the rows of U C q-orthogonal
     comp = kernel(Matrix((q.vec(omega0),)))
-    _, u = congruence_diagonal(comp * q * comp.transpose())
+    _, u = congruence_diagonal(lowered(q, comp)[1])
     obasis = (u * comp).entries
     # every Psi(w0)^-1 Psi(w_i) from one elimination
     ops = solve_blocks(_combination(cand, omega0),

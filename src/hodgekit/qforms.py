@@ -17,7 +17,8 @@ from math import gcd
 
 from .errors import Degenerate, NotSymmetric
 from .exactmath import FieldElement, Matrix, det, inverse, kernel
-from .exactmath.linalg import _dot, _integer_rows, _is_rational, _lowest
+from .exactmath.linalg import (_dot, _integer_rows, _integer_vec, _is_rational,
+                               _lowest)
 from .exactmath.numberfield import field_dot, regular_representation
 
 
@@ -140,12 +141,28 @@ def signature(space):
     return pos, space.dim - pos
 
 
+def lowered(gram, basis):
+    """B G, whose kernel is the orthogonal complement of the rational
+    basis B, and the Gram matrix B G B^T of q on its span.  G is
+    symmetric, so row i of B G is G b_i, and the Gram matrix is
+    symmetric, so its row j is (B G) b_j: matrix-vector products on the
+    integer rows of B."""
+    def images(m):
+        rows = []
+        for b, d in _integer_rows(basis):
+            image, den = _integer_vec(m, b)
+            rows.append((image, den * d))
+        return Matrix.from_int_rows(rows, m.rows)
+    bg = images(gram)
+    return bg, images(bg)
+
+
 def orth_complement(space, w):
     """Canonical basis of the q-orthogonal complement of the row span of
     w; the full space for an empty w."""
     if w.rows == 0:
         return Matrix.identity(space.dim)
-    return kernel(w * space.gram)
+    return kernel(lowered(space.gram, w)[0])
 
 
 def dual_bivector(space):

@@ -21,6 +21,7 @@ from math import comb
 from .errors import (DegreeTooHigh, HarmonicDimTooSmall, InternalError,
                      ValidationError)
 from .exactmath import Matrix, inverse
+from .exactmath import unipoly as up
 from .exactmath.mpoly import (mp_from_vector, mp_items_grlex, mp_mul, mp_pow,
                               mp_sub)
 from .qforms import QuadraticSpace, bilinear, dual_bivector
@@ -301,16 +302,13 @@ def trace_transfer_form(h, ef, es):
     form recovers q: Tr(a * q_E(x, y)) = q(a x, y) for all a in E.
     Exists (symmetric) exactly in the totally real case."""
     from .exactmath.linalg import solve_blocks
-    from .exactmath.numberfield import mult_matrix
 
     field = es.field
     e = field.degree
-    # trace Gram matrix Tr(alpha^(k+l)) via companion powers
-    comp = mult_matrix(field.gen())
-    powers = [Matrix.identity(e)]
-    for _ in range(2 * e - 2):
-        powers.append(powers[-1] * comp)
-    tr = [[powers[k + l].trace() for l in range(e)] for k in range(e)]
+    # trace Gram matrix Tr(alpha^(k+l)): the power sums of the roots of
+    # the defining polynomial of E
+    sums = up.power_sums(field.defining_poly, 2 * e - 2)
+    tr = [[sums[k + l] for l in range(e)] for k in range(e)]
     n = es.rank
     # column (i, j) of the right-hand side is q(alpha^k x_i, x_j), k < e
     orbits = []

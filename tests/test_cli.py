@@ -1,6 +1,7 @@
 """Tests for the command-line front end: file parsing, reports,
 deterministic machine output, and error exit codes."""
 
+import importlib.util
 import json
 import os
 import re
@@ -76,6 +77,31 @@ def test_classify_incompatible_quartic(capsys):
     assert section["mt_family"] == "U_E"
     assert section["mt_rank"] == 2
     assert section["hodge_classes_dim"] == 2
+
+
+def test_classify_cm_degree_16_at_rank_22(tmp_path, capsys):
+    # the advertised caps together: the benchmark's known-answer CM
+    # recipe over Q(zeta_32), x^16 + 1, in a lattice of rank 22; the
+    # process takes about 0.2 s
+    spec = importlib.util.spec_from_file_location(
+        "factory", ROOT / "perfbench" / "factory.py")
+    factory = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(factory)
+    doc, _ = factory.cm_problem(16)
+    path = tmp_path / "cm_d16.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, out = run_inproc(["classify", str(path), "--json"], capsys)
+    assert time.monotonic() - start < 10
+    assert code == 0
+    doc = json.loads(out)
+    section = doc["sections"]["endomorphism_field"]
+    assert doc["sections"]["space"] == {"dim_v": 22, "field_degree": 16}
+    assert section["e"] == 16
+    assert section["classification"] == "CM"
+    assert section["mt_family"] == "U_E"
+    assert section["mt_rank"] == 1
+    assert section["hodge_classes_dim"] == 16
 
 
 def test_tha_dims(capsys):

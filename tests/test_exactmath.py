@@ -45,8 +45,10 @@ def power(x, n):
 
 
 def field_trace(a):
-    """Trace of the field element a down to Q."""
-    return mult_matrix(a).trace()
+    """Trace of the field element a down to Q: the sum of the diagonal of
+    its multiplication matrix."""
+    m = mult_matrix(a)
+    return sum(m.entries[i][i] for i in range(m.rows))
 
 
 def box(disk):
@@ -179,6 +181,20 @@ def test_field_arithmetic():
     assert th.inverse() * th == field.one()
     assert field_trace(sqrt2) == 0
     assert field_trace(field.from_rational(Fraction(5, 2))) == 10
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2, 0, 1], [1, -3, 0, 1], [1] + [0] * 7 + [1], [5, 0, 5, 0, 1],
+], ids=["x^2-2", "x^3-3x+1", "x^8+1", "x^4+5x^2+5"])
+def test_power_sums_are_the_traces_of_the_powers(coeffs):
+    # Newton's identities on the coefficients give Tr(gen**k), the trace
+    # of the k-th power of the companion matrix, for k <= 2e - 2
+    field = nf_create(coeffs)
+    e = field.degree
+    sums = up.power_sums(field.defining_poly, 2 * e - 2)
+    assert sums == [field_trace(power(field.gen(), k))
+                    for k in range(2 * e - 1)]
+    assert all(type(s) is Fraction for s in sums)
 
 
 def test_fields_from_one_polynomial_are_one_field():
@@ -421,7 +437,8 @@ def test_relation_guess_certifies_where_conjugation_does_not_commute(
     field = nf_create(TOTALLY_REAL_SQRT2_FIELD)
     gen = field.gen()
     for digits in _GUESS_DIGITS:
-        assert numberfield._automorphism_guess(field, digits) is None
+        g = _guess_conjugation(field, digits)
+        assert g is None or not up.eval_at(field.defining_poly, g).is_zero()
     for emb in nf_embeddings(field):
         tau = conjugation_automorphism.__wrapped__(field, emb.index)
         want = (-gen if emb.index in (2, 3, 4, 5)
@@ -1139,8 +1156,10 @@ def _oracle_mul(field, a, b):
         for j, y in enumerate(b):
             conv[i + j] += x * y
     out = conv[:e]
-    for c, row in zip(conv[e:], numberfield._power_table(field)):
-        out = [o + c * p for o, p in zip(out, row)]
+    table, den = numberfield._integer_power_table(field)
+    for c, row in zip(conv[e:], table):
+        for i, p in row:
+            out[i] += c * F(p, den)
     return tuple(out)
 
 
@@ -1299,28 +1318,28 @@ def test_root_disks_and_conjugation_match_mpmath_oracle(coeffs, monkeypatch):
     assert apply_automorphism(tau, tau) == field.gen()
 
 
-def test_conjugation_guess_is_checked_once_per_field(monkeypatch):
-    # the 30- and 60-digit guesses are not automorphisms of this field;
-    # they are rejected modulo a prime, and the verdicts are shared by
-    # the embeddings, so only the certifying 120-digit guess is
-    # evaluated exactly, and only once
+def test_conjugation_guess_certifies_at_30_digits(monkeypatch):
+    # the guess rounds h'(beta) tau(beta) to its integer coordinates, so
+    # the first precision of the ramp is enough: tau at embeddings 0 and 5
+    # is the 30-digit guess, which passes both exact checks, and no
+    # later guess is made
     field = nf_create(MINPOLY_2COS17_PLUS_I)
-    numberfield._automorphism_guess.cache_clear()
-    exact = []
-    eval_at = up.eval_at
-
-    def counted(p, x):
-        if isinstance(x, FieldElement):
-            exact.append(x)
-        return eval_at(p, x)
-
-    monkeypatch.setattr(up, "eval_at", counted)
     embs = nf_embeddings(field)
+    guess = _guess_conjugation(field, 30)
+    assert up.eval_at(field.defining_poly, guess).is_zero()
+    assert apply_automorphism(guess, guess) == field.gen()
+    made = []
+
+    def counted(f, digits):
+        made.append(digits)
+        return _guess_conjugation(f, digits)
+
+    monkeypatch.setattr(numberfield, "_guess_conjugation", counted)
     for index in (0, 5):
-        tau = conjugation_automorphism.__wrapped__(field, index)
-        assert apply_automorphism(tau, tau) == field.gen()
-        assert _embedded_root_is(tau, embs[index], embs[index].conjugate_index)
-    assert len(exact) <= 1
+        emb = embs[index]
+        assert _embedded_root_is(guess, emb, emb.conjugate_index)
+        assert conjugation_automorphism.__wrapped__(field, index) == guess
+    assert made == [30, 30]
 
 
 def _corpus_fields():
@@ -1333,7 +1352,9 @@ def _corpus_fields():
 
 
 @pytest.mark.parametrize("coeffs", _corpus_fields() + [
-    [1] + [0] * (d - 1) + [1] for d in (2, 4, 8, 16)])
+    [1] + [0] * (d - 1) + [1] for d in (2, 4, 8, 16)] + [
+    # generators that are not algebraic integers
+    [F(1, 4), 0, 1], [F(7, 4), F(1, 2), 1]])
 def test_conjugation_matrix_matches_automorphism_oracle(coeffs):
     field = nf_create(coeffs)
     e = field.degree

@@ -380,7 +380,7 @@ def test_restrict_gram_is_the_pairwise_form(data):
     basis = Matrix(tuple(tuple(data.draw(rationals) for _ in range(m))
                          for _ in range(t)))
     rows = basis.entries
-    bg, gram_t = hodge._lowered(space.gram, basis)
+    bg, gram_t = qforms.lowered(space.gram, basis)
     assert bg == basis * space.gram
     assert gram_t == _restrict_gram(space, basis) == Matrix(
         tuple(tuple(space.form(u, v) for v in rows) for u in rows))
