@@ -5,13 +5,12 @@ number field."""
 from .linalg import Matrix, SolveResult, det, inverse, kernel, rank, rref, solve_linear
 from .numberfield import (QQ, ComplexEmbedding, FieldElement, NumberField,
                           certified_sign, conjugation_automorphism,
-                          conjugate_element, mult_matrix,
-                          nf_create, nf_embeddings, roots_in_field)
+                          mult_matrix, nf_create, nf_embeddings,
+                          roots_in_field)
 
 __all__ = [
     "Matrix", "SolveResult", "det", "inverse", "kernel", "rank", "rref",
     "solve_linear", "QQ", "ComplexEmbedding", "FieldElement", "NumberField",
-    "certified_sign", "conjugation_automorphism", "conjugate_element",
-    "mult_matrix", "nf_create", "nf_embeddings",
-    "roots_in_field",
+    "certified_sign", "conjugation_automorphism", "mult_matrix",
+    "nf_create", "nf_embeddings", "roots_in_field",
 ]

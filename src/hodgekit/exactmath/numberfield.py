@@ -328,6 +328,12 @@ class FieldElement:
             return o
         return self * o.inverse()
 
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return o * self.inverse()
+
     def inverse(self):
         """The solution of self * x = 1: the 1 x 1 case of
         field_matrix_inverse, whose regular representation is the matrix
@@ -742,11 +748,6 @@ def conjugate_vector(vec, emb):
             "complex conjugation does not stabilize the embedded field; "
             "re-present the data over a conjugation-closed field")
     return _apply(tau, vec)
-
-
-def conjugate_element(v, emb):
-    """conjugate_vector of the one element v."""
-    return conjugate_vector((v,), emb)[0]
 
 
 def _apply(matrix, vec):

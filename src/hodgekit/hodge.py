@@ -11,14 +11,14 @@ The endomorphism field E is the field of Hodge endomorphisms of T, the
 rational matrices keeping the period line and T^{1,1}.  Its eigenvalue
 on the period maps E isomorphically onto a subfield of F (Zarhin 1983).
 The matrices keeping the line alone form a subfield L of F; E is cut out
-of L by one rational kernel, the Hodge condition, and is therefore
-closed under the polarization adjoint a -> q^-1 a^T q, which acts on
-eigenvalues as the conjugation tau of the embedding.  tau fixing E means
-totally real (Mumford-Tate SO_E), otherwise E is CM over the fixed
-subfield E_0 (Mumford-Tate U_E).  The rational (2,2)-classes of T (x) T
-are the c with c G_T = phi in E, where G_T is the Gram matrix of q on T.
-Both phi and c are solved by one elimination each; no matrix is
-inverted.  Matrices and field elements stay integer rows throughout.
+of L by the Hodge condition, and is therefore closed under the
+polarization adjoint a -> q^-1 a^T q, which acts on eigenvalues as the
+conjugation tau of the embedding.  tau fixing E means totally real
+(Mumford-Tate SO_E), otherwise E is CM over the fixed subfield E_0
+(Mumford-Tate U_E).  The rational (2,2)-classes of T (x) T are the c with
+c G_T = phi in E, where G_T is the Gram matrix of q on T.  The phi take
+two eliminations, the c one; no matrix is inverted.  Matrices and field
+elements stay integer rows throughout.
 """
 
 from fractions import Fraction
@@ -29,13 +29,13 @@ import random
 
 from .errors import (InternalError, IsotropyFails, PositivityFails,
                      ValidationError, WrongSignature)
-from .exactmath import (Matrix, NumberField, certified_sign,
-                        conjugate_element, kernel, rank, rref)
+from .exactmath import (Matrix, NumberField, certified_sign, kernel, rank,
+                        rref)
 from .exactmath import unipoly as up
 from .exactmath.linalg import (_integer_rows, _integer_vec, _join, coords_in,
                                row_space, solve_blocks, submatrix)
-from .exactmath.numberfield import (conjugate_vector, coordinate_matrix,
-                                    field_dot, row_elements)
+from .exactmath.numberfield import (conjugate_vector, conjugation_matrix,
+                                    coordinate_matrix, field_dot, row_elements)
 from .qforms import QuadraticSpace, lowered, signature
 
 TOTALLY_REAL = "TotallyReal"
@@ -229,13 +229,12 @@ def _character_basis(h):
     that are Hodge endomorphisms, as RREF rows, with the eigenvalue lambda
     in F of each row (phi omega = lambda omega) and its conjugate
     tau(lambda).  Let Omega be the e_F x t rational matrix of power-basis
-    coefficients of omega_T; it has rank t.  phi keeps the line iff
-    Omega phi^T = M_lambda Omega, solvable iff N M_lambda Omega = 0 for
-    N = ker(Omega^T): a linear system in the e_F coordinates of lambda,
-    empty when t = e_F, whose solutions form the field L.  The phi^T of
-    a basis of L come from one RREF of [Omega | M_lambda Omega | ...]:
-    Omega reduces to [I; 0], and every lambda is realized iff no pivot
-    lies past the Omega block.
+    coefficients of omega_T (rank t) and S_i = M_{x^i} Omega; phi keeps
+    the line iff Omega phi^T = sum lambda_i S_i.  The RREF of
+    [S_0 | ... | S_(e_F-1)], S_0 = Omega, is P times it with P Omega =
+    [I; 0]: its block i is [X_i; R_i], and the lower rows of P span
+    ker(Omega^T).  So lambda lies in the line stabilizer L, a subfield of
+    F, iff sum lambda_i R_i = 0, and then phi^T = sum lambda_i X_i.
 
     Hodge condition: phi in L also keeps T^{1,1} = {omega, conj omega}^perp
     iff phi* omega lies in span(omega, conj omega).  Pairing with omega
@@ -243,35 +242,26 @@ def _character_basis(h):
     the only possible such vector is tau(lambda) omega, so the condition
     is delta = phi^T G_T omega - tau(lambda) G_T omega = 0 in F^t.  Then
     phi* keeps the line with eigenvalue tau(lambda) and (phi*)* = phi, so
-    phi* is in E: E is closed under * by construction.  delta is Q-linear,
-    so the rows [delta | phi | lambda | tau(lambda)] are reduced together;
-    the rows past the delta pivots span E, their pivots all lie in the
-    injective phi block, which is thus the RREF of the phi alone.  When
-    every delta is 0 (a form compatible with L), E = L."""
+    phi* is in E: E is closed under * by construction.  All blocks are
+    Q-linear in lambda, so one more RREF reduces the rows
+    [R | delta | phi | lambda | tau(lambda)] of the powers x^i together;
+    the rows past the R and delta pivots span E, their pivots all lie in
+    the injective phi block, which is thus the RREF of the phi alone.
+    When every delta of L is 0 (a form compatible with L), E = L."""
     field = h.period.field
     t, e_f = h.dim_t, field.degree
     gen = field.gen()
-    multiples = [h.omega_t]                # x^i omega_k
+    multiples = [h.omega_t]                # x^i omega_T
     for _ in range(1, e_f):
         multiples.append(tuple(v * gen for v in multiples[-1]))
-    shifted = [coordinate_matrix(c) for c in multiples]   # M_{x^i} Omega
-    omega = shifted[0]
-    left = kernel(omega.transpose())
-    if left.rows:
-        cols = tuple(_flatten(left * s) for s in shifted)
-        lams = kernel(Matrix.from_int_rows(cols, left.rows * t).transpose())
-    else:
-        lams = Matrix.identity(e_f)
-    # column i: M_{x^i} Omega, flattened
-    stacked = Matrix.from_int_rows(tuple(map(_flatten, shifted)),
-                                   e_f * t).transpose()
-    images = _unflatten((_combine(stacked, lam)
-                         for lam in _integer_rows(lams)), t)
-    phis = solve_blocks(omega, images)         # Omega phi^T = M_lambda Omega
-    if phis is None:
-        raise InternalError("eigenvalue is not realized by a rational matrix")
-    width, tt = t * e_f, t * t             # the delta block, the phi block
-    red, pivots = rref(_defect_rows(h, multiples, lams, phis))
+    shifted = [coordinate_matrix(c) for c in multiples]   # S_i
+    red, pivots = rref(Matrix.from_int_rows(
+        tuple(map(_join, zip(*map(_integer_rows, shifted)))), t * e_f))
+    if pivots[:t] != tuple(range(t)):
+        raise InternalError("period coordinates do not have rank dim T")
+    # the R and delta blocks, the phi block
+    width, tt = (e_f - t) * t + t * e_f, t * t
+    red, pivots = rref(_defect_rows(h, multiples, red))
     hodge = slice(sum(p < width for p in pivots), len(pivots))
     return (submatrix(red, hodge, slice(width, width + tt)),
             row_elements(field, submatrix(red, hodge,
@@ -280,33 +270,38 @@ def _character_basis(h):
                                           slice(width + tt + e_f, red.cols))))
 
 
-def _defect_rows(h, multiples, lams, phis):
-    """The rows [delta | phi | lambda | tau(lambda)] of `_character_basis`
-    on integers, one per eigenvalue row lambda of lams with its phi^T,
-    the defect delta in F^t flattened to its t e_F power-basis
-    coordinates.  tau(lambda) G_T omega is the rational combination
-    sum_k tau_k G_T x^k omega of the vectors G_T x^k omega, which are
-    formed once from `multiples` (x^k omega), so no field product is
-    taken."""
+def _defect_rows(h, multiples, red):
+    """The rows [R_i | delta_i | phi_i | x^i | tau(x^i)] of
+    `_character_basis` on integers, one per power x^i, from the RREF red
+    of [S_0 | S_1 | ...], whose block i is [X_i; R_i] with X_i = phi_i^T;
+    delta_i = X_i G_T omega - tau(x^i) G_T omega is flattened to its
+    t e_F power-basis coordinates.  tau(x^i), column i of the conjugation
+    matrix, gives tau(x^i) G_T omega as the rational combination of the
+    vectors G_T x^k omega, formed once from `multiples` (x^k omega), so
+    no field product is taken."""
     field, emb = h.period.field, h.period.embedding
+    t, e_f = h.dim_t, field.degree
     lowered = [h.gram.vec(c) for c in multiples]     # G_T x^k omega
     # column k: G_T x^k omega, flattened
     combos = Matrix.from_int_rows(
         [_join([(v.num, v.den) for v in c]) for c in lowered],
-        h.dim_t * field.degree).transpose()
+        t * e_f).transpose()
+    taus = conjugation_matrix(field, emb.index).transpose()
     rows = []
-    for (lam, lam_den), phi_t in zip(_integer_rows(lams), phis):
-        tau = conjugate_element(field.element_over(lam, lam_den), emb)
-        # phi^T G_T omega, and tau(lambda) G_T omega over db
-        a, da = _join([(v.num, v.den) for v in phi_t.vec(lowered[0])])
-        b, db = _integer_vec(combos, tau.num)
-        db *= tau.den
+    for i, (tau, tau_den) in enumerate(_integer_rows(taus)):
+        block = slice(t * i, t * (i + 1))
+        x = submatrix(red, slice(t), block)
+        # X_i G_T omega, and tau(x^i) G_T omega over db
+        a, da = _join([(v.num, v.den) for v in x.vec(lowered[0])])
+        b, db = _integer_vec(combos, tau)
+        db *= tau_den
         den = lcm(da, db)
-        delta = [x * (den // da) - y * (den // db) for x, y in zip(a, b)]
-        rows.append(_join([(delta, den), _flatten(phi_t.transpose()),
-                           (lam, lam_den), (tau.num, tau.den)]))
-    return Matrix.from_int_rows(
-        rows, combos.rows + h.dim_t**2 + 2 * field.degree)
+        delta = [u * (den // da) - v * (den // db) for u, v in zip(a, b)]
+        unit = [int(i == j) for j in range(e_f)]
+        rows.append(_join([_flatten(submatrix(red, slice(t, e_f), block)),
+                           (delta, den), _flatten(x.transpose()),
+                           (unit, 1), (tau, tau_den)]))
+    return Matrix.from_int_rows(rows, len(rows[0][0]))
 
 
 def _flatten(m):

@@ -20,10 +20,10 @@ from hodgekit.errors import (ConjugationNotInternal, DegreeTooLarge,
                              InternalError, NotMonic, NotRealValued, Reducible,
                              TooLarge)
 from hodgekit.exactmath import (ComplexEmbedding, FieldElement, Matrix,
-                                certified_sign, conjugate_element,
-                                conjugation_automorphism, det, inverse, kernel,
-                                mult_matrix, nf_create, nf_embeddings, rank,
-                                roots_in_field, rref, solve_linear)
+                                certified_sign, conjugation_automorphism, det,
+                                inverse, kernel, mult_matrix, nf_create,
+                                nf_embeddings, rank, roots_in_field, rref,
+                                solve_linear)
 from hodgekit.exactmath import linalg, numberfield, relations, rootiso
 from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.numberfield import (_GUESS_DIGITS, _embedded_root_is,
@@ -49,6 +49,11 @@ def field_trace(a):
     its multiplication matrix."""
     m = mult_matrix(a)
     return sum(m.entries[i][i] for i in range(m.rows))
+
+
+def conjugate_element(v, emb):
+    """conjugate_vector of the one element v."""
+    return conjugate_vector((v,), emb)[0]
 
 
 def box(disk):
@@ -179,6 +184,10 @@ def test_field_arithmetic():
     assert sqrt2 + i_el == th
     assert power(sqrt2 * i_el, 2) == -2
     assert th.inverse() * th == field.one()
+    assert 1 / th == th.inverse()
+    assert Fraction(3, 2) / th * th == Fraction(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        1 / field.zero()
     assert field_trace(sqrt2) == 0
     assert field_trace(field.from_rational(Fraction(5, 2))) == 10
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hodgekit import hodge, qforms
@@ -16,8 +16,8 @@ from hodgekit.cli import build_period, load_problem_file, main
 from hodgekit.errors import (Degenerate, InternalError, IsotropyFails,
                              PositivityFails, WrongSignature)
 from hodgekit.exactmath import (FieldElement, Matrix, certified_sign,
-                                conjugate_element, inverse, nf_create,
-                                nf_embeddings, solve_linear)
+                                inverse, nf_create, nf_embeddings,
+                                solve_linear)
 from hodgekit.exactmath import linalg, numberfield
 from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.linalg import row_space
@@ -25,7 +25,7 @@ from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
                             hodge_classes_tensor_square,
                             transcendental_lattice, validate_period)
 from hodgekit.qforms import QuadraticSpace
-from test_exactmath import field_trace, power
+from test_exactmath import conjugate_element, field_trace, power
 import reference_elimination as reference
 
 F = Fraction
@@ -386,16 +386,64 @@ def test_restrict_gram_is_the_pairwise_form(data):
         tuple(tuple(space.form(u, v) for v in rows) for u in rows))
 
 
+def _line_stabilizer_dim(h):
+    """dim L by the generic solver: lambda keeps the line iff
+    N M_lambda Omega = 0 for N = ker(Omega^T), a linear system in the e_F
+    coordinates of lambda, one column N M_(x^i) Omega per power x^i."""
+    field = h.period.field
+    gen, multiples = field.gen(), [h.omega_t]
+    for _ in range(1, field.degree):
+        multiples.append(tuple(v * gen for v in multiples[-1]))
+    shifted = [Matrix(tuple(zip(*(v.coords for v in c)))) for c in multiples]
+    left = reference.kernel(shifted[0].transpose())
+    if not left.rows:
+        return field.degree
+    cols = Matrix(tuple(_flat(left * s) for s in shifted)).transpose()
+    return field.degree - reference.rank(cols)
+
+
 def test_character_certification_uses_the_unsolved_rows(monkeypatch):
-    # t = 3 < e_F = 4: Omega reduces to [I; 0] in the one elimination of
-    # [Omega | M_lambda Omega | ...].  Skipping the line stabilizer L makes
-    # every lambda in F a candidate, and a lambda outside L puts a pivot
-    # past the Omega block, on the row Omega leaves at zero.
-    h = transcendental_lattice(build_period(
-        load_problem_file(CORPUS / "sqrt2i_period.json")[1]))
-    assert (h.dim_t, h.period.field.degree) == (3, 4)
-    monkeypatch.setattr(hodge, "kernel", lambda m: Matrix.zeros(0, m.cols))
-    with pytest.raises(InternalError, match="not realized"):
+    # two eliminations: [S_0 | S_1 | ...] gives the candidate phi^T = X_i
+    # of each power x^i and the unsolved rows R_i, which the second one
+    # reduces with the defects.  Every returned row is a Hodge
+    # endomorphism with its eigenvalue and the eigenvalue's conjugate, and
+    # e_F - dim L rows, L the line stabilizer, pivot in the R block
+    calls = []
+
+    def spy(m, real=linalg.rref):
+        calls.append((m, real(m)))
+        return calls[-1][1]
+
+    _route(monkeypatch, linalg.rref, spy)     # kernel's rref included
+    for name in ("sqrt2i_period.json", "totally_real_sqrt2_period.json",
+                 "quartic_incompatible_period.json"):
+        h = transcendental_lattice(build_period(
+            load_problem_file(CORPUS / name)[1]))
+        t, e_f = h.dim_t, h.period.field.degree
+        calls.clear()
+        flat, lams, conj = hodge._character_basis(h)
+        assert len(calls) == 2
+        assert calls[0][0].cols == t * e_f
+        assert calls[1][0].rows == e_f
+        lowered = h.gram.vec(h.omega_t)
+        for phi, lam, tau in zip(
+                hodge._unflatten(linalg._integer_rows(flat), t), lams, conj):
+            assert phi.vec(h.omega_t) == tuple(lam * v for v in h.omega_t)
+            assert phi.transpose().vec(lowered) == \
+                tuple(tau * v for v in lowered)
+            assert tau == conjugate_element(lam, h.period.embedding)
+        # row i starts with R_i, the lower rows of block i of the first RREF
+        first, width = calls[0][1][0], (e_f - t) * t
+        for i, row in enumerate(calls[1][0].entries):
+            assert list(row[:width]) == [first[k, j] for k in range(t, e_f)
+                                         for j in range(t * i, t * (i + 1))]
+        in_r = sum(p < width for p in calls[1][1][1])
+        assert in_r == e_f - _line_stabilizer_dim(h)
+        if name == "sqrt2i_period.json":
+            assert (t, e_f, in_r, len(lams)) == (3, 4, 3, 1)
+    # coordinates of rank t - 1 leave a pivot past Omega's first columns
+    h.omega_t = (h.omega_t[0],) + h.omega_t[:-1]
+    with pytest.raises(InternalError, match="rank"):
         hodge._character_basis(h)
 
 
@@ -515,7 +563,7 @@ def test_classify_converts_the_conjugation_matrix_once(monkeypatch, tmp_path,
         finally:
             conjugating.pop()
 
-    # every conjugation, conjugate_element's too, is a conjugate_vector
+    # every conjugation is a conjugate_vector
     _route(monkeypatch, linalg._integer_row, integer_row)
     _route(monkeypatch, numberfield.conjugate_vector, conjugate)
     assert main(["classify", str(path), "--json"]) == 0
@@ -529,9 +577,10 @@ def test_classify_converts_the_conjugation_matrix_once(monkeypatch, tmp_path,
 
 
 def test_hodge_defect_makes_no_field_product(monkeypatch):
-    # tau(lambda) G_T omega is a rational combination of the vectors
-    # G_T x^k omega, so the defect rows of the rank-22, d = 8 period take
-    # no FieldElement product, where each of the 8 rows took 8 before
+    # tau(x^i) G_T omega is a rational combination of the vectors
+    # G_T x^k omega, with tau(x^i) a column of the conjugation matrix, so
+    # the defect rows of the rank-22, d = 8 period take no FieldElement
+    # product and no conjugation
     h = transcendental_lattice(cm_rank22_period(8, F(-3, 2)))
     products, calls, inside = [], [], []
 
@@ -540,15 +589,23 @@ def test_hodge_defect_makes_no_field_product(monkeypatch):
             products.append((a, b))
         return real(a, b)
 
-    def defect_rows(h, multiples, lams, phis, real=hodge._defect_rows):
-        calls.append(lams)
-        inside.append(lams)
+    def defect_rows(h, multiples, red, real=hodge._defect_rows):
+        calls.append(red)
+        inside.append(red)
         try:
-            return real(h, multiples, lams, phis)
+            rows = real(h, multiples, red)
         finally:
             inside.pop()
+        assert rows.rows == 8
+        return rows
+
+    def conjugate(vec, emb, real=numberfield.conjugate_vector):
+        if inside:
+            products.append(vec)
+        return real(vec, emb)
 
     monkeypatch.setattr(hodge, "_defect_rows", defect_rows)
+    _route(monkeypatch, numberfield.conjugate_vector, conjugate)
     monkeypatch.setattr(FieldElement, "__mul__", mul)
     monkeypatch.setattr(FieldElement, "__rmul__", mul)
     ef = endomorphism_field(h)
@@ -791,10 +848,19 @@ def _answer(period):
             len(ef.fixed_subalgebra), len(hodge_classes_tensor_square(h)))
 
 
+def totally_real_octic_period():
+    """E = Q(sqrt 2) on T = E^3 over the degree-8 field Q(r + i) of the
+    corpus: t = 6 < e_F = 8, so the line stabilizer is a proper subfield
+    of F."""
+    return build_period(
+        load_problem_file(CORPUS / "totally_real_sqrt2_period.json")[1])
+
+
 METAMORPHIC_PERIODS = {
     "gaussian": gaussian_period, "sqrt2i": sqrt2i_period,
     "quartic_cm": quartic_cm_period,
     "incompatible_quartic": incompatible_quartic_period,
+    "totally_real_octic": totally_real_octic_period,
 }
 
 
@@ -803,7 +869,9 @@ METAMORPHIC_PERIODS = {
        st.lists(st.integers(1, 3), max_size=2),
        st.lists(st.tuples(st.integers(0, 99), st.integers(1, 99),
                           st.sampled_from((1, -1))), max_size=8),
-       st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+       st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+@example("totally_real_octic", [2], [(0, 5, 1), (3, 7, -1), (6, 1, 1)],
+         [1, 0, -1, 0, 0, 2, 0, 1])         # t < e_F under every move
 def test_answer_invariant_under_basis_padding_and_scaling(name, pad, moves,
                                                           scale):
     # the answer does not change under padding by a negative-definite
@@ -831,6 +899,18 @@ def test_answer_invariant_under_basis_padding_and_scaling(name, pad, moves,
     moved = validate_period(QuadraticSpace(p.transpose() * Matrix(gram) * p),
                             field, base.embedding,
                             tuple(c * v for v in p_inv.vec(omega)))
+    assert _answer(moved) == _answer(base)
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_PERIODS))
+def test_answer_invariant_under_conjugate_embedding(name):
+    # the same omega at the conjugate embedding: sigma' = conj sigma keeps
+    # q(omega, omega) = 0 and the real q(omega, conj omega), and tau is the
+    # same automorphism of F, so the answer stays the same
+    base = METAMORPHIC_PERIODS[name]()
+    emb = nf_embeddings(base.field)[base.embedding.conjugate_index]
+    assert emb.index != base.embedding.index
+    moved = validate_period(base.space, base.field, emb, base.omega)
     assert _answer(moved) == _answer(base)
 
 

@@ -2,6 +2,7 @@
 and the divisibility bounds."""
 
 from fractions import Fraction
+from pathlib import Path
 import random
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgekit import errors
-from hodgekit.cli import cmd_ksympl
+from hodgekit.cli import build_candidate, cmd_ksympl, load_problem_file
 from hodgekit.errors import (BasePointIsotropic, OddDimension, TooLarge,
                              ValidationError)
 from hodgekit.exactmath import Matrix, det, nf_create, rank
@@ -25,6 +26,7 @@ from hodgekit.qforms import bilinear, congruence_diagonal
 import reference_elimination as reference
 
 F = Fraction
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def fmat(rows):
@@ -460,6 +462,50 @@ def test_clifford_frame_is_q_orthogonal(seed, kind, k):
         assert bilinear(q, w, base) == 0
         assert all(bilinear(q, w, v) == 0 for v in frame[:i])
         assert squares[i] * norm0 == -bilinear(q, w, w)
+
+
+def _invertible(rng, k):
+    """A seeded integer k x k matrix of nonzero determinant."""
+    while True:
+        a = fmat([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
+        if det(a) != 0:
+            return a
+
+
+def _family(name, rng):
+    if name == "random8":
+        return [_random_two_form(rng, 8) for _ in range(3)]
+    if name == "octonion8":
+        return _octonion_family(rng, 5)
+    doc = load_problem_file(CORPUS / f"{name}.json")[1]
+    return list(build_candidate(doc).psis)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["quaternion3", "quaternion3_doubled",
+                                  "random8", "octonion8"])
+def test_verdict_invariant_under_family_basis_change(name, seed):
+    # Psi'_i = sum_j A_ij Psi_j for an invertible A spans the same pencil:
+    # its Pfaffian is c q(A^T t)^n, so the verdict, the failure reason and
+    # the rank on the quadric stay the same, and an accepted family keeps
+    # nonzero Clifford squares and dim V divisible by the Clifford bound
+    rng = random.Random(seed)
+    psis = _family(name, rng)
+    k = len(psis)
+    moved = [sum((m * c for m, c in zip(psis[1:], row[1:])), psis[0] * row[0])
+             for row in _invertible(rng, k).entries]
+    base = verify_k_symplectic(KSymplecticCandidate(tuple(psis)))
+    cand = KSymplecticCandidate(tuple(moved))
+    rep = verify_k_symplectic(cand)
+    assert (rep.ok, rep.failure_reason, rep.rank_on_quadric) == \
+        (base.ok, base.failure_reason, base.rank_on_quadric)
+    assert rep.ok == (name != "random8")
+    if rep.ok:
+        point = congruence_diagonal(rep.quadric)[1].entries[0]
+        cliff = clifford_operators(cand, rep, point)
+        assert len(cliff.squares) == k - 1
+        assert all(sq != 0 for sq in cliff.squares)
+        assert cand.v_dim % divisibility_bound(k) == 0
 
 
 def test_divisibility_bound():
