@@ -43,8 +43,9 @@ embeddings.  When no guess of a short precision ramp passes both
 checks, tau(gen) is guessed from the chosen embedding alone, as the
 integer relation between conj(sigma(gen)) and the powers of sigma(gen)
 found by LLL reduction, under the same checks.  When that fails too,
-the roots of f in the field are found by Trager's norm method
-(roots_in_field) instead, up to degree 8 (TooLarge past it).  Only that
+the roots of f in the field come from sympy's factorization of f over
+the field (Trager's norm method; roots_in_field), up to degree 8
+(TooLarge past it).  Only that
 fallback can report that the image field is not stable under
 conjugation; period-style inputs are then rejected
 (ConjugationNotInternal).  Elements are conjugated by the rational
@@ -68,8 +69,8 @@ from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, _integer_poly,
                       isolate_real_roots, root_disks)
 
 MAX_DEGREE = 16
-# the largest degree e**2 of the norm that roots_in_field factors: at
-# e = 10 the search takes about 10 s, at e = 12 about 100 s
+# the largest degree e**2 of the norm that roots_in_field factors: on
+# x^e - 2(11x - 1)^2 it takes about 5 s at e = 10, 46 s at e = 12
 MAX_TRAGER_NORM_DEGREE = 64
 # decimal working precisions of the numeric conjugation guess, sharing
 # the root approximations of the embeddings
@@ -569,58 +570,33 @@ def nf_embeddings(field):
 
 @lru_cache(maxsize=None)
 def roots_in_field(field):
-    """All roots of the defining polynomial inside the field itself,
-    found by Trager's norm method; always contains the generator.  Fields
-    whose norm would pass MAX_TRAGER_NORM_DEGREE raise TooLarge."""
+    """All roots of f inside the field itself, from sympy's factorization
+    of f over the field (Trager's norm method); always contains the
+    generator.  Past MAX_TRAGER_NORM_DEGREE the field is TooLarge."""
     f = field.defining_poly
     e = field.degree
     gen = field.gen()
     if e == 1:
         return (gen,)
-    if e == 2:
-        # sum of the two roots is -f[1]
-        return tuple(sorted((gen, field.from_rational(-f[1]) - gen),
-                            key=lambda r: r.coords))
     if e * e > MAX_TRAGER_NORM_DEGREE:
         raise TooLarge(f"Trager's norm of degree {e * e} exceeds the cap "
                        f"{MAX_TRAGER_NORM_DEGREE}")
-    # the norm's roots are r_j + s r_i over all pairs of roots of f, so
-    # s = 1 repeats each r_i + r_j (i != j): the search starts at 2
-    for shift in range(2, 4 * e * e + 2):
-        norm = _trager_norm(f, shift)
-        if norm is not None:
-            break
-    else:
-        raise InternalError("no squarefree Trager norm found")
-    _, factors = up.factor_rational(norm)
+    import sympy
+
+    poly = sympy.Poly(f[::-1], sympy.Symbol("x"))
+    # a root of f generates the extension itself, so the coefficients of
+    # a domain element are its power-basis coordinates
+    dom = sympy.QQ.algebraic_field(sympy.CRootOf(poly, 0))
     roots = []
-    f_lift = tuple(field.from_rational(c) for c in f)
-    for h, _mult in factors:
-        h_lift = tuple(field.from_rational(c) for c in h)
-        # substitute y -> y + shift*gen
-        shifted = up.compose(h_lift, (gen * shift, field.one()))
-        g = up.gcd(f_lift, shifted)
-        if up.degree(g) == 1:
-            roots.append(-g[0])
+    for g, _mult in poly.set_domain(dom).factor_list()[1]:
+        if g.degree() == 1:
+            lead, c = g.rep.to_list()
+            coords = [Fraction(q.numerator, q.denominator)
+                      for q in reversed((-c / lead).to_list())]
+            roots.append(field.element(coords + [0] * (e - len(coords))))
     if not any(r == gen for r in roots):
         raise InternalError("Trager root search lost the generator")
     return tuple(sorted(roots, key=lambda r: r.coords))
-
-
-def _trager_norm(f, s):
-    """Res_x(f(x), f(y - s*x)) as a Fraction polynomial in y, or None
-    when it is not squarefree."""
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    fe = sum(sympy.Rational(c) * x**k for k, c in enumerate(f))
-    ge = sum(sympy.Rational(c) * (y - s * x)**k for k, c in enumerate(f))
-    res = sympy.Poly(fe, x).resultant(sympy.Poly(sympy.expand(ge), x))
-    pres = sympy.Poly(res, y)
-    if not pres.is_sqf:
-        return None
-    return up.normalize([Fraction(sympy.Rational(c))
-                         for c in reversed(pres.all_coeffs())])
 
 
 @lru_cache(maxsize=None)
@@ -639,9 +615,9 @@ def conjugation_automorphism(field, index):
     not commute with every embedding that guess is wrong, and g is
     guessed from the chosen embedding alone (relations.relation_guess)
     at the same precisions, under the same two checks.  When neither
-    certifies the roots of f in the field are searched by Trager's norm
-    method instead, and only that search returns None (or raises
-    TooLarge past its cap).
+    certifies the roots of f in the field come from sympy's factorization
+    over the field instead (roots_in_field), and only that search returns
+    None (or raises TooLarge past its cap).
     """
     embs = nf_embeddings(field)
     emb = embs[index]

@@ -13,7 +13,8 @@ they lie in the union of the disks D(z_i - w_i, (n - 1)|w_i|), and a
 union of k of them disjoint from the rest holds exactly k roots.  Each
 such disk lies inside D(z_i, n|w_i|); once the bounding squares of these
 are pairwise disjoint, every disk holds exactly one root.  Otherwise the
-precision is raised.
+precision is raised, and past the last one f is rejected as TooLarge:
+it is squarefree, so only the precision ran out, not a bug.
 
 The disks also decide which roots are real.  The family is closed under
 conjugation: mirrored centres have conjugate corrections, hence equal
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from math import inf, isfinite, isqrt, lcm
 
-from ..errors import InternalError
+from ..errors import InternalError, TooLarge
 
 # decimal precisions of the root approximations, tried in turn
 ROOT_DIGITS = (30, 60, 120, 240, 480, 960)
@@ -338,7 +339,8 @@ def _weierstrass_disks(f, centres, bits):
 @lru_cache(maxsize=None)
 def root_disks(f):
     """Isolating disks of all roots of the monic squarefree f, closed
-    under conjugation: (disks, conjugate index of each disk)."""
+    under conjugation: (disks, conjugate index of each disk); TooLarge
+    when they do not separate at the last precision of ROOT_DIGITS."""
     for digits in ROOT_DIGITS:
         bits = digits_bits(digits)
         roots = approx_roots(f, bits)
@@ -350,7 +352,8 @@ def root_disks(f):
         disks = _weierstrass_disks(f, paired[0], bits)
         if disks is not None:
             return disks, paired[1]
-    raise InternalError("roots could not be separated by inclusion disks")
+    raise TooLarge("roots could not be separated by inclusion disks at "
+                   f"{ROOT_DIGITS[-1]} digits")
 
 
 def isolate_real_roots(f):

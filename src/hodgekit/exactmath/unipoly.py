@@ -2,9 +2,9 @@
 
 Polynomials are tuples of coefficients, constant term first, with no
 trailing zeros (the zero polynomial is the empty tuple).  The arithmetic
-routines are generic over any exact field scalar (Fraction or a
-FieldElement); Sturm sequences and root counting take rational
-coefficients and run on integers.
+routines take any exact scalar, and eval_at a FieldElement argument;
+there is no Euclid over a number field.  Sturm sequences and root
+counting take rational coefficients and run on integers.
 """
 
 import math
@@ -85,16 +85,6 @@ def monic(p):
     return tuple(c / p[-1] for c in p)
 
 
-def gcd(a, b):
-    """Monic gcd over a field."""
-    a, b = normalize(a), normalize(b)
-    while b:
-        a, b = b, divmod_poly(a, b)[1]
-    if not a:
-        return ()
-    return monic(a)
-
-
 def derivative(p):
     return normalize(tuple(p[i] * i for i in range(1, len(p))))
 
@@ -119,14 +109,6 @@ def power_sums(p, n):
         acc = sum(p[e - i] * s[k - i] for i in range(1, min(k - 1, e) + 1))
         s.append(-acc - k * p[e - k] if k <= e else -acc)
     return s
-
-
-def compose(p, q):
-    """p(q(x))."""
-    acc = ()
-    for c in reversed(p):
-        acc = add(mul(acc, q), (c,))
-    return acc
 
 
 # Sturm machinery (rational coefficients, on integers).

@@ -26,7 +26,7 @@ from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
                      NotGenericallySymplectic, NotQuadricPower, OddDimension,
                      RelationsFail, TooLarge, ValidationError,
                      WrongRankOnQuadric)
-from .exactmath import Matrix, det, kernel, nf_create, rank
+from .exactmath import Matrix, NumberField, det, kernel, rank
 from .exactmath.linalg import rref, solve_blocks
 from .exactmath.mpoly import (mp_add, mp_diff, mp_eval, mp_items_grlex, mp_mul,
                               mp_neg, mp_pow, mp_scale)
@@ -271,8 +271,9 @@ def _quadric_point(qmat):
                 return point, None
     if k < 2:
         raise InternalError("one-variable nondegenerate quadric has no point")
+    # x^2 - mu is irreducible: mu is no rational square (the loop above)
     mu = -diag[0] / diag[1]
-    field = nf_create([-mu, 0, 1])
+    field = NumberField((-mu, Fraction(0), Fraction(1)))
     r = field.gen()
     point = tuple(field.from_rational(a) + r * field.from_rational(b)
                   for a, b in zip(u.entries[0], u.entries[1]))

@@ -489,6 +489,31 @@ def test_trager_search_past_its_cap_is_too_large(tmp_path):
     assert error["class"] == "TooLarge" and "cap 64" in error["message"]
 
 
+def test_root_isolation_past_its_top_precision_exits_2(tmp_path, capsys,
+                                                        monkeypatch):
+    # the period of corpus/bad/mignotte_positivity_fails.json over
+    # x^16 - 2(ax - 1)^2, a = 10^12 + 3, with the precisions cut to 30 and
+    # 60 digits: the two roots near 1/a do not separate, which is valid
+    # input past a cap (exit 2), not a bug (exit 3)
+    from hodgekit.exactmath import rootiso
+    from test_exactmath import clear_root_caches
+
+    a = 10**12 + 3
+    doc = json.loads((CORPUS / "bad" / "mignotte_positivity_fails.json")
+                     .read_text())
+    doc["field"][1:3] = [str(4 * a), str(-2 * a * a)]
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(doc))
+    clear_root_caches()
+    monkeypatch.setattr(rootiso, "ROOT_DIGITS", (30, 60))
+    code, out = run_inproc(["classify", str(path), "--json"], capsys)
+    monkeypatch.undo()
+    clear_root_caches()
+    assert code == 2
+    error = json.loads(out)["sections"]["error"]
+    assert error["class"] == "TooLarge" and "60 digits" in error["message"]
+
+
 def test_internal_error_exit_code(capsys):
     from types import SimpleNamespace
 

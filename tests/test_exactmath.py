@@ -377,27 +377,49 @@ def test_trager_search_is_capped_before_sympy_loads(monkeypatch):
         conjugation_automorphism(field, 4)
 
 
-@pytest.mark.parametrize("coeffs", [
-    [-2, 0, 0, 1], [9, 0, -2, 0, 1], [3] + [0] * 5 + [1], [1] + [0] * 7 + [1],
-    MIGNOTTE_8_11])
-def test_roots_in_field_match_sympy_factorization(coeffs):
-    # oracle: the linear factors of f over Q(alpha), alpha a root of f,
-    # from sympy's own factorization over the algebraic field; the
-    # search for x^6 + 3 passes the shift 2, where the norm is not
-    # squarefree
-    import sympy
-
-    x = sympy.Symbol("x")
-    f = sympy.Poly(list(reversed(coeffs)), x)
-    _, factors = f.set_domain(
-        sympy.QQ.algebraic_field(sympy.CRootOf(f, 0))).factor_list()
+def _assert_roots_in_field(coeffs, count):
     field = nf_create(coeffs)
     roots = roots_in_field(field)
-    assert len(roots) == sum(m for g, m in factors if g.degree() == 1)
+    assert len(roots) == count
     assert len(set(roots)) == len(roots) and field.gen() in roots
     assert all(up.eval_at(field.defining_poly, r).is_zero() for r in roots)
-    # at the shift 1 the norm's roots r_j + r_i repeat for i != j
-    assert numberfield._trager_norm(field.defining_poly, 1) is None
+
+
+# defining polynomial -> the known number of its roots in its own field
+ROOTS_IN_FIELD = {
+    (-2, 0, 0, 1): 1,               # Q(cbrt 2) is real, not normal
+    (9, 0, -2, 0, 1): 4,            # Q(sqrt 2, i), Galois
+    (3,) + (0,) * 5 + (1,): 6,      # Q(zeta_3, cbrt 3), Galois
+    (1,) + (0,) * 7 + (1,): 8,      # Q(zeta_16), Galois
+    tuple(MIGNOTTE_8_11): 1,        # no automorphism but the identity
+}
+
+
+@pytest.mark.parametrize("coeffs", list(ROOTS_IN_FIELD))
+def test_roots_in_field_match_sympy_factorization(coeffs):
+    # oracle: the known number of roots; each is an exact root, they are
+    # distinct, and the generator is among them
+    _assert_roots_in_field(coeffs, ROOTS_IN_FIELD[coeffs])
+
+
+@pytest.mark.parametrize("coeffs, count", [
+    # x -> 2x applied to x^4 - 2x^2 + 9: Q(sqrt 2, i) again
+    ([F(9, 16), 0, F(-1, 2), 0, 1], 4),
+    ([F(1, 3), F(1, 2), 0, 0, 0, 0, 1], 1),
+    ([F(-1, 2), 0, 0, 1], 1)])      # Q(cbrt 4), not normal
+def test_roots_in_field_with_non_integral_coefficients(coeffs, count):
+    _assert_roots_in_field(coeffs, count)
+
+
+def test_conjugation_not_internal_with_non_integral_coefficients():
+    # x^3 - 1/2, whose complex roots are not in the real field Q(cbrt 4)
+    field = nf_create([F(-1, 2), 0, 0, 1])
+    nonreal = [emb for emb in nf_embeddings(field) if not emb.is_real]
+    assert len(nonreal) == 2
+    for emb in nonreal:
+        assert conjugation_automorphism(field, emb.index) is None
+        with pytest.raises(ConjugationNotInternal):
+            conjugate_vector((field.gen(),), emb)
 
 
 def test_conjugation_fallback_when_guess_cannot_certify(monkeypatch):
@@ -820,9 +842,12 @@ def _gen_box(emb, bits=40):
     return box(emb.eval_box(emb.parent.gen(), F(1, 2**bits)))
 
 
-def _shifted(coeffs, c):
-    """f(x - c), constant first."""
-    return up.compose(tuple(F(a) for a in coeffs), (-F(c), F(1)))
+def shifted_poly(coeffs, c):
+    """f(x - c), constant first, by Horner's rule in x - c."""
+    acc = ()
+    for a in reversed(coeffs):
+        acc = up.add(up.mul(acc, (-F(c), F(1))), (F(a),))
+    return acc
 
 
 @pytest.mark.parametrize("shift", [F(0), F(1, 3)])
@@ -830,7 +855,7 @@ def test_embeddings_of_purely_imaginary_roots(shift):
     # the roots of x^4 + 5x^2 + 5 are +-i sqrt((5 +- sqrt5)/2): all real
     # parts tie, so the order by imaginary part rests on the exact tie
     # decision; the shift moves the common real part off 0
-    embs = nf_embeddings(nf_create(_shifted([5, 0, 5, 0, 1], shift)))
+    embs = nf_embeddings(nf_create(shifted_poly([5, 0, 5, 0, 1], shift)))
     assert [e.is_real for e in embs] == [False] * 4
     assert [e.conjugate_index for e in embs] == [3, 2, 1, 0]
     boxes = [_gen_box(e) for e in embs]
@@ -898,7 +923,7 @@ def mignotte(n, a):
 MIGNOTTE = [(n, a) for a in (11, 10**6 + 1) for n in range(4, 17)]
 
 
-def _clear_root_caches():
+def clear_root_caches():
     for fn in (rootiso.root_disks, rootiso.approx_roots,
                rootiso._durand_kerner, nf_embeddings):
         fn.cache_clear()
@@ -907,7 +932,7 @@ def _clear_root_caches():
 def _isolation(f, float_seed=True):
     """root_disks(f) and nf_embeddings of Q[x]/(f) from cleared caches,
     with the double-precision proposal or, if not float_seed, without."""
-    _clear_root_caches()
+    clear_root_caches()
     with mock.patch.object(rootiso, "_float_proposal",
                            rootiso._float_proposal if float_seed
                            else lambda f: None):
@@ -996,10 +1021,10 @@ def test_fixed_point_finishes_the_float_proposal_in_three_sweeps(monkeypatch):
         sweeps.append(w)
         return real(a, x, y, w)
 
-    _clear_root_caches()
+    clear_root_caches()
     monkeypatch.setattr(rootiso, "_fx_divide", divide)
     xs, ys, converged = rootiso._durand_kerner(f, rootiso.digits_bits(30))
-    _clear_root_caches()
+    clear_root_caches()
     assert converged and 0 < len(sweeps) <= 3 * 8
 
 
@@ -1063,7 +1088,7 @@ def test_float_proposal_rides_out_a_climbing_correction():
 def test_root_disks_fallback_branches(monkeypatch):
     # a level whose iteration does not converge, or whose approximations
     # do not pair up under conjugation, passes to the next; when no level
-    # is left, root_disks raises
+    # is left, root_disks rejects f as too large for the top precision
     f = mignotte(5, 3)
     first, second = (rootiso.digits_bits(d) for d in rootiso.ROOT_DIGITS[:2])
     real_approx = rootiso.approx_roots
@@ -1075,21 +1100,34 @@ def test_root_disks_fallback_branches(monkeypatch):
             roots = roots[:i] + ((roots[i][0], -roots[i][1]),) + roots[i + 1:]
         return roots
 
-    _clear_root_caches()
+    clear_root_caches()
     monkeypatch.setattr(rootiso, "approx_roots", unpaired)
     assert rootiso._mirrored_centres(unpaired(f, first), first) is None
     disks, _ = rootiso.root_disks(f)
     assert {d.scale for d in disks} == {second}
     monkeypatch.undo()
 
-    _clear_root_caches()
+    clear_root_caches()
     monkeypatch.setattr(rootiso, "_MAX_STEPS", 1)
     assert rootiso._durand_kerner(f, first)[2] is False
     assert rootiso.approx_roots(f, first) is None
-    with pytest.raises(InternalError, match="separated"):
+    with pytest.raises(TooLarge, match="separated"):
         rootiso.root_disks(f)
     monkeypatch.undo()
-    _clear_root_caches()
+    clear_root_caches()
+
+
+def test_root_disks_past_the_top_precision_are_too_large(monkeypatch):
+    # x^16 - 2(ax - 1)^2 with a = 10^12 + 3: its two roots near 1/a are
+    # about a^-9 apart, and the disks do not separate by 60 digits
+    clear_root_caches()
+    monkeypatch.setattr(rootiso, "ROOT_DIGITS", (30, 60))
+    start = time.monotonic()
+    with pytest.raises(TooLarge, match="at 60 digits"):
+        nf_create(mignotte(16, 10**12 + 3))
+    assert time.monotonic() - start < 5
+    monkeypatch.undo()
+    clear_root_caches()
 
 
 def test_embedded_root_test_refines_past_the_first_width(monkeypatch):
@@ -1121,7 +1159,7 @@ MINPOLY_2COS17_PLUS_I = (1597, 632, 1435, 614, 790, 102, 231, 328, 189,
 MUL_FIELDS = {
     "QQ": (0, 1),
     "x^16+1": (1,) + (0,) * 15 + (1,),
-    "(x-1/3)^16+1": _shifted((1,) + (0,) * 15 + (1,), F(1, 3)),
+    "(x-1/3)^16+1": shifted_poly((1,) + (0,) * 15 + (1,), F(1, 3)),
     "2cos(2pi/17)+i": MINPOLY_2COS17_PLUS_I,
 }
 
@@ -1275,7 +1313,7 @@ def test_integer_built_matrices_equal_and_hash_like_fraction_built(m, k):
 
 
 @pytest.mark.parametrize("coeffs, roots", [
-    (_shifted([1] + [0] * 15 + [1], 1),
+    (shifted_poly([1] + [0] * 15 + [1], 1),
      [1 + cmath.exp(1j * math.pi * (2 * k + 1) / 16) for k in range(16)]),
     (MINPOLY_2COS17_PLUS_I,
      [2 * math.cos(2 * math.pi * k / 17) + s * 1j
@@ -1303,7 +1341,7 @@ def test_embeddings_of_dense_degree_16(coeffs, roots):
 
 @pytest.mark.parametrize("coeffs", [
     [1, 0, 1], [1, 0, 0, 0, 1], [1] + [0] * 7 + [1], [1] + [0] * 15 + [1],
-    _shifted([1] + [0] * 15 + [1], 1), MINPOLY_2COS17_PLUS_I,
+    shifted_poly([1] + [0] * 15 + [1], 1), MINPOLY_2COS17_PLUS_I,
 ], ids=["x^2+1", "x^4+1", "x^8+1", "x^16+1", "(x-1)^16+1", "2cos(2pi/17)+i"])
 def test_root_disks_and_conjugation_match_mpmath_oracle(coeffs, monkeypatch):
     import mpmath
@@ -1419,8 +1457,8 @@ ORACLE_POLYS = {
                     -16, 0, 1],
     "x^2+1": [1, 0, 1], "x^4+1": [1, 0, 0, 0, 1],  # cm_ladder fields
     "x^8+1": [1, 0, 0, 0, 0, 0, 0, 0, 1],
-    "(x^8+1)((x-1)^8+1)": up.mul(_shifted([1] + [0] * 7 + [1], 0),
-                                  _shifted([1] + [0] * 7 + [1], 1)),
+    "(x^8+1)((x-1)^8+1)": up.mul(shifted_poly([1] + [0] * 7 + [1], 0),
+                                  shifted_poly([1] + [0] * 7 + [1], 1)),
     # denominators of 127 bits: the integer rescaling is huge
     "(x^2+x-2/3^80)(x^3-3x+5+1/3^80)": up.mul(
         (F(-2, 3**80), F(1), F(1)), (5 + F(1, 3**80), F(-3), F(0), F(1))),

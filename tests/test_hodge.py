@@ -19,13 +19,13 @@ from hodgekit.exactmath import (FieldElement, Matrix, certified_sign,
                                 inverse, nf_create, nf_embeddings,
                                 solve_linear)
 from hodgekit.exactmath import linalg, numberfield
-from hodgekit.exactmath import unipoly as up
 from hodgekit.exactmath.linalg import row_space
 from hodgekit.hodge import (CM, SO_E, TOTALLY_REAL, U_E, endomorphism_field,
                             hodge_classes_tensor_square,
                             transcendental_lattice, validate_period)
 from hodgekit.qforms import QuadraticSpace
-from test_exactmath import conjugate_element, field_trace, power
+from test_exactmath import (conjugate_element, field_trace, power,
+                            shifted_poly)
 import reference_elimination as reference
 
 F = Fraction
@@ -938,7 +938,7 @@ def test_answer_invariant_under_field_shift(name, c):
     # and the answer stay the same
     base = SHIFT_PERIODS[name]()
     field = base.field
-    shifted = nf_create(up.compose(field.defining_poly, (-c, F(1))))
+    shifted = nf_create(shifted_poly(field.defining_poly, c))
     image = shifted.gen() - c
 
     def move(v):

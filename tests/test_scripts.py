@@ -29,6 +29,11 @@ def test_script_runs(argv):
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stdout
+    if argv[0] == "classify_corpus.py":
+        # every good problem file is run, by the kind it declares
+        ran = {word for line in proc.stdout.splitlines()
+               if line.startswith("$ hodgekit ") for word in line.split()}
+        assert {str(p) for p in (ROOT / "corpus").glob("*.json")} <= ran
 
 
 def _load_script(name):
