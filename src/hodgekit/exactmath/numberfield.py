@@ -75,9 +75,6 @@ MAX_TRAGER_NORM_DEGREE = 64
 # decimal working precisions of the numeric conjugation guess, sharing
 # the root approximations of the embeddings
 _GUESS_DIGITS = ROOT_DIGITS[:3]
-# the integer sums of the conjugation guess are rounded when they lie
-# within 2**-_ROUNDING_BITS of an integer
-_ROUNDING_BITS = 2
 
 
 class NumberField:
@@ -336,12 +333,13 @@ class FieldElement:
         return o * self.inverse()
 
     def inverse(self):
-        """The solution of self * x = 1: the 1 x 1 case of
-        field_matrix_inverse, whose regular representation is the matrix
-        of multiplication by self (mult_matrix)."""
+        """The solution of self * x = 1: the coordinates of x solve
+        mult_matrix(self) x = e_0, one rational elimination."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return field_matrix_inverse(Matrix(((self,),))).entries[0][0]
+        e_0 = coordinate_matrix((self.parent.one(),))
+        x = solve_blocks(mult_matrix(self), (e_0,))[0]
+        return row_elements(self.parent, x.transpose())[0]
 
     def is_zero(self):
         return not any(self.num)
@@ -657,14 +655,15 @@ def _guess_conjugation(field, digits):
     the sums of rootiso.approx_conjugation.  Each sum is rounded to the
     nearest integer, and tau(gen) = H(beta) / (D h'(beta)), where
     h'(beta) = D**(e-1) f'(gen).  None when the root approximations fail
-    or a sum is not within 2**-_ROUNDING_BITS of an integer."""
+    or a sum is not within 2**-(bits // 2) of an integer, at that binary
+    precision bits."""
     bits = digits_bits(digits)
     sums = approx_conjugation(field.defining_poly, bits)
     if sums is None:
         return None
     w = 2 * bits
     coeffs = [(c + (1 << (w - 1))) >> w for c in sums]
-    if any(abs(c - (m << w)) >> (w - _ROUNDING_BITS)
+    if any(abs(c - (m << w)) >> (w - bits // 2)
            for c, m in zip(sums, coeffs)):
         return None
     # a = D f and da = D f' on integers, D = a[-1]: tau(gen) is

@@ -7,8 +7,10 @@ Psi_1..Psi_k on a 4n-dimensional space.  Verification computes the
 Pfaffian p of the generic combination sum t_i Psi_i, demands the exact
 shape c * q(t)**n for a nondegenerate quadratic form q, irreducible
 over Q, and checks that the combination has rank 2n at a certified
-point of the quadric, passing to a quadratic extension field when the
-quadric has no obvious rational point.
+point of the quadric: over a quadratic extension Q(s) when the quadric
+has no obvious rational point, as half the rational rank of the regular
+representation.  The Clifford relations are checked column by column,
+by matrix-vector products on integer rows.
 
 The only candidate for q is read off at one point v with p(v) != 0:
 if p = c q**n, then n p H - (n - 1) g g^T = c**2 n**2 q(v)**(2n-1) Hess(q)
@@ -20,6 +22,7 @@ most 1, or it is 2 and -m is a rational square for a nonzero principal
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 import random
 
 from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
@@ -30,6 +33,7 @@ from .exactmath import Matrix, NumberField, det, kernel, rank
 from .exactmath.linalg import rref, solve_blocks
 from .exactmath.mpoly import (mp_add, mp_diff, mp_eval, mp_items_grlex, mp_mul,
                               mp_neg, mp_pow, mp_scale)
+from .exactmath.numberfield import regular_representation
 from .qforms import bilinear, congruence_diagonal, lowered
 
 MAX_VDIM = 8
@@ -281,25 +285,19 @@ def _quadric_point(qmat):
 
 
 def _combination(cand, point):
-    acc = None
-    for c, psi in zip(point, cand.psis):
-        term = psi * c
-        acc = term if acc is None else acc + term
-    return acc
+    """sum c_i Psi_i at the point c, entry by entry."""
+    return Matrix(tuple(tuple(sum(map(mul, point, entries))
+                              for entries in zip(*rows))
+                        for rows in zip(*(psi.entries for psi in cand.psis))))
 
 
 def _rank_at(cand, point, field_poly):
-    """The rank of sum c_i Psi_i at the point c, rational or a + sb over
-    Q(s) = Q[x]/(field_poly), s^2 = mu.  Then A + sB maps x + sy to
-    (Ax + mu By) + s(Bx + Ay): over Q it is [[A, mu B], [B, A]], whose
-    rank is twice the rank over Q(s)."""
+    """The rank of sum c_i Psi_i at the point c, rational or over
+    Q(s) = Q[x]/(field_poly): over Q(s), half the rational rank of its
+    regular representation."""
     if field_poly is None:
         return rank(_combination(cand, point))
-    a, b = (_combination(cand, [x.coords[k] for x in point]).entries
-            for k in (0, 1))
-    return rank(Matrix(tuple(ra + tuple(-field_poly[0] * x for x in rb)
-                             for ra, rb in zip(a, b))
-                       + tuple(rb + ra for ra, rb in zip(a, b)))) // 2
+    return rank(regular_representation(_combination(cand, point))) // 2
 
 
 class CliffordResult:
@@ -326,29 +324,31 @@ def clifford_operators(cand, report, omega0):
     if norm0 == 0:
         raise BasePointIsotropic("base point lies on the quadric")
     # C spans the complement of omega0; congruence-diagonalizing
-    # C q C^T by U makes the rows of U C q-orthogonal
+    # C q C^T by U makes the rows of U C q-orthogonal, row i being C^T u_i
     comp = kernel(Matrix((q.vec(omega0),)))
     _, u = congruence_diagonal(lowered(q, comp)[1])
-    obasis = (u * comp).entries
+    obasis = tuple(map(comp.transpose().vec, u.entries))
     # every Psi(w0)^-1 Psi(w_i) from one elimination
     ops = solve_blocks(_combination(cand, omega0),
                        tuple(_combination(cand, w) for w in obasis))
     if ops is None:
         raise InternalError("Psi(base point) is singular despite anisotropy")
-    v_dim = cand.v_dim
-    ident = Matrix.identity(v_dim)
+    # with a_il column l of A_i: A_i^2 = lam_i I iff A_i a_il = lam_i e_l,
+    # and A_i A_j + A_j A_i = 0 iff A_i a_jl + A_j a_il = 0, for every l
+    cols = [a.transpose().entries for a in ops]
     squares = []
     for i, a in enumerate(ops):
-        sq = a * a
-        lam = sq.entries[0][0]
-        if lam == 0 or sq != ident * lam:
+        sq = [a.vec(c) for c in cols[i]]
+        lam = sq[0][0]
+        if lam == 0 or any(x != lam * (r == col) for col, v in enumerate(sq)
+                           for r, x in enumerate(v)):
             raise RelationsFail("operator square is not a nonzero scalar")
         squares.append(lam)
         for j in range(i):
-            anti = a * ops[j] + ops[j] * a
-            if any(c != 0 for row in anti.entries for c in row):
+            if any(x + y != 0 for cj, ci in zip(cols[j], cols[i])
+                   for x, y in zip(a.vec(cj), ops[j].vec(ci))):
                 raise RelationsFail("operators fail to anticommute")
-    return CliffordResult(tuple(ops), tuple(squares), omega0, tuple(obasis))
+    return CliffordResult(tuple(ops), tuple(squares), omega0, obasis)
 
 
 def divisibility_bound(k):

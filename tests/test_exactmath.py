@@ -482,6 +482,14 @@ def test_relation_guess_certifies_where_conjugation_does_not_commute(
                 == -quartic.gen())
 
 
+def test_conjugation_guess_rejects_the_dihedral_octic_before_field_work():
+    # its worst sum lies about 2^-3 from an integer at every precision,
+    # far outside 2^-(bits // 2), so no guess reaches the field division
+    field = nf_create(TOTALLY_REAL_SQRT2_FIELD)
+    for digits in _GUESS_DIGITS:
+        assert _guess_conjugation(field, digits) is None
+
+
 def _gram_schmidt(rows):
     """Oracle: the squared norms of the Gram-Schmidt vectors and the
     coefficients mu[k][j], in Fractions."""

@@ -42,16 +42,14 @@ def quaternion_candidate():
     return KSymplecticCandidate((I_L, J_L, K_L))
 
 
+def direct_sum(a, b):
+    return Matrix(tuple(r + (F(0),) * b.cols for r in a.entries)
+                  + tuple((F(0),) * a.cols + r for r in b.entries))
+
+
 def doubled_candidate():
-    def blockdiag(m):
-        n = m.rows
-        rows = []
-        for i in range(n):
-            rows.append(tuple(m.entries[i]) + (F(0),) * n)
-        for i in range(n):
-            rows.append((F(0),) * n + tuple(m.entries[i]))
-        return Matrix(rows)
-    return KSymplecticCandidate((blockdiag(I_L), blockdiag(J_L), blockdiag(K_L)))
+    return KSymplecticCandidate(tuple(direct_sum(m, m)
+                                      for m in (I_L, J_L, K_L)))
 
 
 def const_entries(m, nvars=1):
@@ -379,6 +377,60 @@ def test_clifford_relations_fail_on_imposter():
                                None)
     with pytest.raises(RelationsFail):
         clifford_operators(cand, forged, (1, 0))
+
+
+def test_clifford_relations_fail_to_anticommute():
+    # I_L + I_L, J_L + J_L and J_L + (-J_L) (direct sums) under a forged
+    # report: A_1 = -K_L + -K_L and A_2 = -K_L + K_L both square to -I,
+    # but A_1 A_2 + A_2 A_1 = 2(-I + I)
+    from hodgekit.errors import RelationsFail
+    from hodgekit.ksympl import KSymplecticReport
+
+    cand = KSymplecticCandidate((direct_sum(I_L, I_L), direct_sum(J_L, J_L),
+                                 direct_sum(J_L, J_L * F(-1))))
+    forged = KSymplecticReport(True, Matrix.identity(3), F(1), 4, None, None,
+                               None)
+    with pytest.raises(RelationsFail, match="operators fail to anticommute"):
+        clifford_operators(cand, forged, (1, 0, 0))
+
+
+def _slots(obj):
+    return tuple(getattr(obj, name) for name in type(obj).__slots__)
+
+
+def test_ksympl_multiplies_and_adds_no_matrices(monkeypatch):
+    # with every Matrix x Matrix product and Matrix + Matrix sum raising,
+    # and scalar products still allowed, cmd_ksympl on both quaternion
+    # files and the checks of an accepted k = 5 octonion family give what
+    # they give unpatched
+    cands = [build_candidate(load_problem_file(CORPUS / f"{name}.json")[1])
+             for name in ("quaternion3", "quaternion3_doubled")]
+    octonion = KSymplecticCandidate(tuple(_octonion_family(random.Random(0),
+                                                           5)))
+
+    def run():
+        reports = [cmd_ksympl(cand).sections for cand in cands]
+        rep = verify_k_symplectic(octonion)
+        base = congruence_diagonal(rep.quadric)[1].entries[0]
+        return (reports, _slots(rep),
+                _slots(clifford_operators(octonion, rep, base)))
+
+    scalar_mul = Matrix.__mul__
+
+    def mul(self, other):
+        if isinstance(other, Matrix):
+            raise AssertionError("Matrix x Matrix product")
+        return scalar_mul(self, other)
+
+    def add(self, other):
+        raise AssertionError("Matrix + Matrix sum")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "__mul__", mul)
+        patch.setattr(Matrix, "__add__", add)
+        patched = run()
+    assert patched[1][0]
+    assert patched == run()
 
 
 def test_clifford_frame_on_hyperbolic_quadric():
