@@ -18,7 +18,9 @@ its pivot; the reduced row-echelon form is unique, so this gives the
 same result as elimination over the Fractions.  row_space, kernel and
 solve_blocks pass such rows on, so a chain of eliminations makes no
 Fraction.  det runs Bareiss's fraction-free elimination, and vec one
-integer dot product per output coordinate.
+integer dot product per output coordinate.  A family of matrices is
+flat: one integer row per member, its entries row by row (_flatten,
+_unflatten), and sum c_k M_k is one integer product with the transpose.
 
 Integer elimination is the only elimination: rref, kernel, row_space,
 rank, solve_linear, solve_blocks and det raise TypeError on a matrix
@@ -130,17 +132,17 @@ class Matrix:
             out.append(r[0] * v[0] if acc is None and r else acc)
         return tuple(out)
 
-    def is_symmetric(self):
-        if self._int_rows:      # r_i[j] / d_i == r_j[i] / d_j
-            form = self._int_rows
-            return all(r[j] * form[j][1] == form[j][0][i] * d
-                       for i, (r, d) in enumerate(form) for j in range(i))
-        return all(self.entries[i][j] == self.entries[j][i]
-                   for i in range(self.rows) for j in range(i))
+    def is_symmetric(self, sign=1):
+        """Whether the transpose is sign (1 or -1) times the matrix."""
+        form = _integer_rows(self)
+        if form:                # r_i[j] / d_i == sign r_j[i] / d_j
+            return all(r[j] * form[j][1] == sign * form[j][0][i] * d
+                       for i, (r, d) in enumerate(form) for j in range(i + 1))
+        return all(self.entries[i][j] == sign * self.entries[j][i]
+                   for i in range(self.rows) for j in range(i + 1))
 
     def is_antisymmetric(self):
-        return all(self.entries[i][j] == -self.entries[j][i]
-                   for i in range(self.rows) for j in range(self.rows))
+        return self.is_symmetric(-1)
 
 
 def _dot(r, c):
@@ -200,6 +202,28 @@ def _integer_vec(m, col):
     form = _integer_rows(m)
     den = lcm(*(d for _, d in form))
     return [sum(map(mul, r, col)) * (den // d) for r, d in form], den
+
+
+def _flatten(m):
+    """The entries of a rational matrix row by row, as integers over one
+    denominator: (integers, denominator)."""
+    return _join(_integer_rows(m))
+
+
+def _unflatten(rows, c):
+    """The matrices with c columns whose entries, row by row, are the
+    integer rows (integers, denominator): the members of a flat family."""
+    return tuple(Matrix.from_int_rows(
+        tuple((r[i:i + c], d) for i in range(0, len(r), c)), c)
+        for r, d in rows)
+
+
+def _combine(cols, coeffs):
+    """sum_k c_k v_k / den over the columns v_k of the rational matrix
+    cols, for the coefficient row (integers c_k, den), on integers:
+    (integers, denominator)."""
+    acc, d = _integer_vec(cols, coeffs[0])
+    return acc, d * coeffs[1]
 
 
 def _rational_vec(m, v):

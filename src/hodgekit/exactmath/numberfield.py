@@ -133,9 +133,6 @@ class NumberField:
         return f"NumberField({list(self.defining_poly)})"
 
 
-QQ = NumberField((Fraction(0), Fraction(1)))  # the rationals, of degree 1
-
-
 def nf_create(coeffs):
     """Build the number field defined by a monic irreducible polynomial
     (coefficients constant-first)."""

@@ -18,7 +18,8 @@ conjugation tau of the embedding.  tau fixing E means totally real
 (Mumford-Tate U_E).  The rational (2,2)-classes of T (x) T are the c with
 c G_T = phi in E, where G_T is the Gram matrix of q on T.  The phi take
 two eliminations, the c one; no matrix is inverted.  Matrices and field
-elements stay integer rows throughout.
+elements stay integer rows throughout, and E is a flat family: one row
+per basis matrix (linalg._flatten), combined on integers.
 """
 
 from fractions import Fraction
@@ -32,8 +33,9 @@ from .errors import (InternalError, IsotropyFails, PositivityFails,
 from .exactmath import (Matrix, NumberField, certified_sign, kernel, rank,
                         rref)
 from .exactmath import unipoly as up
-from .exactmath.linalg import (_integer_rows, _integer_vec, _join, coords_in,
-                               row_space, solve_blocks, submatrix)
+from .exactmath.linalg import (_combine, _flatten, _integer_rows, _integer_vec,
+                               _join, _unflatten, coords_in, row_space,
+                               solve_blocks, submatrix)
 from .exactmath.numberfield import (conjugate_vector, conjugation_matrix,
                                     coordinate_matrix, field_dot, row_elements)
 from .qforms import QuadraticSpace, lowered, signature
@@ -302,28 +304,6 @@ def _defect_rows(h, multiples, red):
                            (delta, den), _flatten(x.transpose()),
                            (unit, 1), (tau, tau_den)]))
     return Matrix.from_int_rows(rows, len(rows[0][0]))
-
-
-def _flatten(m):
-    """The entries of a rational matrix row by row, as integers over one
-    denominator: (integers, denominator)."""
-    return _join(_integer_rows(m))
-
-
-def _unflatten(rows, t):
-    """The matrices with t columns whose entries, row by row, are the
-    integer rows (integers, denominator)."""
-    return tuple(Matrix.from_int_rows(
-        tuple((r[i:i + t], d) for i in range(0, len(r), t)), t)
-        for r, d in rows)
-
-
-def _combine(cols, coeffs):
-    """sum_k c_k v_k / den over the columns v_k of the rational matrix
-    cols, for the coefficient row (integers c_k, den), on integers:
-    (integers, denominator)."""
-    acc, d = _integer_vec(cols, coeffs[0])
-    return acc, d * coeffs[1]
 
 
 def _primitive_element(lams):

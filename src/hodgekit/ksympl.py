@@ -9,8 +9,12 @@ shape c * q(t)**n for a nondegenerate quadratic form q, irreducible
 over Q, and checks that the combination has rank 2n at a certified
 point of the quadric: over a quadratic extension Q(s) when the quadric
 has no obvious rational point, as half the rational rank of the regular
-representation.  The Clifford relations are checked column by column,
-by matrix-vector products on integer rows.
+representation.  The family is one flat integer row form, a member's
+entries per row (linalg._flatten): its rref is the independence check,
+the Pfaffian's coefficients are read off its rows, and sum c_i Psi_i is
+one product with its transpose, on integers at a rational point.  The
+Clifford relations are checked column by column, by matrix-vector
+products on integer rows.
 
 The only candidate for q is read off at one point v with p(v) != 0:
 if p = c q**n, then n p H - (n - 1) g g^T = c**2 n**2 q(v)**(2n-1) Hess(q)
@@ -22,7 +26,7 @@ most 1, or it is 2 and -m is a rational square for a nonzero principal
 
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from math import isqrt
 import random
 
 from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
@@ -30,7 +34,8 @@ from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
                      RelationsFail, TooLarge, ValidationError,
                      WrongRankOnQuadric)
 from .exactmath import Matrix, NumberField, det, kernel, rank
-from .exactmath.linalg import rref, solve_blocks
+from .exactmath.linalg import (_combine, _flatten, _integer_row, _integer_rows,
+                               _unflatten, rref, solve_blocks)
 from .exactmath.mpoly import (mp_add, mp_diff, mp_eval, mp_items_grlex, mp_mul,
                               mp_neg, mp_pow, mp_scale)
 from .exactmath.numberfield import regular_representation
@@ -42,9 +47,9 @@ MAX_K = 5
 
 class KSymplecticCandidate:
     """Independent family of antisymmetric matrices, the image of a basis
-    of W under a linear map W -> Lambda^2(V)."""
+    of W under a linear map W -> Lambda^2(V), and its flat form."""
 
-    __slots__ = ("psis",)
+    __slots__ = ("psis", "flat")
 
     def __init__(self, psis):
         if not psis:
@@ -61,11 +66,10 @@ class KSymplecticCandidate:
                 raise ValidationError("family matrices must share one shape")
             if not m.is_antisymmetric():
                 raise ValidationError("family matrices must be antisymmetric")
-        flat = Matrix(tuple(tuple(c for row in m.entries for c in row)
-                            for m in psis))
+        flat = Matrix.from_int_rows(tuple(map(_flatten, psis)), v_dim * v_dim)
         if len(rref(flat)[1]) != len(psis):
             raise ValidationError("family matrices must be linearly independent")
-        self.psis = psis
+        self.psis, self.flat = psis, flat
 
     @property
     def v_dim(self):
@@ -198,15 +202,11 @@ def verify_k_symplectic(cand, seed=0):
 
 
 def _generic_entry(cand, i, j):
-    out = {}
-    k = cand.k
-    for a, psi in enumerate(cand.psis):
-        c = psi.entries[i][j]
-        if c != 0:
-            exp = [0] * k
-            exp[a] = 1
-            out[tuple(exp)] = c
-    return out
+    """Entry (i, j) of sum t_a Psi_a, with Fraction coefficients read off
+    the flat rows."""
+    col, k = i * cand.v_dim + j, cand.k
+    return {tuple(int(a == b) for b in range(k)): Fraction(r[col], d)
+            for a, (r, d) in enumerate(_integer_rows(cand.flat)) if r[col]}
 
 
 def _quadric_root(p, n, k):
@@ -250,8 +250,6 @@ def _gram_candidate(p, n, k):
 def _is_square(f):
     if f < 0:
         return None
-    from math import isqrt
-
     p, q = f.numerator, f.denominator
     rp, rq = isqrt(p), isqrt(q)
     if rp * rp == p and rq * rq == q:
@@ -285,10 +283,14 @@ def _quadric_point(qmat):
 
 
 def _combination(cand, point):
-    """sum c_i Psi_i at the point c, entry by entry."""
-    return Matrix(tuple(tuple(sum(map(mul, point, entries))
-                              for entries in zip(*rows))
-                        for rows in zip(*(psi.entries for psi in cand.psis))))
+    """sum c_i Psi_i at the point c, from the transposed flat form: one
+    integer matrix-vector product at a rational c, Matrix.vec at a c over
+    a number field, reshaped to the members' shape."""
+    width, cols = cand.psis[0].cols, cand.flat.transpose()
+    if all(isinstance(x, (int, Fraction)) for x in point):
+        return _unflatten((_combine(cols, _integer_row(point)),), width)[0]
+    flat = cols.vec(point)
+    return Matrix(flat[i:i + width] for i in range(0, len(flat), width))
 
 
 def _rank_at(cand, point, field_poly):

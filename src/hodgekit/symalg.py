@@ -110,10 +110,6 @@ class SymElement:
         return cls.from_dict(nvars, degree, d)
 
 
-def linear_element(nvars, vec):
-    return SymElement.from_dict(nvars, 1, mp_from_vector(vec))
-
-
 class SymAlgebra:
     """Truncated symmetric algebra of a quadratic space, either full or
     modded out by the ideal of the dual bivector (harmonic mode)."""

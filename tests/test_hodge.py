@@ -213,7 +213,7 @@ def test_integer_combination_is_the_fraction_sum(k, n, data):
             for _ in range(n)]
     coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
     den = data.draw(st.integers(1, 6))
-    num, d = hodge._combine(Matrix(cols), (coeffs, den))
+    num, d = linalg._combine(Matrix(cols), (coeffs, den))
     expected = [sum((F(c, den) * row[j] for j, c in enumerate(coeffs)), F(0))
                 for row in cols]
     assert [F(x, d) for x in num] == expected
@@ -427,7 +427,7 @@ def test_character_certification_uses_the_unsolved_rows(monkeypatch):
         assert calls[1][0].rows == e_f
         lowered = h.gram.vec(h.omega_t)
         for phi, lam, tau in zip(
-                hodge._unflatten(linalg._integer_rows(flat), t), lams, conj):
+                linalg._unflatten(linalg._integer_rows(flat), t), lams, conj):
             assert phi.vec(h.omega_t) == tuple(lam * v for v in h.omega_t)
             assert phi.transpose().vec(lowered) == \
                 tuple(tau * v for v in lowered)
@@ -921,25 +921,30 @@ SHIFT_PERIODS = {
 }
 
 
-def _bounding_box(disk, shift=0):
+def _bounding_box(disk, shift=0, scale=1):
     """Bounding square ((re lo, re hi), (im lo, im hi)) of the disk
-    |w - (X + iY)/D| <= R/D of eval_box, moved by -shift."""
+    |w - (X + iY)/D| <= R/D of eval_box, under w -> (w - shift) / scale
+    for a scale > 0."""
     x, y, r, d = disk
-    return ((F(x - r, d) - shift, F(x + r, d) - shift),
-            (F(y - r, d), F(y + r, d)))
+    return (((F(x - r, d) - shift) / scale, (F(x + r, d) - shift) / scale),
+            (F(y - r, d) / scale, F(y + r, d) / scale))
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from(sorted(SHIFT_PERIODS)),
+       st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7),
        st.fractions(min_value=-5, max_value=5, max_denominator=7))
-def test_answer_invariant_under_field_shift(name, c):
-    # F = Q[x]/(f) presented as Q[y]/(f(y - c)) with y = x + c: every
-    # embedding moves by c, so the embedding order, the conjugate indices
-    # and the answer stay the same
+def test_answer_invariant_under_field_shift(name, k, c):
+    # F = Q[x]/(f) presented as Q[y]/(k^n f((y - c) / k)) with y = kx + c,
+    # k > 0: every embedding moves by z -> kz + c, which keeps the order
+    # of real and of imaginary parts, so the embedding order, the
+    # conjugate indices and the answer stay the same
     base = SHIFT_PERIODS[name]()
     field = base.field
-    shifted = nf_create(shifted_poly(field.defining_poly, c))
-    image = shifted.gen() - c
+    n = field.degree
+    scaled = [a * k ** (n - i) for i, a in enumerate(field.defining_poly)]
+    shifted = nf_create(shifted_poly(scaled, c))
+    image = (shifted.gen() - c) * (1 / k)
 
     def move(v):
         acc = shifted.zero()
@@ -950,13 +955,13 @@ def test_answer_invariant_under_field_shift(name, c):
     embs, moved_embs = nf_embeddings(field), nf_embeddings(shifted)
     assert [e.conjugate_index for e in moved_embs] == \
         [e.conjugate_index for e in embs]
-    # sigma'_k(y) - c is the root of f isolated by sigma_k
+    # (sigma'_i(y) - c) / k is the root of f isolated by sigma_i
     width = F(1, 2**30)
     boxes = [_bounding_box(e.eval_box(field.gen(), width)) for e in embs]
-    for k, emb in enumerate(moved_embs):
-        box = _bounding_box(emb.eval_box(shifted.gen(), width), c)
+    for i, emb in enumerate(moved_embs):
+        box = _bounding_box(emb.eval_box(shifted.gen(), width), c, k)
         assert all(any(p[1] < q[0] or q[1] < p[0] for p, q in zip(box, b))
-                   for j, b in enumerate(boxes) if j != k)
+                   for j, b in enumerate(boxes) if j != i)
     moved = validate_period(base.space, shifted,
                             moved_embs[base.embedding.index],
                             tuple(move(v) for v in base.omega))

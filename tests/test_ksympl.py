@@ -2,6 +2,7 @@
 and the divisibility bounds."""
 
 from fractions import Fraction
+import json
 from pathlib import Path
 import random
 from types import SimpleNamespace
@@ -11,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgekit import errors
-from hodgekit.cli import build_candidate, cmd_ksympl, load_problem_file
+from hodgekit.cli import build_candidate, cmd_ksympl, load_problem_file, main
 from hodgekit.errors import (BasePointIsotropic, OddDimension, TooLarge,
                              ValidationError)
 from hodgekit.exactmath import Matrix, det, nf_create, rank
+from hodgekit.exactmath.linalg import _flatten, _integer_rows
 from hodgekit.exactmath.mpoly import (mp_add, mp_eval, mp_from_vector,
                                       mp_items_grlex, mp_mul, mp_pow, mp_scale)
 from hodgekit.ksympl import (CliffordResult, KSymplecticCandidate,
@@ -433,6 +435,27 @@ def test_ksympl_multiplies_and_adds_no_matrices(monkeypatch):
     assert patched == run()
 
 
+def test_ksympl_reads_the_family_on_integers(capsys):
+    # the family's flat form, the Pfaffian's coefficients and every
+    # combination sum c_i Psi_i keep integer rows; 2907 Fractions were
+    # built here when the combinations summed Fractions entry by entry
+    calls = []
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        calls.append(cls)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        code = main(["ksympl", str(CORPUS / "quaternion3_doubled.json"),
+                     "--json"])
+    finally:
+        Fraction.__new__ = new
+    assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert 0 < len(calls) < 2000
+
+
 def test_clifford_frame_on_hyperbolic_quadric():
     # Pfaffian t0^2 + t1 t2: past the base point e_0 the complement is a
     # hyperbolic plane, spanned by two isotropic vectors
@@ -517,9 +540,11 @@ def test_clifford_frame_is_q_orthogonal(seed, kind, k):
 
 
 def _invertible(rng, k):
-    """A seeded integer k x k matrix of nonzero determinant."""
+    """A seeded k x k matrix of nonzero determinant, with entries p/q for
+    |p| <= 2 and 1 <= q <= 3."""
     while True:
-        a = fmat([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
+        a = fmat([[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(k)]
+                  for _ in range(k)])
         if det(a) != 0:
             return a
 
@@ -540,7 +565,8 @@ def test_verdict_invariant_under_family_basis_change(name, seed):
     # Psi'_i = sum_j A_ij Psi_j for an invertible A spans the same pencil:
     # its Pfaffian is c q(A^T t)^n, so the verdict, the failure reason and
     # the rank on the quadric stay the same, and an accepted family keeps
-    # nonzero Clifford squares and dim V divisible by the Clifford bound
+    # nonzero Clifford squares and dim V divisible by the Clifford bound;
+    # A has entries p/q, so the moved family's flat rows are not integral
     rng = random.Random(seed)
     psis = _family(name, rng)
     k = len(psis)
@@ -548,6 +574,7 @@ def test_verdict_invariant_under_family_basis_change(name, seed):
              for row in _invertible(rng, k).entries]
     base = verify_k_symplectic(KSymplecticCandidate(tuple(psis)))
     cand = KSymplecticCandidate(tuple(moved))
+    assert any(d > 1 for _, d in _integer_rows(cand.flat))
     rep = verify_k_symplectic(cand)
     assert (rep.ok, rep.failure_reason, rep.rank_on_quadric) == \
         (base.ok, base.failure_reason, base.rank_on_quadric)
@@ -621,8 +648,10 @@ def test_rank_on_the_quadric_over_q_matches_the_field_rank(mu, m0, m1, point):
     lifted = Matrix(tuple(
         tuple(sum((c * psi.entries[i][j] for c, psi in zip(coords, psis)),
                   field.zero()) for j in range(4)) for i in range(3)))
-    cand = SimpleNamespace(psis=psis)
+    cand = SimpleNamespace(psis=psis, flat=Matrix.from_int_rows(
+        tuple(map(_flatten, psis)), 12))
     assert (_rank_at(cand, coords, field.defining_poly)
             == reference.rank(lifted))
+    assert _combination(cand, coords) == lifted
     rational = tuple(F(a) for a, _ in point)
     assert _rank_at(cand, rational, None) == rank(_combination(cand, rational))

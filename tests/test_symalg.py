@@ -19,8 +19,8 @@ from hodgekit.qforms import QuadraticSpace, dual_bivector
 from hodgekit.symalg import (FULL, FULL_E, HARMONIC, HARMONIC_E, SymAlgebra,
                              SymElement, build_tha, contraction_matrix,
                              e_structure, harm_dim, harmonic_project,
-                             linear_element, monomials, power_top,
-                             sym_decompose_dims, sym_dim, trace_transfer_form)
+                             monomials, power_top, sym_decompose_dims,
+                             sym_dim, trace_transfer_form)
 from test_exactmath import field_trace, power
 
 F = Fraction
@@ -37,6 +37,10 @@ def sym_plus_multiply(alg, a, c):
     if alg.mode == HARMONIC:
         return harmonic_project(alg, prod)
     return prod
+
+
+def linear_element(nvars, vec):
+    return SymElement.from_dict(nvars, 1, mp_from_vector(vec))
 
 
 def qspace(rows):
