@@ -39,12 +39,6 @@ def mp_sub(p, q):
     return mp_add(p, mp_neg(q))
 
 
-def mp_scale(p, c):
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in p.items()}
-
-
 def mp_mul(p, q):
     out = {}
     for ka, ca in p.items():
@@ -72,26 +66,6 @@ def mp_pow(p, n):
         if n:
             base = mp_mul(base, base)
     return result
-
-
-def mp_diff(p, i):
-    """Partial derivative in the i-th variable."""
-    return {k[:i] + (k[i] - 1,) + k[i + 1:]: c * k[i]
-            for k, c in p.items() if k[i]}
-
-
-def mp_eval(p, point):
-    """Evaluate at a point given as a scalar sequence."""
-    acc = None
-    for k, c in p.items():
-        term = c
-        for e, x in zip(k, point):
-            for _ in range(e):
-                term = term * x
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return Fraction(0)
-    return acc
 
 
 def grlex_key(exponents):

@@ -476,15 +476,17 @@ def _field_of(m):
 def regular_representation(m):
     """The rational matrix of v -> m v on the power-basis coordinates of
     E^n, for an n x n matrix m over a number field E (rational entries
-    count as elements of E): its (i, j) block is mult_matrix(m[i][j])."""
+    count as elements of E): its (i, j) block is mult_matrix(m[i][j]),
+    written out as zeros for a zero entry."""
     field = _field_of(m)
-    one = field.one()
-    blocks = [[_integer_rows(mult_matrix(one._coerce(x))) for x in r]
-              for r in m.entries]
+    one, e = field.one(), field.degree
+    zero = (((0,) * e, 1),) * e
+    blocks = [[_integer_rows(mult_matrix(one._coerce(x))) if x else zero
+               for x in r] for r in m.entries]
     return Matrix.from_int_rows(
         tuple(_join([b[k] for b in row])
-              for row in blocks for k in range(field.degree)),
-        m.cols * field.degree)
+              for row in blocks for k in range(e)),
+        m.cols * e)
 
 
 def field_matrix_inverse(m):

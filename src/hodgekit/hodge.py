@@ -133,9 +133,11 @@ def transcendental_lattice(period):
     m = period.dim
     t = row_space(coordinate_matrix(period.omega))
     bg, gram_t = lowered(period.space.gram, t)
+    # T_R holds the positive plane of Re omega and Im omega, whose
+    # orthogonal complement is negative definite after validate_period
     tsig = signature(QuadraticSpace(gram_t))
     if tsig != (2, t.rows - 2):
-        raise WrongSignature(
+        raise InternalError(
             f"q restricted to the transcendental lattice has signature {tsig}")
     omega_t = coords_in(t, period.omega)
     if omega_t is None:

@@ -1,33 +1,39 @@
-"""k-symplectic structures: symbolic Pfaffians, degeneracy-quadric
+"""k-symplectic structures: exact Pfaffians, degeneracy-quadric
 extraction, Clifford operator construction, and the dimension
 divisibility bounds.
 
 A candidate is a linearly independent family of antisymmetric matrices
-Psi_1..Psi_k on a 4n-dimensional space.  Verification computes the
-Pfaffian p of the generic combination sum t_i Psi_i, demands the exact
-shape c * q(t)**n for a nondegenerate quadratic form q, irreducible
-over Q, and checks that the combination has rank 2n at a certified
-point of the quadric: over a quadratic extension Q(s) when the quadric
-has no obvious rational point, as half the rational rank of the regular
-representation.  The family is one flat integer row form, a member's
+Psi_1..Psi_k on a 4n-dimensional space.  Verification decides whether
+the Pfaffian p(w) = Pf(sum w_i Psi_i), a form of degree 2n, has the
+exact shape c * q(w)**n for a nondegenerate quadratic form q,
+irreducible over Q, and checks that the combination has rank 2n at a
+certified point of the quadric: over a quadratic extension Q(s) when
+the quadric has no obvious rational point, as half the rational rank of
+the regular representation.  p is never expanded: it is known by its
+values on the principal lattice {w in N^k : |w| = 2n}, which is
+unisolvent for forms of degree 2n (Nicolaides 1972; Chung and Yao
+1977), each one Pfaffian of an integer matrix by skew-symmetric
+elimination.  The family is one flat integer row form, a member's
 entries per row (linalg._flatten): its rref is the independence check,
-the Pfaffian's coefficients are read off its rows, and sum c_i Psi_i is
-one product with its transpose, on integers at a rational point.  The
-Clifford relations are checked column by column, by matrix-vector
-products on integer rows.
+and sum c_i Psi_i is one product with its transpose, on integers at a
+rational point.  The Clifford relations are checked column by column,
+by matrix-vector products on integer rows.
 
-The only candidate for q is read off at one point v with p(v) != 0:
-if p = c q**n, then n p H - (n - 1) g g^T = c**2 n**2 q(v)**(2n-1) Hess(q)
-for the gradient g and Hessian H of p at v.  The candidate counts only
-if c * q**n reproduces p exactly.  q is reducible iff its rank is at
-most 1, or it is 2 and -m is a rational square for a nonzero principal
-2x2 minor m of its matrix.
+The only candidate for q is read off at the first lattice point v with
+p(v) != 0.  With A_i = Psi(v)^-1 Psi_i from one elimination, Jacobi's
+formula gives the gradient g_i = p tr(A_i) / 2 and the Hessian
+H_ij = p (tr A_i tr A_j / 4 - tr(A_i A_j) / 2) of p at v, so
+n p H - (n - 1) g g^T = p**2 / 4 (tr A_i tr A_j - 2n tr(A_i A_j)); if
+p = c q**n it is c**2 n**2 q(v)**(2n-1) Hess(q).  The candidate counts
+only if c * q**n equals p at every lattice point.  q is reducible iff
+its rank is at most 1, or it is 2 and -m is a rational square for a
+nonzero principal 2x2 minor m of its matrix.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import isqrt
-import random
+from itertools import chain
+from math import isqrt, lcm
+from operator import mul
 
 from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
                      NotGenericallySymplectic, NotQuadricPower, OddDimension,
@@ -36,8 +42,6 @@ from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
 from .exactmath import Matrix, NumberField, det, kernel, rank
 from .exactmath.linalg import (_combine, _flatten, _integer_row, _integer_rows,
                                _unflatten, rref, solve_blocks)
-from .exactmath.mpoly import (mp_add, mp_diff, mp_eval, mp_items_grlex, mp_mul,
-                              mp_neg, mp_pow, mp_scale)
 from .exactmath.numberfield import regular_representation
 from .qforms import bilinear, congruence_diagonal, lowered
 
@@ -47,9 +51,10 @@ MAX_K = 5
 
 class KSymplecticCandidate:
     """Independent family of antisymmetric matrices, the image of a basis
-    of W under a linear map W -> Lambda^2(V), and its flat form."""
+    of W under a linear map W -> Lambda^2(V), its flat form and the
+    transpose of that form, which every combination reads."""
 
-    __slots__ = ("psis", "flat")
+    __slots__ = ("psis", "flat", "cols")
 
     def __init__(self, psis):
         if not psis:
@@ -69,7 +74,7 @@ class KSymplecticCandidate:
         flat = Matrix.from_int_rows(tuple(map(_flatten, psis)), v_dim * v_dim)
         if len(rref(flat)[1]) != len(psis):
             raise ValidationError("family matrices must be linearly independent")
-        self.psis, self.flat = psis, flat
+        self.psis, self.flat, self.cols = psis, flat, flat.transpose()
 
     @property
     def v_dim(self):
@@ -80,77 +85,43 @@ class KSymplecticCandidate:
         return len(self.psis)
 
 
-class PfaffianForm:
-    """Homogeneous Pfaffian polynomial of the generic combination."""
-
-    __slots__ = ("k", "poly")
-
-    def __init__(self, k, poly):
-        self.k = k
-        self.poly = poly  # grlex-sorted ((exponents, Fraction), ...)
-
-    def as_dict(self):
-        return dict(self.poly)
-
-
-def pfaffian(entries, seed=0):
-    """Exact Pfaffian of an antisymmetric matrix with polynomial entries
-    (dicts mapping exponent tuples to Fractions), by recursive expansion
-    along the first row; self-checked against det on random rational
-    specializations."""
-    n = len(entries)
+def pfaffian(m):
+    """Exact Pfaffian of a rational antisymmetric matrix, by skew-symmetric
+    elimination on its integer rows over one denominator.  Step s pivots
+    on rows 2s and 2s + 1, after swapping a nonzero entry of row 2s into
+    column 2s + 1 (a swap of two indices negates the Pfaffian); entry
+    (i, j) then becomes the Pfaffian of the principal submatrix on
+    0..2s+1, i, j, so the division by the previous pivot is exact."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("Pfaffian of a non-square matrix")
     if n % 2 != 0:
         raise OddDimension("Pfaffian needs even dimension")
-    if n > MAX_VDIM:
-        raise TooLarge(f"dimension {n} exceeds the cap {MAX_VDIM}")
-    nvars = 0
-    for i in range(n):
-        for j in range(n):
-            if entries[i][j] != mp_neg(entries[j][i]):
-                raise ValidationError("matrix is not antisymmetric")
-            if entries[i][j]:
-                nvars = len(next(iter(entries[i][j])))
-    memo = {}
-
-    def pf(idx):
-        if not idx:
-            return {(0,) * nvars: Fraction(1)}
-        key = idx
-        if key in memo:
-            return memo[key]
-        first = idx[0]
-        rest = idx[1:]
-        acc = {}
-        for pos, j in enumerate(rest):
-            a = entries[first][j]
-            if a:
-                sub = pf(tuple(x for x in rest if x != j))
-                term = mp_mul(a, sub)
-                if pos % 2 == 1:
-                    term = mp_neg(term)
-                acc = mp_add(acc, term)
-        memo[key] = acc
-        return acc
-
-    result = pf(tuple(range(n)))
-    _pfaffian_self_check(entries, result, seed)
-    return PfaffianForm(nvars, tuple(mp_items_grlex(result)))
-
-
-def _pfaffian_self_check(entries, pf_poly, seed):
-    nvars = next((len(next(iter(e))) for row in entries for e in row if e),
-                 None)
-    if nvars is None:
-        return
-    rng = random.Random(seed)
-    for _ in range(3):
-        point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(nvars))
-        spec = Matrix(tuple(tuple(mp_eval(e, point) for e in row)
-                            for row in entries))
-        pv = mp_eval(pf_poly, point)
-        if pv * pv != det(spec):
-            raise InternalError("Pfaffian self-check failed: Pf^2 != det")
+    form = _integer_rows(m)
+    if form is False:
+        raise TypeError("pfaffian requires a rational matrix")
+    den = lcm(*(d for _, d in form))
+    a = [[x * (den // d) for x in r] for r, d in form]
+    if any(a[i][j] != -a[j][i] for i in range(n) for j in range(i + 1)):
+        raise ValidationError("matrix is not antisymmetric")
+    sign, prev = 1, 1
+    for s in range(0, n, 2):
+        j = next((j for j in range(s + 1, n) if a[s][j]), None)
+        if j is None:
+            return Fraction(0)
+        if j != s + 1:
+            a[j], a[s + 1] = a[s + 1], a[j]
+            for r in a:
+                r[j], r[s + 1] = r[s + 1], r[j]
+            sign = -sign
+        u, v = a[s], a[s + 1]
+        p = u[s + 1]
+        for i in range(s + 2, n):
+            r = a[i]
+            for c in range(s + 2, n):
+                r[c] = (p * r[c] - u[i] * v[c] + u[c] * v[i]) // prev
+        prev = p
+    return Fraction(sign * prev, den ** (n // 2))
 
 
 class KSymplecticReport:
@@ -180,15 +151,24 @@ def verify_k_symplectic(cand, seed=0):
     """Decide whether the family defines a k-symplectic structure: the
     Pfaffian of the generic combination must be c * q**n with q a
     nondegenerate quadratic form, and the combination must have rank
-    (dim V)/2 at a certified point of {q = 0}."""
+    (dim V)/2 at a certified point of {q = 0}.  The decision is exact and
+    deterministic; seed is accepted for callers that pass one."""
     v_dim, k = cand.v_dim, cand.k
     n = v_dim // 4
-    generic = [[_generic_entry(cand, i, j) for j in range(v_dim)]
-               for i in range(v_dim)]
-    p = pfaffian(generic, seed=seed).as_dict()
-    if not p:
+    pairs = ((w, pfaffian(_combination(cand, w)))
+             for w in _principal_lattice(k, 2 * n))
+    head = []
+    for v, pv in pairs:
+        head.append((v, pv))
+        if pv:
+            break
+    else:
         return _fail(NotGenericallySymplectic)
-    root = _quadric_root(p, n, k)
+    psi_v = _combination(cand, v)
+    if pv * pv != det(psi_v):
+        raise InternalError("Pfaffian self-check failed: Pf^2 != det")
+    root = _quadric_root(_trace_form(psi_v, cand.psis, n), n, v, pv,
+                         chain(head, pairs))
     if root is None:
         return _fail(NotQuadricPower)
     qmat, scalar, q_rank = root
@@ -201,30 +181,58 @@ def verify_k_symplectic(cand, seed=0):
     return KSymplecticReport(True, qmat, scalar, r, point, field_poly, None)
 
 
-def _generic_entry(cand, i, j):
-    """Entry (i, j) of sum t_a Psi_a, with Fraction coefficients read off
-    the flat rows."""
-    col, k = i * cand.v_dim + j, cand.k
-    return {tuple(int(a == b) for b in range(k)): Fraction(r[col], d)
-            for a, (r, d) in enumerate(_integer_rows(cand.flat)) if r[col]}
+def _principal_lattice(k, d):
+    """The C(d + k - 1, k - 1) points of N^k with coordinate sum d, from
+    (d, 0, ..., 0) down in lex order: no nonzero form of degree d
+    vanishes on all of them."""
+    if k == 1:
+        return [(d,)]
+    return [(i,) + w for i in range(d, -1, -1)
+            for w in _principal_lattice(k - 1, d - i)]
 
 
-def _quadric_root(p, n, k):
+def _trace_form(psi_v, psis, n):
+    """tr A_i tr A_j - 2n tr(A_i A_j) for A_i = Psi(v)^-1 Psi_i, from one
+    elimination at a v with Pf Psi(v) != 0: a positive multiple of
+    n p H - (n - 1) g g^T at v (module docstring).  Each A_i is taken
+    over one common denominator, so the form is integral."""
+    ops = solve_blocks(psi_v, psis)
+    if ops is None:
+        raise InternalError("Psi(v) is singular although Pf Psi(v) != 0")
+    forms = [_integer_rows(a) for a in ops]
+    den = lcm(*(d for f in forms for _, d in f))
+    rows = [[x * (den // d) for r, d in f for x in r] for f in forms]
+    dim = psi_v.rows
+    cols = [[r[j * dim + i] for i in range(dim) for j in range(dim)]
+            for r in rows]
+    tr = [sum(r[::dim + 1]) for r in rows]
+    return Matrix.from_int_rows(
+        tuple(([ti * tj - 2 * n * sum(map(mul, r, c))
+                for tj, c in zip(tr, cols)], 1) for ti, r in zip(tr, rows)),
+        len(rows))
+
+
+def _quadric_root(gram, n, v, pv, pairs):
     """(qmat, c, r) with p = c * q**n for the matrix qmat of rank r of a
     quadric q irreducible over Q with grlex-leading coefficient 1, or
-    None."""
-    gram = _gram_candidate(p, n, k)
+    None.  gram is the candidate for q up to a nonzero scalar, pv = p(v)
+    is nonzero, and pairs yields (w, p(w)) over the principal lattice of
+    degree 2n: p = c * q**n iff p(w) q(v)**n = p(v) q(w)**n at every w,
+    which also fails when q(v) = 0, as q**n != 0 is nonzero somewhere on
+    the lattice.  pairs is read only until a point fails."""
     r = rank(gram)
     if r <= 1:
         return None
-    e = gram.entries
-    q = {tuple((a == i) + (a == j) for a in range(k)): e[i][j] * (1 + (i != j))
-         for i in range(k) for j in range(i, k) if e[i][j]}
-    lead = mp_items_grlex(q)[0][1]
-    qn = mp_pow(mp_scale(q, 1 / lead), n)
-    # the grlex-leading coefficient of qn is 1
-    c = p.get(mp_items_grlex(qn)[0][0])
-    if c is None or mp_scale(qn, c) != p:
+    k = gram.rows
+    # a multiple of gram on integers, and q_e(w) = w^T e w
+    flat = _flatten(gram)[0]
+    e = [flat[i:i + k] for i in range(0, k * k, k)]
+
+    def q_e(w):
+        return sum(x * sum(map(mul, row, w)) for x, row in zip(w, e))
+
+    qv = q_e(v) ** n
+    if any(pw * qv != pv * q_e(w) ** n for w, pw in pairs):
         return None
     if r == 2:
         # q splits over Q iff -m is a square for a nonzero 2x2 minor m
@@ -232,19 +240,11 @@ def _quadric_root(p, n, k):
                   for i in range(k) for j in range(i + 1, k))
         if _is_square(-next(m for m in minors if m)) is not None:
             return None
-    return gram * (1 / lead), c, r
-
-
-def _gram_candidate(p, n, k):
-    """n p H - (n - 1) g g^T at the first point v != 0 of {0..2n}^k with
-    p(v) != 0; p has degree at most 2n in each variable, so one exists."""
-    v = next(v for v in product(range(2 * n + 1), repeat=k) if mp_eval(p, v))
-    pv = mp_eval(p, v)
-    grad = [mp_diff(p, i) for i in range(k)]
-    g = [mp_eval(d, v) for d in grad]
-    return Matrix(tuple(tuple(n * pv * mp_eval(mp_diff(d, j), v)
-                              - (n - 1) * g[i] * g[j] for j in range(k))
-                        for i, d in enumerate(grad)))
+    # the coefficient of q_e's grlex-leading monomial: t_0^2, t_0 t_1, ...
+    lead = next(e[i][j] * (1 + (i != j))
+                for i in range(k) for j in range(i, k) if e[i][j])
+    qmat = Matrix(tuple(tuple(Fraction(x, lead) for x in row) for row in e))
+    return qmat, pv * lead ** n / qv, r
 
 
 def _is_square(f):
@@ -286,7 +286,7 @@ def _combination(cand, point):
     """sum c_i Psi_i at the point c, from the transposed flat form: one
     integer matrix-vector product at a rational c, Matrix.vec at a c over
     a number field, reshaped to the members' shape."""
-    width, cols = cand.psis[0].cols, cand.flat.transpose()
+    width, cols = cand.psis[0].cols, cand.cols
     if all(isinstance(x, (int, Fraction)) for x in point):
         return _unflatten((_combine(cols, _integer_row(point)),), width)[0]
     flat = cols.vec(point)

@@ -533,7 +533,7 @@ def test_internal_error_exit_code(capsys):
 def test_classify_tha_and_ksympl_do_not_import_sympy():
     # every good period file is validated and classified from fixed-point
     # root approximations and exact certificates, and every ksympl file
-    # decided by the closed-form quadric root, without loading sympy or
+    # decided by exact Pfaffian values, without loading sympy or
     # mpmath
     periods = sorted(p for p in CORPUS.glob("*_period.json"))
     assert len(periods) == 5

@@ -815,6 +815,30 @@ def test_elimination_takes_rational_matrices_only():
         numberfield.field_matrix_inverse(Matrix.identity(2))
 
 
+def test_regular_representation_writes_zero_blocks(monkeypatch):
+    # zero entries, field or rational, give zero blocks without a
+    # mult_matrix call; the result is the dense block construction
+    field = FIELDS["quartic"]
+    a, zero = field.element([1, F(-2, 3), 0, 5]), field.zero()
+    m = Matrix(((a, zero, F(0)), (F(3, 2), field.gen(), zero)))
+    e = field.degree
+    dense = [[numberfield.mult_matrix(field.one() * x).entries for x in r]
+             for r in m.entries]
+    expected = Matrix(tuple(
+        tuple(c for block in row for c in block[k])
+        for row in dense for k in range(e)))
+    calls = []
+    original = numberfield.mult_matrix
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(numberfield, "mult_matrix", counting)
+    assert numberfield.regular_representation(m) == expected
+    assert calls == [a, field.from_rational(F(3, 2)), field.gen()]
+
+
 @st.composite
 def field_matrices(draw):
     """Square matrices up to 3 x 3 over Q(i) or the quartic x^4 - x^2 - 1,

@@ -35,6 +35,8 @@ BAD = {
     # over Q[x]/(x^16 - 2 (a x - 1)^2), a = 10^12 + 1, whose two roots
     # near 1/a are about a^-9 apart; a real embedding fails positivity
     "mignotte_positivity_fails.json": "classify",
+    # Pf = (w1^2 - w2^2 - w3^2)^2, but rank 6, not 4, on the quadric
+    "wrong_rank_on_quadric.json": "ksympl",
 }
 
 
@@ -114,6 +116,11 @@ def test_golden_covers_every_corpus_file():
     named = {arg for argv in _cases() for arg in argv}
     files = {str(p.relative_to(ROOT)) for p in (ROOT / "corpus").rglob("*.json")}
     assert files - named == set()
+
+
+def test_every_bad_file_has_a_bad_case():
+    files = {p.name for p in (ROOT / "corpus" / "bad").glob("*.json")}
+    assert files == set(BAD)
 
 
 if __name__ == "__main__":

@@ -141,6 +141,15 @@ def test_transcendental_lattice_padded_block():
     assert h.alg.entries == ((F(0), F(0), F(0), F(1)),)
 
 
+def test_transcendental_signature_is_a_self_check(monkeypatch):
+    # after validate_period q on T has signature (2, t - 2); a wrong one
+    # is an internal fault (exit 3), not a rejection of the input
+    period = sqrt2i_period()
+    monkeypatch.setattr(hodge, "signature", lambda space: (1, space.dim - 1))
+    with pytest.raises(InternalError, match="has signature \\(1, 2\\)"):
+        transcendental_lattice(period)
+
+
 def test_lattice_independent_of_power_basis():
     # re-present the quartic period over theta' = 2*theta: same complex
     # structure, so the same rational lattice must come out

@@ -11,21 +11,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hodgekit import errors
+from hodgekit import errors, ksympl
 from hodgekit.cli import build_candidate, cmd_ksympl, load_problem_file, main
 from hodgekit.errors import (BasePointIsotropic, OddDimension, TooLarge,
                              ValidationError)
 from hodgekit.exactmath import Matrix, det, nf_create, rank
 from hodgekit.exactmath.linalg import _flatten, _integer_rows
-from hodgekit.exactmath.mpoly import (mp_add, mp_eval, mp_from_vector,
-                                      mp_items_grlex, mp_mul, mp_pow, mp_scale)
+from hodgekit.exactmath.mpoly import (mp_add, mp_from_vector, mp_items_grlex,
+                                      mp_mul, mp_pow)
 from hodgekit.ksympl import (CliffordResult, KSymplecticCandidate,
-                             _combination, _quadric_root, _rank_at,
-                             check_torus, clifford_operators,
+                             _combination, _principal_lattice, _quadric_root,
+                             _rank_at, check_torus, clifford_operators,
                              divisibility_bound, pfaffian, subvariety_bound,
                              torus_bound, verify_k_symplectic)
 from hodgekit.qforms import bilinear, congruence_diagonal
 import reference_elimination as reference
+import reference_pfaffian as symbolic
+from reference_pfaffian import mp_eval, mp_scale
 
 F = Fraction
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -54,65 +56,62 @@ def doubled_candidate():
                                       for m in (I_L, J_L, K_L)))
 
 
-def const_entries(m, nvars=1):
-    return [[{(0,) * nvars: c} if c != 0 else {} for c in row]
-            for row in m.entries]
-
-
 def test_pfaffian_2x2():
-    p = {(1,): F(1)}
-    entries = [[{}, p], [{(1,): F(-1)}, {}]]
-    form = pfaffian(entries)
-    assert form.as_dict() == {(1,): F(1)}
+    assert pfaffian(fmat([[0, 3], [-3, 0]])) == 3
+    assert pfaffian(fmat([[0, F(-2, 7)], [F(2, 7), 0]])) == F(-2, 7)
+    assert pfaffian(Matrix(())) == 1
 
 
 def test_pfaffian_standard_symplectic_is_one():
     jstd = fmat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    form = pfaffian(const_entries(jstd))
-    assert form.as_dict() == {(0,): F(1)}
+    assert pfaffian(jstd) == 1
 
 
 def test_pfaffian_quaternion_family():
+    # Pf(sum w_i Psi_i) = w_0^2 + w_1^2 + w_2^2, at every point of the
+    # principal lattice and at a rational point
     cand = quaternion_candidate()
-    entries = [[_generic(cand, i, j) for j in range(4)] for i in range(4)]
-    form = pfaffian(entries)
-    assert form.as_dict() == {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}
+    for w in _principal_lattice(3, 2) + [(F(1, 2), F(-3), F(2, 5))]:
+        assert pfaffian(_combination(cand, w)) == sum(x * x for x in w)
 
 
-def _generic(cand, i, j):
-    out = {}
-    for a, psi in enumerate(cand.psis):
-        c = psi.entries[i][j]
-        if c != 0:
-            exp = [0] * cand.k
-            exp[a] = 1
-            out[tuple(exp)] = c
-    return out
-
-
-def test_pfaffian_rejects_odd_and_large():
+def test_pfaffian_rejects_odd_and_nonantisymmetric():
     with pytest.raises(OddDimension):
-        pfaffian([[{}]])
-    big = [[{} for _ in range(10)] for _ in range(10)]
-    with pytest.raises(TooLarge):
-        pfaffian(big)
+        pfaffian(Matrix.zeros(3, 3))
+    with pytest.raises(ValidationError, match="not antisymmetric"):
+        pfaffian(fmat([[0, 1], [1, 0]]))
+    with pytest.raises(ValidationError, match="not antisymmetric"):
+        pfaffian(fmat([[1, 0], [0, 0]]))
+
+
+def _random_antisymmetric(rng, n, zeros=0.0):
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() >= zeros:
+                rows[i][j] = F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+                rows[j][i] = -rows[i][j]
+    return Matrix(rows)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_pfaffian_squared_is_det(seed):
     rng = random.Random(seed)
-    n = rng.choice([2, 4, 6])
-    rows = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = F(rng.randint(-5, 5))
-            rows[i][j] = v
-            rows[j][i] = -v
-    m = Matrix(rows)
-    form = pfaffian(const_entries(m))
-    val = mp_eval(form.as_dict(), (F(1),))
-    assert val * val == det(m)
+    m = _random_antisymmetric(rng, rng.choice([2, 4, 6, 8]),
+                              zeros=rng.choice((0.0, 0.5)))
+    assert pfaffian(m) ** 2 == det(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 4, 6, 8, 10]),
+       st.sampled_from([0.0, 0.4, 0.7]))
+def test_pfaffian_matches_the_expansion(seed, n, zeros):
+    # the elimination, with its row swaps on zero pivots, against the
+    # expansion along the first row; sparse matrices force the swaps
+    m = _random_antisymmetric(random.Random(seed), n, zeros)
+    entries = [[{(): x} if x else {} for x in row] for row in m.entries]
+    assert pfaffian(m) == symbolic.pfaffian(entries).get((), 0)
 
 
 def test_candidate_construction_rejections():
@@ -284,11 +283,19 @@ LINEAR = mp_from_vector((F(1), F(2), F(-1)))
     (mp_scale(mp_pow(SUM3, 2), -3), 2, 3, True),
     (mp_scale(MIXED3, F(-2, 7)), 1, 3, True),
     (mp_scale(mp_pow(MIXED3, 2), -1), 2, 3, True),
+    # the t1^2 t2^2 term leaves the Hessian candidate at (4, 0, 0) and
+    # the first four lattice points alone
+    (mp_add(mp_pow(SUM3, 2), _form(3, {(0, 2, 2): 1})), 2, 3, False),
 ])
 def test_quadric_root_matches_factorization_on_crafted_powers(p, n, k,
                                                               accepted):
-    root = _quadric_root(p, n, k)
-    assert root == factor_list_root(p, n, k)
+    # _quadric_root on p's values at the principal lattice, with the
+    # Hessian candidate computed from p's coefficients at the first
+    # lattice point where p is nonzero
+    pairs = [(w, mp_eval(p, w)) for w in _principal_lattice(k, 2 * n)]
+    v, pv = next((w, pw) for w, pw in pairs if pw)
+    root = _quadric_root(symbolic.gram_candidate(p, n, v), n, v, pv, pairs)
+    assert root == factor_list_root(p, n, k) == symbolic.quadric_root(p, n, k)
     assert (root is not None) == accepted
 
 
@@ -320,23 +327,101 @@ def _random_two_form(rng, v_dim):
     return Matrix(rows)
 
 
+def _seeded_family(seed, v_dim, k, structured):
+    rng = random.Random(seed)
+    if structured:
+        return _structured_family(rng, v_dim, k)
+    return [_random_two_form(rng, v_dim) for _ in range(k)]
+
+
+def _candidate_or_none(psis):
+    try:
+        return KSymplecticCandidate(tuple(psis))
+    except ValidationError:
+        return None  # a dependent family
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([4, 8]), st.integers(1, 5),
        st.booleans())
 def test_quadric_root_matches_factorization_on_families(seed, v_dim, k,
                                                         structured):
-    rng = random.Random(seed)
-    if structured:
-        psis = _structured_family(rng, v_dim, k)
+    # what verify_k_symplectic's _quadric_root returns, against sympy's
+    # factorization of the symbolic Pfaffian
+    cand = _candidate_or_none(_seeded_family(seed, v_dim, k, structured))
+    if cand is None:
+        return
+    roots = []
+
+    def spy(*args):
+        roots.append(_quadric_root(*args))
+        return roots[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ksympl, "_quadric_root", spy)
+        rep = verify_k_symplectic(cand)
+    p = symbolic.pfaffian(symbolic.generic(cand.psis))
+    if not p:
+        assert not roots and rep.failure_reason == "NotGenericallySymplectic"
     else:
-        psis = [_random_two_form(rng, v_dim) for _ in range(k)]
-    generic = [[{tuple(int(a == b) for b in range(k)): m.entries[i][j]
-                 for a, m in enumerate(psis) if m.entries[i][j]}
-                for j in range(v_dim)] for i in range(v_dim)]
-    p = pfaffian(generic).as_dict()
-    if p:
-        n = v_dim // 4
-        assert _quadric_root(p, n, k) == factor_list_root(p, n, k)
+        assert roots == [factor_list_root(p, v_dim // 4, k)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([4, 8]), st.integers(1, 5),
+       st.booleans())
+def test_verify_matches_the_symbolic_oracle(seed, v_dim, k, structured):
+    # verdict, quadric, scalar, rank and witness against verification on
+    # the expanded Pfaffian; the numeric Pfaffian against the expansion
+    # at every lattice point
+    cand = _candidate_or_none(_seeded_family(seed, v_dim, k, structured))
+    if cand is None:
+        return
+    assert _slots(verify_k_symplectic(cand)) == _slots(symbolic.verify(cand))
+    p = symbolic.pfaffian(symbolic.generic(cand.psis))
+    for w in _principal_lattice(k, v_dim // 2):
+        assert pfaffian(_combination(cand, w)) == mp_eval(p, w)
+
+
+@pytest.mark.parametrize("name", ["quaternion3", "quaternion3_doubled",
+                                  "bad/k1_symplectic",
+                                  "bad/wrong_rank_on_quadric", "octonion1",
+                                  "octonion2", "octonion3", "octonion4",
+                                  "octonion5"])
+def test_verify_matches_the_symbolic_oracle_on_known_families(name):
+    if name.startswith("octonion"):
+        k = int(name[-1])
+        psis = _octonion_family(random.Random(k), k)
+    else:
+        psis = build_candidate(load_problem_file(CORPUS / f"{name}.json")[1]).psis
+    cand = KSymplecticCandidate(tuple(psis))
+    rep = verify_k_symplectic(cand)
+    assert _slots(rep) == _slots(symbolic.verify(cand))
+    assert rep.ok == (name not in ("bad/k1_symplectic", "octonion1",
+                                   "bad/wrong_rank_on_quadric"))
+
+
+def test_pfaffian_self_checks(monkeypatch):
+    # Pf^2 = det at the first point with p != 0, and Psi(v) invertible
+    # there; neither can fail on a correct Pfaffian
+    cand = quaternion_candidate()
+    with monkeypatch.context() as patch:
+        patch.setattr(ksympl, "det", lambda m: det(m) + 1)
+        with pytest.raises(errors.InternalError, match="Pf\\^2 != det"):
+            verify_k_symplectic(cand)
+    with monkeypatch.context() as patch:
+        patch.setattr(ksympl, "solve_blocks", lambda a, blocks: None)
+        with pytest.raises(errors.InternalError, match="singular"):
+            verify_k_symplectic(cand)
+    assert verify_k_symplectic(cand).ok
+
+
+def test_principal_lattice():
+    assert _principal_lattice(1, 4) == [(4,)]
+    assert _principal_lattice(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1),
+                                        (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    # C(2n + k - 1, k - 1) points: 70 at dim V = 8, k = 5
+    assert len(_principal_lattice(5, 4)) == 70
 
 
 def test_clifford_quaternion():
@@ -436,9 +521,10 @@ def test_ksympl_multiplies_and_adds_no_matrices(monkeypatch):
 
 
 def test_ksympl_reads_the_family_on_integers(capsys):
-    # the family's flat form, the Pfaffian's coefficients and every
-    # combination sum c_i Psi_i keep integer rows; 2907 Fractions were
-    # built here when the combinations summed Fractions entry by entry
+    # the family's flat form, every combination sum c_i Psi_i and every
+    # Pfaffian value keep integer rows; 2907 Fractions were built here
+    # when the combinations summed Fractions entry by entry, and 1331
+    # when the Pfaffian was expanded with Fraction coefficients
     calls = []
     new = Fraction.__dict__["__new__"]
 
@@ -453,7 +539,7 @@ def test_ksympl_reads_the_family_on_integers(capsys):
     finally:
         Fraction.__new__ = new
     assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "ok"
-    assert 0 < len(calls) < 2000
+    assert 0 < len(calls) < 1000
 
 
 def test_clifford_frame_on_hyperbolic_quadric():
@@ -648,8 +734,8 @@ def test_rank_on_the_quadric_over_q_matches_the_field_rank(mu, m0, m1, point):
     lifted = Matrix(tuple(
         tuple(sum((c * psi.entries[i][j] for c, psi in zip(coords, psis)),
                   field.zero()) for j in range(4)) for i in range(3)))
-    cand = SimpleNamespace(psis=psis, flat=Matrix.from_int_rows(
-        tuple(map(_flatten, psis)), 12))
+    flat = Matrix.from_int_rows(tuple(map(_flatten, psis)), 12)
+    cand = SimpleNamespace(psis=psis, flat=flat, cols=flat.transpose())
     assert (_rank_at(cand, coords, field.defining_poly)
             == reference.rank(lifted))
     assert _combination(cand, coords) == lifted

@@ -12,8 +12,7 @@ from hodgekit.errors import (DegreeTooHigh, HarmonicDimTooSmall,
                              ValidationError)
 from hodgekit.exactmath import (Matrix, inverse, kernel, nf_create,
                                 nf_embeddings, rank)
-from hodgekit.exactmath.mpoly import (mp_add, mp_diff, mp_from_vector, mp_mul,
-                                     mp_pow, mp_scale)
+from hodgekit.exactmath.mpoly import mp_add, mp_from_vector, mp_mul, mp_pow
 from hodgekit.hodge import endomorphism_field, transcendental_lattice, validate_period
 from hodgekit.qforms import QuadraticSpace, dual_bivector
 from hodgekit.symalg import (FULL, FULL_E, HARMONIC, HARMONIC_E, SymAlgebra,
@@ -21,6 +20,7 @@ from hodgekit.symalg import (FULL, FULL_E, HARMONIC, HARMONIC_E, SymAlgebra,
                              e_structure, harm_dim, harmonic_project,
                              monomials, power_top, sym_decompose_dims,
                              sym_dim, trace_transfer_form)
+from reference_pfaffian import mp_diff, mp_scale
 from test_exactmath import field_trace, power
 
 F = Fraction
