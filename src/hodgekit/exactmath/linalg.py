@@ -27,7 +27,9 @@ rank, solve_linear, solve_blocks and det raise TypeError on a matrix
 with number-field entries.  Such a matrix is multiplied, added and
 applied to vectors entry by entry, and inverse reduces it to one
 rational inverse of its regular representation
-(numberfield.field_matrix_inverse).
+(numberfield.field_matrix_inverse).  Such matrices serve only the
+algebra over an endomorphism field (symalg.build_tha) and the 1 x 1
+case, the inverse of a field element.
 """
 
 from fractions import Fraction

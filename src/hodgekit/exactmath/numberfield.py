@@ -330,13 +330,11 @@ class FieldElement:
         return o * self.inverse()
 
     def inverse(self):
-        """The solution of self * x = 1: the coordinates of x solve
-        mult_matrix(self) x = e_0, one rational elimination."""
+        """The solution of self * x = 1: field_matrix_inverse of the
+        1 x 1 matrix (self)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        e_0 = coordinate_matrix((self.parent.one(),))
-        x = solve_blocks(mult_matrix(self), (e_0,))[0]
-        return row_elements(self.parent, x.transpose())[0]
+        return field_matrix_inverse(Matrix(((self,),))).entries[0][0]
 
     def is_zero(self):
         return not any(self.num)

@@ -7,17 +7,18 @@ Psi_1..Psi_k on a 4n-dimensional space.  Verification decides whether
 the Pfaffian p(w) = Pf(sum w_i Psi_i), a form of degree 2n, has the
 exact shape c * q(w)**n for a nondegenerate quadratic form q,
 irreducible over Q, and checks that the combination has rank 2n at a
-certified point of the quadric: over a quadratic extension Q(s) when
-the quadric has no obvious rational point, as half the rational rank of
-the regular representation.  p is never expanded: it is known by its
-values on the principal lattice {w in N^k : |w| = 2n}, which is
-unisolvent for forms of degree 2n (Nicolaides 1972; Chung and Yao
-1977), each one Pfaffian of an integer matrix by skew-symmetric
-elimination.  The family is one flat integer row form, a member's
-entries per row (linalg._flatten): its rref is the independence check,
-and sum c_i Psi_i is one product with its transpose, on integers at a
-rational point.  The Clifford relations are checked column by column,
-by matrix-vector products on integer rows.
+certified point of the quadric.  When the quadric has no obvious
+rational point, that point is u + s w with u, w rational and s**2 = mu
+rational, and the rank of A + s B (A = Psi(u), B = Psi(w)) over Q(s) is
+half the rational rank of [[A, mu B], [B, A]], so no number field is
+built.  p is never expanded: it is known by its values on the principal
+lattice {w in N^k : |w| = 2n}, which is unisolvent for forms of degree
+2n (Nicolaides 1972; Chung and Yao 1977), each one Pfaffian of an
+integer matrix by skew-symmetric elimination.  The family is one flat
+integer row form, a member's entries per row (linalg._flatten): its rref
+is the independence check, and sum c_i Psi_i, at rational points only,
+is one integer product with its transpose.  The Clifford relations are
+checked column by column, by matrix-vector products on integer rows.
 
 The only candidate for q is read off at the first lattice point v with
 p(v) != 0.  With A_i = Psi(v)^-1 Psi_i from one elimination, Jacobi's
@@ -39,10 +40,9 @@ from .errors import (BasePointIsotropic, DegenerateQuadric, InternalError,
                      NotGenericallySymplectic, NotQuadricPower, OddDimension,
                      RelationsFail, TooLarge, ValidationError,
                      WrongRankOnQuadric)
-from .exactmath import Matrix, NumberField, det, kernel, rank
+from .exactmath import Matrix, det, kernel, rank
 from .exactmath.linalg import (_combine, _flatten, _integer_row, _integer_rows,
-                               _unflatten, rref, solve_blocks)
-from .exactmath.numberfield import regular_representation
+                               _join, _unflatten, rref, solve_blocks)
 from .qforms import bilinear, congruence_diagonal, lowered
 
 MAX_VDIM = 8
@@ -127,7 +127,8 @@ def pfaffian(m):
 class KSymplecticReport:
     """Outcome of verification: the degeneracy quadric and scalar on
     success, a failure reason otherwise; the fields a run did not reach
-    are None."""
+    are None.  witness_point is the pair (u, w) for the point u + s w, s a
+    root of witness_field_poly; both w and it are None at a rational u."""
 
     __slots__ = ("ok", "quadric", "scalar", "rank_on_quadric", "witness_point",
                  "witness_field_poly", "failure_reason")
@@ -174,11 +175,11 @@ def verify_k_symplectic(cand, seed=0):
     qmat, scalar, q_rank = root
     if q_rank < k:
         return _fail(DegenerateQuadric)
-    point, field_poly = _quadric_point(qmat)
-    r = _rank_at(cand, point, field_poly)
+    u, w, field_poly = _quadric_point(qmat)
+    r = _rank_at(cand, u, w, field_poly)
     if r != v_dim // 2:
         return _fail(WrongRankOnQuadric)
-    return KSymplecticReport(True, qmat, scalar, r, point, field_poly, None)
+    return KSymplecticReport(True, qmat, scalar, r, (u, w), field_poly, None)
 
 
 def _principal_lattice(k, d):
@@ -258,10 +259,10 @@ def _is_square(f):
 
 
 def _quadric_point(qmat):
-    """A certified nonzero point on {q = 0}: rational when some
-    diagonalized pair of entries has a rational square ratio, otherwise
-    over the quadratic extension adjoining that square root.  Returns
-    (point coordinates, extension polynomial or None)."""
+    """A certified nonzero point u + s w on {q = 0} as (u, w, field_poly):
+    u alone (w and field_poly None) when some diagonalized pair of entries
+    has a rational square ratio, otherwise rows 0 and 1 of the congruence
+    basis, with s a root of field_poly = x**2 - mu, mu = -d_0 / d_1."""
     diag, u = congruence_diagonal(qmat)
     k = qmat.rows
     for i in range(k):
@@ -270,36 +271,35 @@ def _quadric_point(qmat):
             if r is not None:
                 point = tuple(a + r * b
                               for a, b in zip(u.entries[i], u.entries[j]))
-                return point, None
+                return point, None, None
     if k < 2:
         raise InternalError("one-variable nondegenerate quadric has no point")
     # x^2 - mu is irreducible: mu is no rational square (the loop above)
     mu = -diag[0] / diag[1]
-    field = NumberField((-mu, Fraction(0), Fraction(1)))
-    r = field.gen()
-    point = tuple(field.from_rational(a) + r * field.from_rational(b)
-                  for a, b in zip(u.entries[0], u.entries[1]))
-    return point, field.defining_poly
+    return u.entries[0], u.entries[1], (-mu, Fraction(0), Fraction(1))
 
 
 def _combination(cand, point):
-    """sum c_i Psi_i at the point c, from the transposed flat form: one
-    integer matrix-vector product at a rational c, Matrix.vec at a c over
-    a number field, reshaped to the members' shape."""
-    width, cols = cand.psis[0].cols, cand.cols
-    if all(isinstance(x, (int, Fraction)) for x in point):
-        return _unflatten((_combine(cols, _integer_row(point)),), width)[0]
-    flat = cols.vec(point)
-    return Matrix(flat[i:i + width] for i in range(0, len(flat), width))
+    """sum c_i Psi_i at the rational point c: one integer matrix-vector
+    product with the transposed flat form, reshaped to the members'
+    shape."""
+    return _unflatten((_combine(cand.cols, _integer_row(point)),),
+                      cand.psis[0].cols)[0]
 
 
-def _rank_at(cand, point, field_poly):
-    """The rank of sum c_i Psi_i at the point c, rational or over
-    Q(s) = Q[x]/(field_poly): over Q(s), half the rational rank of its
-    regular representation."""
-    if field_poly is None:
-        return rank(_combination(cand, point))
-    return rank(regular_representation(_combination(cand, point))) // 2
+def _rank_at(cand, u, w, field_poly):
+    """The rank of Psi(u + s w), s a root of field_poly = x**2 - mu, or of
+    Psi(u) when w is None.  With A = Psi(u) and B = Psi(w), A + s B maps
+    x + s y to (A x + mu B y) + s (B x + A y), so its rank over Q(s) is
+    half the rational rank of [[A, mu B], [B, A]]."""
+    if w is None:
+        return rank(_combination(cand, u))
+    mu = -field_poly[0]
+    a, b, mu_b = (_integer_rows(_combination(cand, x))
+                  for x in (u, w, tuple(mu * x for x in w)))
+    return rank(Matrix.from_int_rows(
+        tuple(map(_join, chain(zip(a, mu_b), zip(b, a)))),
+        2 * cand.psis[0].cols)) // 2
 
 
 class CliffordResult:

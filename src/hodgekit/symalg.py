@@ -250,18 +250,22 @@ def power_top(alg, x):
 
 class EStructure:
     """Presentation of the transcendental lattice as a vector space over
-    its endomorphism field."""
+    its endomorphism field E = Q(p): for each of the n_E generating
+    vectors x (T-coordinates over Q), its orbit x, p x, ..., p**(e-1) x,
+    a Q-basis of E x."""
 
-    __slots__ = ("field", "primitive_matrix", "basis")
+    __slots__ = ("orbits",)
 
-    def __init__(self, field, primitive_matrix, basis):
-        self.field = field  # NumberField generated by the primitive element
-        self.primitive_matrix = primitive_matrix  # the generator's action on T
-        self.basis = basis  # n_E generating vectors, T-coordinates over Q
+    def __init__(self, orbits):
+        self.orbits = orbits
+
+    @property
+    def basis(self):
+        return tuple(orbit[0] for orbit in self.orbits)
 
     @property
     def rank(self):
-        return len(self.basis)
+        return len(self.orbits)
 
 
 def e_structure(h, ef):
@@ -270,27 +274,23 @@ def e_structure(h, ef):
     from .exactmath.linalg import coords_in, row_space
 
     t = h.trans.rows
-    e = ef.e
-    mat = ef.primitive_matrix
-    field = ef.field
-    chosen = []
-    span_rows = []
+    orbits, span_rows = [], []
     span = None
     for k in range(t):
         cand = tuple(Fraction(1) if j == k else Fraction(0) for j in range(t))
         if span is not None and coords_in(span, cand) is not None:
             continue
-        chosen.append(cand)
-        orbit = cand
-        for _ in range(e):
-            span_rows.append(orbit)
-            orbit = mat.vec(orbit)
+        orbit = [cand]
+        for _ in range(ef.e - 1):
+            orbit.append(ef.primitive_matrix.vec(orbit[-1]))
+        orbits.append(tuple(orbit))
+        span_rows += orbit
         span = row_space(Matrix(span_rows))
         if span.rows == t:
             break
     if span is None or span.rows != t:
         raise InternalError("primitive orbits failed to span the lattice")
-    return EStructure(field, mat, tuple(chosen))
+    return EStructure(tuple(orbits))
 
 
 def trace_transfer_form(h, ef, es):
@@ -299,7 +299,7 @@ def trace_transfer_form(h, ef, es):
     Exists (symmetric) exactly in the totally real case."""
     from .exactmath.linalg import solve_blocks
 
-    field = es.field
+    field = ef.field
     e = field.degree
     # trace Gram matrix Tr(alpha^(k+l)): the power sums of the roots of
     # the defining polynomial of E
@@ -307,13 +307,8 @@ def trace_transfer_form(h, ef, es):
     tr = [[sums[k + l] for l in range(e)] for k in range(e)]
     n = es.rank
     # column (i, j) of the right-hand side is q(alpha^k x_i, x_j), k < e
-    orbits = []
-    for x in es.basis:
-        orbits.append([x])
-        for _ in range(e - 1):
-            orbits[-1].append(es.primitive_matrix.vec(orbits[-1][-1]))
     rhs = Matrix(tuple(tuple(bilinear(h.gram, orbit[k], xj)
-                             for orbit in orbits for xj in es.basis)
+                             for orbit in es.orbits for xj in es.basis)
                        for k in range(e)))
     sol = solve_blocks(Matrix(tr), (rhs,))
     if sol is None:
@@ -357,7 +352,7 @@ def build_tha(h, ef, n):
         raise ValidationError("n must be at least 1")
     es = e_structure(h, ef)
     n_e = es.rank
-    field = es.field
+    field = ef.field
     if ef.classification == "CM":
         space = QuadraticSpace(Matrix.identity(n_e, field.one()))
         alg = SymAlgebra(space, FULL, n)

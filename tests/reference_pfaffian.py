@@ -128,8 +128,8 @@ def verify(cand):
     qmat, scalar, q_rank = root
     if q_rank < cand.k:
         return _fail(DegenerateQuadric)
-    point, field_poly = _quadric_point(qmat)
-    r = _rank_at(cand, point, field_poly)
+    u, w, field_poly = _quadric_point(qmat)
+    r = _rank_at(cand, u, w, field_poly)
     if r != cand.v_dim // 2:
         return _fail(WrongRankOnQuadric)
-    return KSymplecticReport(True, qmat, scalar, r, point, field_poly, None)
+    return KSymplecticReport(True, qmat, scalar, r, (u, w), field_poly, None)

@@ -20,10 +20,11 @@ from hodgekit.exactmath.linalg import _flatten, _integer_rows
 from hodgekit.exactmath.mpoly import (mp_add, mp_from_vector, mp_items_grlex,
                                       mp_mul, mp_pow)
 from hodgekit.ksympl import (CliffordResult, KSymplecticCandidate,
-                             _combination, _principal_lattice, _quadric_root,
-                             _rank_at, check_torus, clifford_operators,
-                             divisibility_bound, pfaffian, subvariety_bound,
-                             torus_bound, verify_k_symplectic)
+                             _combination, _principal_lattice, _quadric_point,
+                             _quadric_root, _rank_at, check_torus,
+                             clifford_operators, divisibility_bound, pfaffian,
+                             subvariety_bound, torus_bound,
+                             verify_k_symplectic)
 from hodgekit.qforms import bilinear, congruence_diagonal
 import reference_elimination as reference
 import reference_pfaffian as symbolic
@@ -82,6 +83,14 @@ def test_pfaffian_rejects_odd_and_nonantisymmetric():
         pfaffian(fmat([[0, 1], [1, 0]]))
     with pytest.raises(ValidationError, match="not antisymmetric"):
         pfaffian(fmat([[1, 0], [0, 0]]))
+
+
+def test_pfaffian_rejects_nonsquare_and_field_entries():
+    with pytest.raises(ValueError, match="non-square"):
+        pfaffian(Matrix.zeros(2, 4))
+    s = nf_create([-2, 0, 1]).gen()
+    with pytest.raises(TypeError, match="rational matrix"):
+        pfaffian(Matrix(((s - s, s), (-s, s - s))))
 
 
 def _random_antisymmetric(rng, n, zeros=0.0):
@@ -214,8 +223,8 @@ def test_verify_split_and_nonsplit_binary_quadrics():
     assert rep.scalar == 1
     assert rep.rank_on_quadric == 2
     assert rep.witness_field_poly == (F(-1, 2), F(0), F(1))
-    r = rep.witness_point[1]
-    assert rep.witness_point[0] == r.parent.one() and r == r.parent.gen()
+    # the point 1 + s e_1 with s**2 = 1/2
+    assert rep.witness_point == ((1, 0), (0, 1))
 
 
 def factor_list_root(p, n, k):
@@ -450,6 +459,30 @@ def test_clifford_base_point_isotropic():
     rep = verify_k_symplectic(cand)
     with pytest.raises(BasePointIsotropic):
         clifford_operators(cand, rep, (0, 0, 0))
+
+
+def test_clifford_refuses_a_failed_report_and_a_singular_base(monkeypatch):
+    # a rejected family has no Clifford module; and Psi(w0) is invertible
+    # at an anisotropic w0 (Pf Psi(w0) = c q(w0)**n != 0), so only a
+    # broken solve_blocks can report it singular
+    split = KSymplecticCandidate((two_form({(0, 1): 1}),
+                                  two_form({(2, 3): 1})))
+    with pytest.raises(ValidationError, match="does not certify"):
+        clifford_operators(split, verify_k_symplectic(split), (1, 0))
+    cand = quaternion_candidate()
+    rep = verify_k_symplectic(cand)
+    with monkeypatch.context() as patch:
+        patch.setattr(ksympl, "solve_blocks", lambda a, blocks: None)
+        with pytest.raises(errors.InternalError, match="singular despite"):
+            clifford_operators(cand, rep, (1, 0, 0))
+    assert clifford_operators(cand, rep, (1, 0, 0)).squares == (F(-1),) * 2
+
+
+def test_quadric_point_needs_two_variables():
+    # _quadric_root rejects every quadric of rank at most 1, so a
+    # verified quadric has k >= 2 variables and never reaches this error
+    with pytest.raises(errors.InternalError, match="one-variable"):
+        _quadric_point(fmat([[1]]))
 
 
 def test_clifford_relations_fail_on_imposter():
@@ -694,6 +727,8 @@ def test_torus_bound():
     assert torus_bound(3) == 4
     assert check_torus(3, 4)
     assert not check_torus(3, 6)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        torus_bound(-1)
 
 
 def test_torus_bound_monotone_and_paired():
@@ -736,8 +771,8 @@ def test_rank_on_the_quadric_over_q_matches_the_field_rank(mu, m0, m1, point):
                   field.zero()) for j in range(4)) for i in range(3)))
     flat = Matrix.from_int_rows(tuple(map(_flatten, psis)), 12)
     cand = SimpleNamespace(psis=psis, flat=flat, cols=flat.transpose())
-    assert (_rank_at(cand, coords, field.defining_poly)
+    u, w = (tuple(F(p[i]) for p in point) for i in (0, 1))
+    assert (_rank_at(cand, u, w, field.defining_poly)
             == reference.rank(lifted))
-    assert _combination(cand, coords) == lifted
-    rational = tuple(F(a) for a, _ in point)
-    assert _rank_at(cand, rational, None) == rank(_combination(cand, rational))
+    assert _combination(cand, u) + _combination(cand, w) * s == lifted
+    assert _rank_at(cand, u, None, None) == rank(_combination(cand, u))

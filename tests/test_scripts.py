@@ -1,7 +1,8 @@
 """The scripts under scripts/ import hodgekit by name, and nothing else
 runs them: each is run once here, on small inputs, as its own process.
 scripts/bench_pairs.py runs the benchmark, so only its pair counting and
-its argument check are tested, in-process."""
+its argument check are tested, in-process; scripts/line_census.py runs
+pytest, so it is run on one test module."""
 
 import importlib.util
 import os
@@ -34,6 +35,22 @@ def test_script_runs(argv):
         ran = {word for line in proc.stdout.splitlines()
                if line.startswith("$ hodgekit ") for word in line.split()}
         assert {str(p) for p in (ROOT / "corpus").glob("*.json")} <= ran
+
+
+def test_line_census_lists_a_line_the_tests_never_run():
+    # test_perdom.py passes and runs every line of perdom but its
+    # self-check, which valid paths cannot reach
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "line_census.py"), "-q",
+         "-p", "no:cacheprovider", str(ROOT / "tests" / "test_perdom.py")],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    missed = [line for line in proc.stdout.splitlines()
+              if line.startswith("src/hodgekit/perdom.py:")]
+    assert missed and all("InternalError" in line for line in missed)
+    assert any("q(l, l') nonzero on an isotropic path" in line
+               for line in missed)
 
 
 def _load_script(name):

@@ -367,7 +367,8 @@ def test_e_structure_gaussian():
     assert es.basis == ((F(1), F(0)),)
     # the E-orbit of the basis vector spans T over Q
     b = es.basis[0]
-    assert rank(Matrix((b, es.primitive_matrix.vec(b)))) == 2
+    assert rank(Matrix((b, ef.primitive_matrix.vec(b)))) == 2
+    assert es.orbits == ((b, ef.primitive_matrix.vec(b)),)
 
 
 def test_e_structure_full_field():
@@ -436,7 +437,7 @@ def test_build_tha_multiplication_over_e():
     # CM mode: powers in the rank-one full algebra never vanish
     h, ef = gaussian_structure()
     tha = build_tha(h, ef, 3)
-    field = tha.estructure.field
+    field = ef.field
     x = linear_element(1, (field.one(),))
     acc = x
     for _ in range(2):
@@ -452,7 +453,7 @@ def test_build_tha_spaces_are_certified_over_e():
                     (quartic_cm_structure, 2)):
         h, ef = make()
         tha = build_tha(h, ef, n)
-        field, gram = tha.estructure.field, tha.algebra.space.gram
+        field, gram = ef.field, tha.algebra.space.gram
         if tha.mode == FULL_E:
             assert gram == Matrix.identity(gram.rows, field.one())
         else:
