@@ -254,7 +254,7 @@ def cmd_tha(period, n):
             ("mode", tha.mode),
             ("n", tha.n),
             ("e", tha.e),
-            ("rank_over_e", tha.estructure.rank),
+            ("rank_over_e", tha.rank_over_e),
             ("graded_dims_e", list(tha.graded_dims_e)),
             ("graded_dims_q", list(tha.graded_dims_q)),
         )),

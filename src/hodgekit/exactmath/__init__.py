@@ -1,6 +1,5 @@
 """Exact arbitrary-precision rational arithmetic, number fields with
-certified complex embeddings, and linear algebra over Q and over a
-number field."""
+certified complex embeddings, and linear algebra over Q."""
 
 from .linalg import Matrix, SolveResult, det, inverse, kernel, rank, rref, solve_linear
 from .numberfield import (ComplexEmbedding, FieldElement, NumberField,

@@ -1,8 +1,7 @@
-"""Exact dense linear algebra over the rationals, with products and
-inverses over a number field.
+"""Exact dense linear algebra over the rationals.
 
-Matrices are immutable tuples of tuples.  Entries may be Fractions or
-FieldElements of one number field; no floating point is used anywhere.
+Matrices are immutable tuples of tuples.  Every matrix hodgekit builds
+is rational; no floating point is used anywhere.
 Reduced row-echelon forms have leading coefficient 1, and kernel bases
 are re-echelonized, so every output is canonical and byte-reproducible.
 
@@ -23,13 +22,10 @@ flat: one integer row per member, its entries row by row (_flatten,
 _unflatten), and sum c_k M_k is one integer product with the transpose.
 
 Integer elimination is the only elimination: rref, kernel, row_space,
-rank, solve_linear, solve_blocks and det raise TypeError on a matrix
-with number-field entries.  Such a matrix is multiplied, added and
-applied to vectors entry by entry, and inverse reduces it to one
-rational inverse of its regular representation
-(numberfield.field_matrix_inverse).  Such matrices serve only the
-algebra over an endomorphism field (symalg.build_tha) and the 1 x 1
-case, the inverse of a field element.
+rank, solve_linear, solve_blocks, det and inverse raise TypeError on a
+matrix with number-field entries.  Such a matrix is multiplied, added
+and applied to vectors entry by entry only; vectors applied to a
+rational matrix may hold elements of one number field.
 """
 
 from fractions import Fraction
@@ -420,18 +416,10 @@ def solve_blocks(a, blocks):
 
 
 def inverse(m):
-    """m^-1: for a rational m the solution of m X = I, for a matrix over
-    a number field one rational inverse of its regular representation
-    (numberfield.field_matrix_inverse)."""
+    """m^-1 for a rational m: the solution of m X = I."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    if _is_rational(m):
-        x = solve_blocks(m, (Matrix.identity(m.rows),))
-        if x is not None:
-            return x[0]
-    else:
-        from .numberfield import field_matrix_inverse
-        x = field_matrix_inverse(m)
-        if x is not None:
-            return x
-    raise ValueError("matrix is singular")
+    x = solve_blocks(m, (Matrix.identity(m.rows),))
+    if x is None:
+        raise ValueError("matrix is singular")
+    return x[0]

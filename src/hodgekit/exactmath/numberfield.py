@@ -9,11 +9,9 @@ Sums, products, scaling, comparison and hashing work on those integers.
 Two elements are multiplied by reducing the convolution of their
 numerators by the powers x**e, ..., x**(2e-2) scaled to one common
 denominator; field_dot sums several convolutions over one denominator
-and reduces once.  A matrix over the field, an element as its 1 x 1
-case, is inverted by one integer elimination on its regular
-representation, whose blocks are matrices of multiplication.
-coordinate_matrix and row_elements move between elements and rational
-matrices on the same integers.
+and reduces once.  An element is inverted by one integer elimination on
+its matrix of multiplication.  coordinate_matrix and row_elements move
+between elements and rational matrices on the same integers.
 nf_create certifies irreducibility without factoring: monic factors
 over Q correspond to sets of roots closed under conjugation, and the
 sets of at most e/2 roots are tried on the certified root disks of
@@ -62,7 +60,7 @@ from operator import mul
 from ..errors import (DegreeTooLarge, InternalError, NotMonic, NotRealValued,
                       Reducible, TooLarge)
 from . import unipoly as up
-from .linalg import (Matrix, _integer_row, _integer_rows, _join, _lowest,
+from .linalg import (Matrix, _integer_row, _integer_rows, _lowest,
                      solve_blocks)
 from .rootiso import (ROOT_DIGITS, _ceil_sqrt, _horner, _integer_poly,
                       approx_conjugation, digits_bits, isolate_nonreal_roots,
@@ -330,11 +328,13 @@ class FieldElement:
         return o * self.inverse()
 
     def inverse(self):
-        """The solution of self * x = 1: field_matrix_inverse of the
-        1 x 1 matrix (self)."""
+        """The solution of self * x = 1: the coordinates of x solve
+        mult_matrix(self) x = e_1, one rational elimination."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return field_matrix_inverse(Matrix(((self,),))).entries[0][0]
+        e_1 = coordinate_matrix((self.parent.one(),))
+        x = solve_blocks(mult_matrix(self), (e_1,))[0]
+        return row_elements(self.parent, x.transpose())[0]
 
     def is_zero(self):
         return not any(self.num)
@@ -460,50 +460,6 @@ def mult_matrix(a):
     for _ in range(1, a.parent.degree):
         cols.append(cols[-1] * gen)
     return coordinate_matrix(cols)
-
-
-def _field_of(m):
-    """The number field of the FieldElement entries of m."""
-    x = next((x for r in m.entries for x in r if isinstance(x, FieldElement)),
-             None)
-    if x is None:
-        raise TypeError("a matrix over a number field is required")
-    return x.parent
-
-
-def regular_representation(m):
-    """The rational matrix of v -> m v on the power-basis coordinates of
-    E^n, for an n x n matrix m over a number field E (rational entries
-    count as elements of E): its (i, j) block is mult_matrix(m[i][j]),
-    written out as zeros for a zero entry."""
-    field = _field_of(m)
-    one, e = field.one(), field.degree
-    zero = (((0,) * e, 1),) * e
-    blocks = [[_integer_rows(mult_matrix(one._coerce(x))) if x else zero
-               for x in r] for r in m.entries]
-    return Matrix.from_int_rows(
-        tuple(_join([b[k] for b in row])
-              for row in blocks for k in range(e)),
-        m.cols * e)
-
-
-def field_matrix_inverse(m):
-    """The inverse of a square matrix m over a number field, or None when
-    m is singular.  Column j of m^-1 solves m x = e_j, so its coordinates
-    solve R x = the coordinates of e_j for R = regular_representation(m):
-    one rational elimination, read back block by block."""
-    field = _field_of(m)
-    e, n = field.degree, m.rows
-    units = Matrix.from_int_rows(
-        tuple(([int(k == j * e) for j in range(n)], 1) for k in range(n * e)),
-        n)
-    x = solve_blocks(regular_representation(m), (units,))
-    if x is None:
-        return None
-    cols = _integer_rows(x[0].transpose())
-    return Matrix(tuple(
-        tuple(field.element_over(c[i * e:(i + 1) * e], d) for c, d in cols)
-        for i in range(n)))
 
 
 class ComplexEmbedding:

@@ -2,43 +2,31 @@
 complements, isotropy, and the dual bivector feeding the harmonic
 quotient.
 
-A QuadraticSpace may be built over Q (Fraction entries) or over a
-number field (FieldElement entries).  A rational Gram matrix is
-diagonalized by congruence on integers, which also certifies it
-nondegenerate; one over a number field E is certified by the
-determinant of its regular representation, the norm from E to Q of its
-determinant.  The signature, the congruence diagonal and orthogonal
-complements are only defined for rational Gram matrices.
+A QuadraticSpace has a rational Gram matrix, diagonalized once by
+congruence on integers, which also certifies it nondegenerate and gives
+its signature.  The congruence diagonalization raises TypeError on a
+Gram matrix over a number field, and so does QuadraticSpace.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 
 from .errors import Degenerate, NotSymmetric
-from .exactmath import FieldElement, Matrix, det, inverse, kernel
+from .exactmath import Matrix, inverse, kernel
 from .exactmath.linalg import (_dot, _integer_rows, _integer_vec, _is_rational,
                                _lowest)
-from .exactmath.numberfield import field_dot, regular_representation
 
 
 def bilinear(gram, u, v):
-    """u^T gram v = u . (gram v) for a nondegenerate Gram matrix; entries
-    may lie in a number field, whose products are summed on integers and
-    reduced once (numberfield.field_dot)."""
-    w = gram.vec(v)
-    if any(isinstance(x, FieldElement) for x in chain(u, w)):
-        return field_dot(u, w)
-    return _dot(u, w)
+    """u^T gram v = u . (gram v) for a nondegenerate Gram matrix."""
+    return _dot(u, gram.vec(v))
 
 
 class QuadraticSpace:
-    """Vector space with a nondegenerate symmetric Gram matrix.  A
-    rational Gram matrix is diagonalized once, at construction: the
-    elimination certifies nondegeneracy, and `diagonal` keeps its entries
-    for the signature.  Over a number field the determinant of the
-    regular representation certifies it, and `diagonal` is None.  Spaces
-    are equal when their Gram matrices are."""
+    """Vector space with a nondegenerate symmetric rational Gram matrix,
+    diagonalized once, at construction: the elimination certifies
+    nondegeneracy, and `diagonal` keeps its entries for the signature.
+    Spaces are equal when their Gram matrices are."""
 
     __slots__ = ("gram", "diagonal")
 
@@ -47,15 +35,10 @@ class QuadraticSpace:
             raise NotSymmetric("Gram matrix must be square")
         if not gram.is_symmetric():
             raise NotSymmetric("Gram matrix must be symmetric")
-        if not _is_rational(gram):
-            self.diagonal = None
-            if det(regular_representation(gram)) == 0:
-                raise Degenerate("Gram matrix must be nondegenerate")
-        else:
-            try:
-                self.diagonal = tuple(congruence_diagonal(gram)[0])
-            except Degenerate:
-                raise Degenerate("Gram matrix must be nondegenerate") from None
+        try:
+            self.diagonal = tuple(congruence_diagonal(gram)[0])
+        except Degenerate:
+            raise Degenerate("Gram matrix must be nondegenerate") from None
         self.gram = gram
 
     def __eq__(self, other):
@@ -71,7 +54,7 @@ class QuadraticSpace:
         return self.gram.rows
 
     def form(self, u, v):
-        """The bilinear form q(u, v); entries may lie in a number field."""
+        """The bilinear form q(u, v)."""
         return bilinear(self.gram, u, v)
 
 
@@ -134,9 +117,7 @@ def congruence_diagonal(gram):
 
 def signature(space):
     """Signature (positives, negatives) read off the space's congruence
-    diagonal (rational Gram matrices only)."""
-    if not _is_rational(space.gram):
-        raise TypeError("signature requires a rational Gram matrix")
+    diagonal."""
     pos = sum(1 for d in space.diagonal if d > 0)
     return pos, space.dim - pos
 

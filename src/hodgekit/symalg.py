@@ -1,6 +1,6 @@
-"""Graded symmetric algebras over Q or over an endomorphism field, the
-harmonic quotient by the ideal of the dual bivector, the top power map,
-and the transcendental-Hodge-algebra builder.
+"""Graded symmetric algebras of rational quadratic spaces, the harmonic
+quotient by the ideal of the dual bivector, the top power map, and the
+graded shape of the transcendental Hodge algebra.
 
 Sym(V) is realized as the polynomial ring on the basis coordinates with
 graded-lexicographic monomial order.  The harmonic complement of the
@@ -12,6 +12,10 @@ which kills the powers of isotropic linear forms and provides the
 canonical splitting Sym^i = ker L  (+)  b * Sym^(i-2): the quotient
 projection subtracts b * (L as composed with multiplication by b)^-1 L x,
 so projecting is exact linear algebra at each degree.
+
+The transcendental Hodge algebra is Sym_E(T) in the CM case and its
+harmonic quotient in the totally real case, so its graded dimensions
+follow from e = deg E and the rank t/e of T over E alone (build_tha).
 """
 
 from fractions import Fraction
@@ -21,12 +25,10 @@ from math import comb
 from .errors import (DegreeTooHigh, HarmonicDimTooSmall, InternalError,
                      ValidationError)
 from .exactmath import Matrix, inverse
-from .exactmath import unipoly as up
 from .exactmath.mpoly import (mp_from_vector, mp_items_grlex, mp_mul, mp_pow,
                               mp_sub)
-from .qforms import QuadraticSpace, bilinear, dual_bivector
+from .qforms import dual_bivector, lowered
 
-FULL = "full"
 HARMONIC = "harmonic"
 
 
@@ -99,10 +101,11 @@ class SymElement:
     def is_zero(self):
         return not self.coeffs
 
-    def vector(self, zero=Fraction(0)):
+    def vector(self):
         """Coefficient vector on the grlex monomial basis of its degree."""
         d = self.as_dict()
-        return tuple(d.get(mon, zero) for mon in monomials(self.nvars, self.degree))
+        return tuple(d.get(mon, Fraction(0))
+                     for mon in monomials(self.nvars, self.degree))
 
     @classmethod
     def from_vector(cls, nvars, degree, vec):
@@ -111,17 +114,18 @@ class SymElement:
 
 
 class SymAlgebra:
-    """Truncated symmetric algebra of a quadratic space, either full or
-    modded out by the ideal of the dual bivector (harmonic mode)."""
+    """Symmetric algebra of a rational quadratic space modulo the ideal
+    of the dual bivector (the harmonic mode, the only one), truncated
+    at degree top."""
 
     __slots__ = ("space", "mode", "top")
 
     def __init__(self, space, mode, top):
-        if mode not in (FULL, HARMONIC):
+        if mode != HARMONIC:
             raise ValidationError(f"unknown mode {mode!r}")
         if top < 1:
             raise ValidationError("top degree must be at least 1")
-        if mode == HARMONIC and space.dim < 3:
+        if space.dim < 3:
             raise HarmonicDimTooSmall(
                 "harmonic quotient requires a space of dimension >= 3")
         self.space = space
@@ -132,23 +136,19 @@ class SymAlgebra:
     def dim(self):
         return self.space.dim
 
-    def zero_scalar(self):
-        return self.space.gram.entries[0][0] * 0
-
 
 @lru_cache(maxsize=None)
 def contraction_matrix(space, i):
     """Matrix of L = sum q_ab d_a d_b from Sym^i to Sym^(i-2) on the
     grlex monomial bases."""
     m = space.dim
-    zero = space.gram.entries[0][0] * 0
     src = monomials(m, i)
     dst = monomials(m, i - 2)
     dst_index = {mon: k for k, mon in enumerate(dst)}
     cols = []
     g = space.gram.entries
     for mon in src:
-        col = [zero] * len(dst)
+        col = [Fraction(0)] * len(dst)
         for a in range(m):
             for b in range(m):
                 if g[a][b] == 0:
@@ -177,14 +177,13 @@ def _bivector_mult_matrix(space, i):
     """Matrix of multiplication by the dual bivector from Sym^(i-2) to
     Sym^i on the grlex bases."""
     m = space.dim
-    zero = space.gram.entries[0][0] * 0
     b = dual_bivector(space)
     src = monomials(m, i - 2)
     dst = monomials(m, i)
     dst_index = {mon: k for k, mon in enumerate(dst)}
     cols = []
     for mon in src:
-        col = [zero] * len(dst)
+        col = [Fraction(0)] * len(dst)
         for bexp, c in b.items():
             tgt = tuple(x + y for x, y in zip(mon, bexp))
             k = dst_index[tgt]
@@ -210,16 +209,13 @@ def _splitting_inverse(space, i):
 def harmonic_project(alg, x):
     """The harmonic representative of x in the quotient by (b):
     idempotent, kernel exactly b * Sym^(degree-2)."""
-    if alg.mode != HARMONIC:
-        raise ValidationError("harmonic_project requires a Harmonic algebra")
     if x.degree > alg.top:
         raise DegreeTooHigh(f"degree {x.degree} exceeds top degree {alg.top}")
     if x.degree < 2 or x.is_zero():
         return x
     space = alg.space
-    zero = alg.zero_scalar()
     lam = contraction_matrix(space, x.degree)
-    lx = lam.vec(x.vector(zero))
+    lx = lam.vec(x.vector())
     if all(c == 0 for c in lx):
         return x
     y = _splitting_inverse(space, x.degree).vec(lx)
@@ -236,9 +232,8 @@ def power_top(alg, x):
     if all(c == 0 for c in x):
         return SymElement(alg.dim, alg.top, ())
     lx = mp_from_vector(tuple(x))
-    p = SymElement.from_dict(alg.dim, alg.top, mp_pow(lx, alg.top))
-    if alg.mode == HARMONIC:
-        p = harmonic_project(alg, p)
+    p = harmonic_project(
+        alg, SymElement.from_dict(alg.dim, alg.top, mp_pow(lx, alg.top)))
     if p.is_zero():
         raise InternalError(
             "nonzero vector produced a vanishing top power; "
@@ -248,80 +243,6 @@ def power_top(alg, x):
 
 # Transcendental Hodge algebra over the endomorphism field.
 
-class EStructure:
-    """Presentation of the transcendental lattice as a vector space over
-    its endomorphism field E = Q(p): for each of the n_E generating
-    vectors x (T-coordinates over Q), its orbit x, p x, ..., p**(e-1) x,
-    a Q-basis of E x."""
-
-    __slots__ = ("orbits",)
-
-    def __init__(self, orbits):
-        self.orbits = orbits
-
-    @property
-    def basis(self):
-        return tuple(orbit[0] for orbit in self.orbits)
-
-    @property
-    def rank(self):
-        return len(self.orbits)
-
-
-def e_structure(h, ef):
-    """Deterministic E-basis of the transcendental lattice: greedy orbit
-    closure of standard basis vectors under the primitive element."""
-    from .exactmath.linalg import coords_in, row_space
-
-    t = h.trans.rows
-    orbits, span_rows = [], []
-    span = None
-    for k in range(t):
-        cand = tuple(Fraction(1) if j == k else Fraction(0) for j in range(t))
-        if span is not None and coords_in(span, cand) is not None:
-            continue
-        orbit = [cand]
-        for _ in range(ef.e - 1):
-            orbit.append(ef.primitive_matrix.vec(orbit[-1]))
-        orbits.append(tuple(orbit))
-        span_rows += orbit
-        span = row_space(Matrix(span_rows))
-        if span.rows == t:
-            break
-    if span is None or span.rows != t:
-        raise InternalError("primitive orbits failed to span the lattice")
-    return EStructure(tuple(orbits))
-
-
-def trace_transfer_form(h, ef, es):
-    """The E-valued symmetric pairing q_E on the E-structure whose trace
-    form recovers q: Tr(a * q_E(x, y)) = q(a x, y) for all a in E.
-    Exists (symmetric) exactly in the totally real case."""
-    from .exactmath.linalg import solve_blocks
-
-    field = ef.field
-    e = field.degree
-    # trace Gram matrix Tr(alpha^(k+l)): the power sums of the roots of
-    # the defining polynomial of E
-    sums = up.power_sums(field.defining_poly, 2 * e - 2)
-    tr = [[sums[k + l] for l in range(e)] for k in range(e)]
-    n = es.rank
-    # column (i, j) of the right-hand side is q(alpha^k x_i, x_j), k < e
-    rhs = Matrix(tuple(tuple(bilinear(h.gram, orbit[k], xj)
-                             for orbit in es.orbits for xj in es.basis)
-                       for k in range(e)))
-    sol = solve_blocks(Matrix(tr), (rhs,))
-    if sol is None:
-        raise InternalError("trace form is degenerate")
-    cols = sol[0].transpose().entries
-    g = Matrix(tuple(tuple(field.element(c) for c in cols[i * n:(i + 1) * n])
-                     for i in range(n)))
-    if not g.is_symmetric():
-        raise InternalError("trace-transfer pairing is not symmetric; "
-                            "the endomorphism field is not acting totally real")
-    return QuadraticSpace(g)
-
-
 FULL_E = "full_e"
 HARMONIC_E = "harmonic_e"
 
@@ -329,42 +250,49 @@ HARMONIC_E = "harmonic_e"
 class THAResult:
     """Graded shape of the transcendental Hodge algebra up to degree n."""
 
-    __slots__ = ("mode", "n", "e", "graded_dims_e", "graded_dims_q", "algebra",
-                 "estructure")
+    __slots__ = ("mode", "n", "e", "rank_over_e", "graded_dims_e",
+                 "graded_dims_q")
 
-    def __init__(self, mode, n, e, graded_dims_e, graded_dims_q, algebra,
-                 estructure):
+    def __init__(self, mode, n, e, rank_over_e, graded_dims_e, graded_dims_q):
         self.mode = mode
         self.n = n
         self.e = e
+        self.rank_over_e = rank_over_e
         self.graded_dims_e = graded_dims_e
         self.graded_dims_q = graded_dims_q
-        self.algebra = algebra
-        self.estructure = estructure
 
 
 def build_tha(h, ef, n):
-    """Transcendental Hodge algebra of a hyperkaehler manifold of
-    complex dimension 2n with second transcendental cohomology h: the
-    full E-symmetric algebra in the CM case and the harmonic quotient in
-    the totally real case, truncated at degree n."""
+    """Graded dimensions of the transcendental Hodge algebra of a
+    hyperkaehler manifold of complex dimension 2n with second
+    transcendental cohomology h, truncated at degree n: the full
+    E-symmetric algebra Sym_E(T) in the CM case and its harmonic quotient
+    in the totally real case.  T is an E-vector space of rank t/e
+    (ef.mt.rank), so the dimensions over E are those of the symmetric
+    algebra or of its harmonic quotient on that many variables."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    es = e_structure(h, ef)
-    n_e = es.rank
-    field = ef.field
+    n_e = ef.mt.rank
     if ef.classification == "CM":
-        space = QuadraticSpace(Matrix.identity(n_e, field.one()))
-        alg = SymAlgebra(space, FULL, n)
         dims_e = tuple(sym_dim(n_e, i) for i in range(n + 1))
         mode = FULL_E
     else:
+        # No validated period reaches this: with E totally real the rank
+        # of T over E is at least 3 (Zarhin 1983).  At rank 2 the
+        # rotation J of the positive plane, with J^2 = -det q_E, would be
+        # a Hodge endomorphism outside E.
         if n_e < 3:
             raise HarmonicDimTooSmall(
                 f"harmonic quotient needs rank >= 3 over E, got {n_e}")
-        space = trace_transfer_form(h, ef, es)
-        alg = SymAlgebra(space, HARMONIC, n)
+        # the E-valued form q_E with Tr(a q_E(x, y)) = q(a x, y) is
+        # symmetric exactly when the primitive element P is
+        # q-self-adjoint, P^T G_T = G_T P: row i of lowered's P^T G_T is
+        # G_T times column i of P
+        pt_g = lowered(h.gram, ef.primitive_matrix.transpose())[0]
+        if not pt_g.is_symmetric():
+            raise InternalError("trace-transfer pairing is not symmetric; "
+                                "the endomorphism field is not acting totally real")
         dims_e = tuple(harm_dim(n_e, i) for i in range(n + 1))
         mode = HARMONIC_E
-    dims_q = tuple(ef.e * d for d in dims_e)
-    return THAResult(mode, n, ef.e, dims_e, dims_q, alg, es)
+    return THAResult(mode, n, ef.e, n_e, dims_e,
+                     tuple(ef.e * d for d in dims_e))

@@ -119,6 +119,54 @@ def test_tha_dims(capsys):
         [1, 3, 5]
 
 
+def test_tha_rank_below_three_over_a_totally_real_field_exits_2(
+        monkeypatch, capsys):
+    # no validated period reaches it: the rank over a totally real E is at
+    # least 3 (Zarhin 1983), so the classification is a stand-in
+    from types import SimpleNamespace
+
+    import hodgekit.cli as cli
+
+    stub = SimpleNamespace(classification="TotallyReal", e=2,
+                           mt=SimpleNamespace(rank=2))
+    monkeypatch.setattr(cli, "endomorphism_field", lambda h: stub)
+    code, out = run_inproc(["tha", str(CORPUS / "totally_real_sqrt2_period.json"),
+                            "--n", "2", "--json"], capsys)
+    assert code == 2
+    error = json.loads(out)["sections"]["error"]
+    assert error == {"class": "HarmonicDimTooSmall",
+                     "message": "harmonic quotient needs rank >= 3 over E, "
+                                "got 2"}
+
+
+def test_no_command_builds_a_matrix_over_a_number_field(monkeypatch, capsys):
+    # classify, tha and ksympl keep every matrix rational; number-field
+    # elements appear only in vectors
+    from fractions import Fraction
+
+    from hodgekit.exactmath import Matrix
+
+    init = Matrix.__init__
+    shapes = []
+
+    def counting(self, rows, cols=None):
+        init(self, rows, cols)
+        if not all(isinstance(x, (int, Fraction))
+                   for r in self.entries for x in r):
+            shapes.append((self.rows, self.cols))
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    files = sorted(CORPUS.glob("*.json"))
+    assert len(files) == 8
+    codes = []
+    for path in files:
+        for args in (["classify"], ["tha", "--n", "3"], ["ksympl"]):
+            codes.append(main([args[0], str(path), *args[1:], "--json"]))
+    capsys.readouterr()
+    assert codes.count(0) == 12
+    assert shapes == []
+
+
 def test_tha_rejects_n_zero():
     code, _ = run_cli(["tha", str(CORPUS / "qi_period.json"), "--n", "0"])
     assert code == 2

@@ -793,13 +793,14 @@ def test_field_matrix_linear_algebra():
     assert reference.det(a) == field.from_rational(2)
     with pytest.raises(TypeError, match="rational"):
         det(a)
-    inv = inverse(a)
-    assert inv * a == Matrix.identity(2, one)
+    # inverse is rational only too; the reference inverts over the field
+    with pytest.raises(TypeError, match="rational"):
+        inverse(a)
+    assert reference.inverse(a) * a == Matrix.identity(2, one)
 
 
 def test_elimination_takes_rational_matrices_only():
-    # a matrix over a number field reaches elimination only as its regular
-    # representation, whose determinant is the norm of its determinant
+    # no elimination takes a matrix over a number field
     field = FIELDS["Q(i)"]
     a = Matrix(((field.one(), field.gen()), (field.gen(), field.one())))
     for fn in (rref, kernel, rank, linalg.row_space):
@@ -810,62 +811,6 @@ def test_elimination_takes_rational_matrices_only():
     for blocks in ((a, (Matrix.identity(2),)), (Matrix.identity(2), (a,))):
         with pytest.raises(TypeError, match="requires rational matrices"):
             linalg.solve_blocks(*blocks)
-    assert det(numberfield.regular_representation(a)) == 4    # N(1 - i^2)
-    with pytest.raises(TypeError, match="number field"):
-        numberfield.field_matrix_inverse(Matrix.identity(2))
-
-
-def test_regular_representation_writes_zero_blocks(monkeypatch):
-    # zero entries, field or rational, give zero blocks without a
-    # mult_matrix call; the result is the dense block construction
-    field = FIELDS["quartic"]
-    a, zero = field.element([1, F(-2, 3), 0, 5]), field.zero()
-    m = Matrix(((a, zero, F(0)), (F(3, 2), field.gen(), zero)))
-    e = field.degree
-    dense = [[numberfield.mult_matrix(field.one() * x).entries for x in r]
-             for r in m.entries]
-    expected = Matrix(tuple(
-        tuple(c for block in row for c in block[k])
-        for row in dense for k in range(e)))
-    calls = []
-    original = numberfield.mult_matrix
-
-    def counting(x):
-        calls.append(x)
-        return original(x)
-
-    monkeypatch.setattr(numberfield, "mult_matrix", counting)
-    assert numberfield.regular_representation(m) == expected
-    assert calls == [a, field.from_rational(F(3, 2)), field.gen()]
-
-
-@st.composite
-def field_matrices(draw):
-    """Square matrices up to 3 x 3 over Q(i) or the quartic x^4 - x^2 - 1,
-    mixing field elements with rationals, singular ones included."""
-    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    n = draw(st.integers(1, 3))
-    m = [[field.element([draw(big_rationals) for _ in range(field.degree)])
-          if draw(st.booleans()) else draw(big_rationals) for _ in range(n)]
-         for _ in range(n)]
-    m[0][0] = field.gen() + m[0][0]
-    if n >= 2 and draw(st.booleans()):
-        m[-1] = [x * m[0][0] for x in m[0]]
-    return Matrix(m)
-
-
-@settings(max_examples=60, deadline=None)
-@given(field_matrices())
-def test_field_matrix_inverse_matches_the_field_elimination(m):
-    # one rational inverse of the regular representation, read back block
-    # by block, against Gauss-Jordan elimination on the field elements
-    one = m[0, 0].parent.one()
-    got = _outcome(inverse, m)
-    assert got == _outcome(reference.inverse,
-                           Matrix([[one * x for x in r] for r in m.entries]))
-    if not isinstance(got, str):
-        assert all(type(x) is FieldElement for r in got.entries for x in r)
-        assert got * m == Matrix.identity(m.rows, one)
 
 
 # ---- certified embeddings and the irreducibility certificate ------------

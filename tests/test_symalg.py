@@ -3,27 +3,28 @@ transcendental Hodge algebra builder."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgekit.errors import (DegreeTooHigh, HarmonicDimTooSmall,
-                             ValidationError)
+                             InternalError, ValidationError)
 from hodgekit.exactmath import (Matrix, inverse, kernel, nf_create,
                                 nf_embeddings, rank)
 from hodgekit.exactmath.mpoly import mp_add, mp_from_vector, mp_mul, mp_pow
 from hodgekit.hodge import endomorphism_field, transcendental_lattice, validate_period
-from hodgekit.qforms import QuadraticSpace, dual_bivector
-from hodgekit.symalg import (FULL, FULL_E, HARMONIC, HARMONIC_E, SymAlgebra,
+from hodgekit.qforms import QuadraticSpace, dual_bivector, lowered
+from hodgekit.symalg import (FULL_E, HARMONIC, HARMONIC_E, SymAlgebra,
                              SymElement, build_tha, contraction_matrix,
-                             e_structure, harm_dim, harmonic_project,
-                             monomials, power_top, sym_decompose_dims,
-                             sym_dim, trace_transfer_form)
+                             harm_dim, harmonic_project, monomials, power_top,
+                             sym_decompose_dims, sym_dim)
 from reference_pfaffian import mp_diff, mp_scale
-from test_exactmath import field_trace, power
+from test_exactmath import power
 
 F = Fraction
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def sym_plus_multiply(alg, a, c):
@@ -125,9 +126,12 @@ def test_harmonic_mode_needs_dim_three():
 def test_algebra_construction_rejections():
     with pytest.raises(ValidationError, match="unknown mode 'graded'"):
         SymAlgebra(EUCLID3, "graded", 2)
+    # the harmonic quotient is the only mode
+    with pytest.raises(ValidationError, match="unknown mode 'full'"):
+        SymAlgebra(EUCLID3, "full", 2)
     with pytest.raises(ValidationError, match="at least 1"):
-        SymAlgebra(EUCLID3, FULL, 0)
-    assert SymAlgebra(qspace([[1, 0], [0, 1]]), FULL, 2).dim == 2
+        SymAlgebra(EUCLID3, HARMONIC, 0)
+    assert SymAlgebra(EUCLID3, HARMONIC, 2).dim == 3
 
 
 def test_elements_are_equal_by_coefficients():
@@ -296,15 +300,11 @@ def test_harmonic_project_matches_the_fischer_formula(dim, deg):
 @pytest.mark.parametrize("dim,deg", [(3, 2), (3, 4), (4, 4), (5, 4), (4, 5)])
 def test_harmonic_project_matches_the_fischer_formula_over_a_real_field(
         dim, deg):
-    # E = Q(sqrt2) is real and not Q: sqrt2 replaces the (0, 1) and (1, 0)
-    # entries of the Gram matrix, which stays nondegenerate over E, and
-    # the polynomials have coefficients a + b sqrt2
+    # E = Q(sqrt2) is real and not Q: the polynomials have coefficients
+    # a + b sqrt2, and the rational projector applies to them E-linearly,
+    # its matrices acting on the power-basis coordinates
     field = nf_create([-2, 0, 1])
-    rows = [[field.from_rational(c) for c in r] for r in FISCHER_GRAMS[dim]]
-    rows[0][1] = rows[1][0] = field.gen()
-    gram = Matrix(rows)
-    assert inverse(gram) * gram == Matrix.identity(dim, field.one())
-    space = QuadraticSpace(gram)
+    space = qspace(FISCHER_GRAMS[dim])
     alg = SymAlgebra(space, HARMONIC, deg)
     rng = random.Random(dim * 10 + deg)
     for _ in range(3):
@@ -353,49 +353,14 @@ def quartic_cm_structure():
     return h, endomorphism_field(h)
 
 
-def test_e_structure_rational_case():
-    h, ef = sqrt2i_structure()
-    es = e_structure(h, ef)
-    assert es.rank == 3
-    assert es.basis == Matrix.identity(3).entries
-
-
-def test_e_structure_gaussian():
-    h, ef = gaussian_structure()
-    es = e_structure(h, ef)
-    assert es.rank == 1
-    assert es.basis == ((F(1), F(0)),)
-    # the E-orbit of the basis vector spans T over Q
-    b = es.basis[0]
-    assert rank(Matrix((b, ef.primitive_matrix.vec(b)))) == 2
-    assert es.orbits == ((b, ef.primitive_matrix.vec(b)),)
-
-
-def test_e_structure_full_field():
-    h, ef = quartic_cm_structure()
-    es = e_structure(h, ef)
-    assert es.rank == 1
-    assert ef.e == 4
-
-
-def test_trace_transfer_recovers_form():
-    h, ef = sqrt2i_structure()
-    es = e_structure(h, ef)
-    space_e = trace_transfer_form(h, ef, es)
-    for i in range(3):
-        for j in range(3):
-            q_e = space_e.gram.entries[i][j]
-            expected = h.space.form(h.trans.entries[i], h.trans.entries[j])
-            assert field_trace(q_e) == expected
-
-
 def test_build_tha_cm():
     h, ef = gaussian_structure()
     tha = build_tha(h, ef, 3)
     assert tha.mode == FULL_E
     assert tha.graded_dims_e == (1, 1, 1, 1)
     assert tha.graded_dims_q == (2, 2, 2, 2)
-    assert tha.algebra.mode == FULL
+    # E = Q(i) is all of T: rank one over E
+    assert tha.rank_over_e == 1 and ef.e * tha.rank_over_e == h.dim_t
 
 
 def test_build_tha_totally_real():
@@ -404,7 +369,7 @@ def test_build_tha_totally_real():
     assert tha.mode == HARMONIC_E
     assert tha.graded_dims_e == (1, 3, 5)
     assert tha.graded_dims_q == (1, 3, 5)
-    assert tha.algebra.mode == HARMONIC
+    assert tha.rank_over_e == 3
 
 
 def test_build_tha_top_degree_one():
@@ -422,6 +387,7 @@ def test_build_tha_quartic_cm():
     assert tha.mode == FULL_E
     assert tha.graded_dims_e == (1, 1, 1)
     assert tha.graded_dims_q == (4, 4, 4)
+    assert tha.rank_over_e == 1
 
 
 def test_build_tha_dim_consistency():
@@ -433,34 +399,32 @@ def test_build_tha_dim_consistency():
                    zip(tha.graded_dims_q, tha.graded_dims_e))
 
 
-def test_build_tha_multiplication_over_e():
-    # CM mode: powers in the rank-one full algebra never vanish
-    h, ef = gaussian_structure()
-    tha = build_tha(h, ef, 3)
-    field = ef.field
-    x = linear_element(1, (field.one(),))
-    acc = x
-    for _ in range(2):
-        acc = sym_plus_multiply(tha.algebra, acc, x)
-    assert not acc.is_zero()
+def test_build_tha_checks_that_the_primitive_element_is_self_adjoint(
+        monkeypatch):
+    # q_E is symmetric exactly when P^T G_T = G_T P.  On the totally real
+    # corpus octic (e = 2) P^T G_T is symmetric and is not G_T; on sqrt2i
+    # (e = 1) P is a scalar, so there the check is vacuous
+    from hodgekit.cli import build_period, load_problem_file
 
-
-def test_build_tha_spaces_are_certified_over_e():
-    # the CM identity space and the totally real trace-transfer space are
-    # over E: certified nondegenerate by the regular representation, they
-    # keep no congruence diagonal, and their Gram matrices invert over E
-    for make, n in ((gaussian_structure, 3), (sqrt2i_structure, 2),
-                    (quartic_cm_structure, 2)):
-        h, ef = make()
-        tha = build_tha(h, ef, n)
-        field, gram = ef.field, tha.algebra.space.gram
-        if tha.mode == FULL_E:
-            assert gram == Matrix.identity(gram.rows, field.one())
-        else:
-            assert gram == trace_transfer_form(h, ef, tha.estructure).gram
-        assert all(x.parent == field for r in gram.entries for x in r)
-        assert tha.algebra.space.diagonal is None
-        assert inverse(gram) * gram == Matrix.identity(gram.rows, field.one())
+    doc = load_problem_file(CORPUS / "totally_real_sqrt2_period.json")[1]
+    h = transcendental_lattice(build_period(doc))
+    ef = endomorphism_field(h)
+    pt_g = lowered(h.gram, ef.primitive_matrix.transpose())[0]
+    assert ef.e == 2 and pt_g.is_symmetric() and pt_g != h.gram
+    assert build_tha(h, ef, 2).mode == HARMONIC_E
+    h1, ef1 = sqrt2i_structure()
+    p = ef1.primitive_matrix
+    assert p == Matrix.identity(h1.dim_t) * p[0, 0]
+    # a basis shift in place of P, which is not q-self-adjoint
+    t = h.dim_t
+    shift = Matrix([[F(int(i == j + 1)) for j in range(t)] for i in range(t)])
+    assert not lowered(h.gram, shift.transpose())[0].is_symmetric()
+    monkeypatch.setattr(ef, "primitive_matrix", shift)
+    with pytest.raises(InternalError,
+                       match="^trace-transfer pairing is not symmetric; "
+                             "the endomorphism field is not acting totally "
+                             "real$"):
+        build_tha(h, ef, 2)
 
 
 def test_build_tha_rejects_bad_n():
